@@ -54,9 +54,8 @@ fn bench_disjoint(c: &mut Criterion) {
 
 fn bench_pairwise_conflict(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitset_pairwise");
-    // The conflict-epoch shape: one partial's written set probed against
-    // many candidates' might_access sets (the parallel epoch splits this
-    // very loop across shard workers).
+    // The clear-repair walk's shape: one partial's written set probed
+    // against many candidates' might_access sets.
     for &mpl in &[64usize, 1024] {
         let written = random_set(3, 30, 8);
         let candidates: Vec<DataSet> = (0..mpl)

@@ -120,7 +120,7 @@ fn append_bench_history(
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: experiments [--quick] [--plot] [--jobs N] [--shards N] [--out DIR] \
+        "usage: experiments [--quick] [--plot] [--jobs N] [--out DIR] \
          [--faults] [--admission] [--bench-profile] \
          [--serve-txns N] [--serve-scale S] <id>... | all | serve | chaos-smoke | list"
     );
@@ -204,7 +204,6 @@ fn main() -> ExitCode {
     let mut out_dir = PathBuf::from("results");
     let mut plot = false;
     let mut parallelism = Parallelism::Auto;
-    let mut shards: Option<usize> = None;
     let mut bench_profile = false;
     let mut serve_bench = rtx_bench::experiments::serve::WallBench::default();
     let mut ids: Vec<String> = Vec::new();
@@ -232,10 +231,6 @@ fn main() -> ExitCode {
             "--jobs" | "-j" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) => parallelism = Parallelism::Threads(n),
                 None => return usage(),
-            },
-            "--shards" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if (1..=8).contains(&n) => shards = Some(n),
-                _ => return usage(),
             },
             "--help" | "-h" => {
                 usage();
@@ -351,7 +346,6 @@ fn main() -> ExitCode {
     let opts = ReplicationOptions {
         parallelism,
         timer: None,
-        shards,
     };
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let started = Instant::now();

@@ -56,17 +56,6 @@ fn burst(mpl: usize) -> SimConfig {
     cfg
 }
 
-/// The same burst with the lock table and conflict epochs sharded:
-/// conflict epochs above the fan-out threshold are evaluated by
-/// per-shard worker threads (outcome bit-identical to `shards = 1`;
-/// only the wall clock and the `shard_barriers`/`cross_shard_conflicts`
-/// counters move).
-fn burst_sharded(mpl: usize, shards: usize) -> SimConfig {
-    let mut cfg = burst(mpl);
-    cfg.system.shards = shards;
-    cfg
-}
-
 fn scenarios(quick: bool) -> Vec<Scenario> {
     if quick {
         // CI smoke: small, mid-size and deep bursts — enough to catch a
@@ -93,12 +82,6 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
                 cfg: burst(1024),
                 reps: 1,
             },
-            Scenario {
-                name: "mm_cca_burst_mpl1024_shards4",
-                policy: Box::new(Cca::base()),
-                cfg: burst_sharded(1024, 4),
-                reps: 1,
-            },
         ];
     }
     // Split-index-vs-scan across MPL for both ConflictState policies,
@@ -120,12 +103,6 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
             name: "mm_cca_burst_mpl1024",
             policy: Box::new(Cca::base()),
             cfg: burst(1024),
-            reps: 2,
-        },
-        Scenario {
-            name: "mm_cca_burst_mpl1024_shards4",
-            policy: Box::new(Cca::base()),
-            cfg: burst_sharded(1024, 4),
             reps: 2,
         },
         Scenario {
@@ -211,8 +188,6 @@ fn run_cell(
         cell.sched.migrations_batched += s.sched.migrations_batched;
         cell.sched.pair_cache_probes += s.sched.pair_cache_probes;
         cell.sched.frozen_compactions += s.sched.frozen_compactions;
-        cell.sched.shard_barriers += s.sched.shard_barriers;
-        cell.sched.cross_shard_conflicts += s.sched.cross_shard_conflicts;
         cell.sched.verify_checks += s.sched.verify_checks;
         cell.sched.sched_wall_ns += s.sched.sched_wall_ns;
         cell.committed += s.committed;
@@ -235,7 +210,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
          {indent}  \"clear_repair_clears\": {},\n\
          {indent}  \"clear_repair_visits\": {},\n{indent}  \"index_migrations\": {},\n\
          {indent}  \"migrations_batched\": {},\n{indent}  \"frozen_compactions\": {},\n\
-         {indent}  \"shard_barriers\": {},\n{indent}  \"cross_shard_conflicts\": {},\n\
          {indent}  \"committed\": {}\n{indent}}}",
         cell.sched.sched_wall_ns,
         cell.pick_ns(),
@@ -255,8 +229,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
         cell.sched.index_migrations,
         cell.sched.migrations_batched,
         cell.sched.frozen_compactions,
-        cell.sched.shard_barriers,
-        cell.sched.cross_shard_conflicts,
         cell.committed,
     )
 }
@@ -288,8 +260,6 @@ pub struct ScenarioSummary {
     pub pair_cache_probes: u64,
     /// Timed-half frozen-entry compaction passes.
     pub frozen_compactions: u64,
-    /// Conflict epochs evaluated by per-shard workers (0 at shards = 1).
-    pub shard_barriers: u64,
 }
 
 /// Run the scheduler-overhead profile and render both JSON documents:
@@ -308,7 +278,6 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
     let mut entries = Vec::new();
     let mut summaries = Vec::new();
     let mut rows = Vec::new();
-    let mut walls: Vec<(&'static str, u64)> = Vec::new();
     for sc in scenarios(quick) {
         eprintln!("profiling {} ({} reps x 2 modes)…", sc.name, sc.reps);
         let policy = sc.policy.as_ref();
@@ -350,8 +319,7 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
              \"heap_stale_pops\": {},\n      \"clear_repair_clears\": {},\n      \
              \"clear_repair_visits\": {},\n      \"index_migrations\": {},\n      \
              \"migrations_batched\": {},\n      \"pair_cache_evictions\": {},\n      \
-             \"pair_cache_probes\": {},\n      \"frozen_compactions\": {},\n      \
-             \"shard_barriers\": {},\n      \"cross_shard_conflicts\": {}\n    }}",
+             \"pair_cache_probes\": {},\n      \"frozen_compactions\": {}\n    }}",
             sc.name,
             policy.name(),
             sc.cfg.run.num_transactions,
@@ -366,8 +334,6 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             cached.sched.pair_cache_evictions,
             cached.sched.pair_cache_probes,
             cached.sched.frozen_compactions,
-            cached.sched.shard_barriers,
-            cached.sched.cross_shard_conflicts,
         ));
         rows.push(ScenarioSummary {
             name: sc.name.to_string(),
@@ -381,9 +347,7 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             pair_cache_evictions: cached.sched.pair_cache_evictions,
             pair_cache_probes: cached.sched.pair_cache_probes,
             frozen_compactions: cached.sched.frozen_compactions,
-            shard_barriers: cached.sched.shard_barriers,
         });
-        walls.push((sc.name, cached.sched.sched_wall_ns));
     }
     let full = format!(
         "{{\n  \"generated_by\": \"experiments --bench-profile\",\n  \
@@ -392,36 +356,11 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
          \"scenarios\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );
-    // Parallel-speedup headline: the MPL-1024 CCA burst at 4 shards vs
-    // the serial run of the same burst. Wall clocks are machine-dependent
-    // (a single-core host cannot show >1x), so the host's core count is
-    // recorded alongside the ratio to keep the number honest.
-    let wall_of = |name: &str| {
-        walls
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, w)| w.max(1))
-    };
-    let parallel = match (
-        wall_of("mm_cca_burst_mpl1024"),
-        wall_of("mm_cca_burst_mpl1024_shards4"),
-    ) {
-        (Some(serial), Some(sharded)) => format!(
-            ",\n  \"parallel\": {{\n    \"scenario\": \"mm_cca_burst_mpl1024\",\n    \
-             \"shards\": 4,\n    \"host_cores\": {},\n    \
-             \"serial_sched_wall_ns\": {serial},\n    \
-             \"sharded_sched_wall_ns\": {sharded},\n    \
-             \"parallel_speedup\": {:.2}\n  }}",
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-            serial as f64 / sharded as f64,
-        ),
-        _ => String::new(),
-    };
     let summary = format!(
         "{{\n  \"generated_by\": \"experiments --bench-profile\",\n  \
          \"commit\": \"{commit}\",\n  \
          \"note\": \"pick latencies are machine-dependent; counters are deterministic\",\n  \
-         \"scenarios\": [\n{}\n  ]{parallel}\n}}\n",
+         \"scenarios\": [\n{}\n  ]\n}}\n",
         summaries.join(",\n")
     );
     (full, summary, rows)

@@ -325,20 +325,14 @@ pub struct SystemConfig {
     pub faults: FaultPlan,
     /// Feasibility-based admission control; `None` admits everything.
     pub admission: Option<AdmissionConfig>,
-    /// Run the split priority index's anchor-migration walks eagerly at
-    /// every compute-burst start instead of deferring them until the
-    /// first pick inside the burst (the batched default skips the walks
-    /// entirely for bursts no pick interrupts). Results are
-    /// bit-identical either way — this is the ablation/test hook the
-    /// batched-vs-eager equivalence proptest toggles.
+    /// Run the split priority index's anchor-migration walks at every
+    /// compute-burst start. By default the walks are skipped when the
+    /// same runner re-anchors and nothing since could have removed a pair
+    /// from its unsafe set (a clear of that runner, any decision
+    /// narrowing, or the timed half draining). Results are bit-identical
+    /// either way — this is the ablation/test hook the batched-vs-eager
+    /// equivalence proptest toggles.
     pub eager_migrations: bool,
-    /// Number of contiguous item-range shards the lock table and conflict
-    /// state are partitioned into (`1..=8`). At `1` the engine runs the
-    /// exact serial path; at `N > 1` conflict epochs whose candidate sets
-    /// are large enough are evaluated by `N` scoped worker threads, one
-    /// per shard, with a deterministic ascending-id merge at the epoch
-    /// barrier — outcomes are bit-identical for every shard count.
-    pub shards: usize,
 }
 
 impl SystemConfig {
@@ -399,7 +393,6 @@ impl SimConfig {
                 faults: FaultPlan::none(),
                 admission: None,
                 eager_migrations: false,
-                shards: 1,
             },
             run: RunConfig {
                 arrival_rate_tps: 5.0,
@@ -445,7 +438,6 @@ impl SimConfig {
                 faults: FaultPlan::none(),
                 admission: None,
                 eager_migrations: false,
-                shards: 1,
             },
             run: RunConfig {
                 arrival_rate_tps: 4.0,
@@ -506,11 +498,6 @@ impl SimConfig {
         }
         if let Some(a) = &self.system.admission {
             a.validate()?;
-        }
-        if !(1..=8).contains(&self.system.shards) {
-            return Err(ConfigError::BadShardCount {
-                shards: self.system.shards,
-            });
         }
         if self.run.arrival_rate_tps <= 0.0 {
             return Err(ConfigError::NonPositiveArrivalRate);

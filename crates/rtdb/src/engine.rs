@@ -25,24 +25,18 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 
-use rtx_sim::calendar::EventHandle;
+use rtx_sim::calendar::{Calendar, EventHandle};
 use rtx_sim::fault::{CpuFaultInjector, FaultInjector};
 use rtx_sim::rng::StreamSeeder;
 use rtx_sim::time::{SimDuration, SimTime};
 
-use crate::components::{ComponentCalendar, Lane, LaneRouted};
 use crate::config::{AdmissionConfig, SimConfig};
 use crate::disk::Disk;
 use crate::error::RunError;
 use crate::locks::{LockMode, LockOutcome, LockTable};
-
-/// Minimum candidate-set size before a conflict epoch fans out to
-/// per-shard worker threads; below this the thread-spawn overhead
-/// dwarfs the pair tests. Applies only when `system.shards > 1`.
-const PARALLEL_MIN_CANDIDATES: usize = 64;
 use crate::metrics::{MetricsCollector, RunSummary, SchedStats};
 use crate::policy::{Policy, Priority, PriorityDeps, SystemView};
-use crate::sched::{CacheMode, ConflictAccel, ShardMap};
+use crate::sched::{CacheMode, ConflictAccel};
 use crate::source::TxnSource;
 use crate::trace::{Trace, TraceEvent};
 use crate::txn::{Stage, Transaction, TxnId, TxnState};
@@ -63,19 +57,6 @@ enum Event {
     /// A transaction's CPU-stall backoff expired: re-queue the stalled
     /// compute burst. Token-guarded like [`Event::IoRetry`].
     CpuRetry(TxnId, u64),
-}
-
-// Route each event to its component lane: arrivals belong to the
-// scheduler, burst completions and stall retries to the CPU, transfer
-// completions and IO retries to the disk.
-impl LaneRouted for Event {
-    fn lane(&self) -> Lane {
-        match self {
-            Event::Arrival(_) => Lane::Sched,
-            Event::CpuDone(_) | Event::CpuRetry(_, _) => Lane::Cpu,
-            Event::IoDone(_) | Event::IoRetry(_, _) => Lane::Disk,
-        }
-    }
 }
 
 enum Started {
@@ -579,7 +560,7 @@ impl SplitIndex {
 struct EngineState<'p> {
     cfg: &'p SimConfig,
     policy: &'p dyn Policy,
-    calendar: ComponentCalendar<Event>,
+    calendar: Calendar<Event>,
     txns: Vec<Transaction>,
     /// Ids of transactions still in the system, in arrival order.
     active: Vec<TxnId>,
@@ -724,14 +705,6 @@ struct EngineState<'p> {
     migrations_batched: Cell<u64>,
     /// Timed-half drains performed by [`Self::maybe_compact_frozen`].
     frozen_compactions: Cell<u64>,
-    /// Contiguous item-range shard geometry shared by the lock table and
-    /// the parallel conflict-epoch path (identity map at `shards = 1`).
-    shard_map: ShardMap,
-    /// Conflict epochs whose candidate sets were evaluated by per-shard
-    /// worker threads and merged at the barrier (0 at `shards = 1`).
-    shard_barriers: Cell<u64>,
-    /// Barrier-surfaced conflicters whose footprint spans >1 shard.
-    cross_shard_conflicts: Cell<u64>,
 }
 
 /// How many consecutive anchor releases may pass before
@@ -783,11 +756,10 @@ impl<'p> EngineState<'p> {
         EngineState {
             cfg,
             policy,
-            calendar: ComponentCalendar::new(),
+            calendar: Calendar::new(),
             txns: Vec::with_capacity(cfg.run.num_transactions),
             active: Vec::new(),
-            locks: LockTable::with_shards(cfg.workload.db_size, cfg.system.shards),
-            shard_map: ShardMap::new(cfg.workload.db_size, cfg.system.shards),
+            locks: LockTable::new(cfg.workload.db_size),
             disk: cfg
                 .system
                 .disk
@@ -850,8 +822,6 @@ impl<'p> EngineState<'p> {
             index_migrations: Cell::new(0),
             migrations_batched: Cell::new(0),
             frozen_compactions: Cell::new(0),
-            shard_barriers: Cell::new(0),
-            cross_shard_conflicts: Cell::new(0),
         }
     }
 
@@ -1352,13 +1322,9 @@ impl<'p> EngineState<'p> {
                 .set(self.clear_repair_clears.get() + 1);
             self.clear_repair_visits
                 .set(self.clear_repair_visits.get() + sharers.len() as u64);
-            if self.shard_map.shards() > 1 && sharers.len() >= PARALLEL_MIN_CANDIDATES {
-                self.parallel_epoch(c, ct, &sharers, &mut affected);
-            } else {
-                for &x in sharers.iter() {
-                    if x != c && self.accel.is_unsafe(ct, self.txn(x)) {
-                        affected.push(x);
-                    }
+            for &x in sharers.iter() {
+                if x != c && self.accel.is_unsafe(ct, self.txn(x)) {
+                    affected.push(x);
                 }
             }
             if self.mode == CacheMode::Verify {
@@ -1411,77 +1377,6 @@ impl<'p> EngineState<'p> {
         }
         affected.clear();
         self.walk_buf = affected;
-    }
-
-    /// One parallel conflict epoch: partition the candidate sharers by
-    /// the home shard of their footprint, evaluate the raw pair predicate
-    /// in per-shard worker threads against the immutable transaction
-    /// arena, and merge verdicts back in ascending candidate order — the
-    /// exact order the sequential walk produces, so `affected` is
-    /// bit-identical to the sequential path's
-    /// ([`ConflictAccel::is_unsafe`] memoizes exactly
-    /// [`crate::txn::is_unsafe_with`]).
-    ///
-    /// Workers capture only `&[Transaction]` and `&[TxnId]` (both
-    /// `Sync`); the accelerator's `Cell`-laden memo state is untouched,
-    /// which the compiler enforces (`ConflictAccel` is `!Sync`), so the
-    /// pair-cache counters do not advance during a parallel epoch.
-    fn parallel_epoch(
-        &self,
-        c: TxnId,
-        ct: &Transaction,
-        sharers: &[TxnId],
-        affected: &mut Vec<TxnId>,
-    ) {
-        let txns: &[Transaction] = &self.txns;
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shard_map.shards()];
-        for (pos, &x) in sharers.iter().enumerate() {
-            if x != c {
-                let home = self.shard_map.home_shard(&txns[x.0 as usize].might_access);
-                buckets[home].push(pos);
-            }
-        }
-        // Verdict slots indexed by candidate position: each worker owns a
-        // disjoint set of positions, and the merge below reads them in
-        // the original ascending order regardless of worker finish order.
-        let mut verdicts = vec![false; sharers.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .filter(|b| !b.is_empty())
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|pos| {
-                                let x = &txns[sharers[pos].0 as usize];
-                                (pos, crate::txn::is_unsafe_with(ct, x))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (pos, v) in h.join().expect("conflict epoch worker panicked") {
-                    verdicts[pos] = v;
-                }
-            }
-        });
-        self.shard_barriers.set(self.shard_barriers.get() + 1);
-        let mut cross = 0;
-        for (pos, &x) in sharers.iter().enumerate() {
-            if verdicts[pos] {
-                affected.push(x);
-                if self
-                    .shard_map
-                    .is_cross_shard(&txns[x.0 as usize].might_access)
-                {
-                    cross += 1;
-                }
-            }
-        }
-        self.cross_shard_conflicts
-            .set(self.cross_shard_conflicts.get() + cross);
     }
 
     /// The view handed to policies: accel-backed unless the engine is the
@@ -3673,8 +3568,6 @@ impl EngineState<'_> {
             frozen_compactions: self.frozen_compactions.get(),
             verify_checks: self.verify_checks.get(),
             sched_wall_ns: self.sched_wall_ns.get(),
-            shard_barriers: self.shard_barriers.get(),
-            cross_shard_conflicts: self.cross_shard_conflicts.get(),
         });
         self.metrics.finish(end, disk_busy)
     }
@@ -4059,8 +3952,6 @@ impl<'p> PickHarness<'p> {
             frozen_compactions: self.st.frozen_compactions.get(),
             verify_checks: self.st.verify_checks.get(),
             sched_wall_ns: self.st.sched_wall_ns.get(),
-            shard_barriers: self.st.shard_barriers.get(),
-            cross_shard_conflicts: self.st.cross_shard_conflicts.get(),
         }
     }
 }

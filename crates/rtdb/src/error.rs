@@ -65,11 +65,6 @@ pub enum ConfigError {
     BadAdmission(String),
     /// The watchdog limits are malformed (reason inside).
     BadWatchdog(String),
-    /// `system.shards` is outside the supported `1..=8` range.
-    BadShardCount {
-        /// The configured shard count.
-        shards: usize,
-    },
     /// The serving-layer configuration is malformed (reason inside).
     /// Produced by `rtx_serve::Server::start`, not by
     /// [`crate::config::SimConfig::validate`].
@@ -106,9 +101,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BadFaultPlan(why) => write!(f, "invalid fault plan: {why}"),
             ConfigError::BadAdmission(why) => write!(f, "invalid admission control: {why}"),
             ConfigError::BadWatchdog(why) => write!(f, "invalid watchdog: {why}"),
-            ConfigError::BadShardCount { shards } => {
-                write!(f, "shards must be in 1..=8 (got {shards})")
-            }
             ConfigError::BadServe(why) => write!(f, "invalid serve config: {why}"),
         }
     }

@@ -14,8 +14,6 @@
 //!   assignment (`deadline = arrival + resource_time × (1 + slack)`);
 //! * [`txn`] — run-time transaction state (pipeline stage, locks held,
 //!   effective service time, restarts);
-//! * [`components`] — the lane-split component event loop (scheduler,
-//!   CPU, disk as components on a global min-heap);
 //! * [`locks`] — the write-lock table (no lock waits under HP);
 //! * [`disk`] — the single FCFS disk;
 //! * [`engine`] — the event-driven execution engine with HP conflict
@@ -51,7 +49,6 @@
 #![warn(rust_2018_idioms)]
 
 mod arena;
-pub mod components;
 pub mod config;
 pub mod disk;
 pub mod engine;

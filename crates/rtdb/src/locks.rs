@@ -32,23 +32,11 @@ enum Slot {
     Exclusive(TxnId),
 }
 
-/// Exclusive/shared lock table over a database of fixed size, partitioned
-/// into contiguous item-range shards.
-///
-/// Sharding is an internal acceleration, never a semantic change: the
-/// per-shard held counts let [`LockTable::release_all`] and
-/// [`LockTable::held_by`] skip ranges where the transaction can hold
-/// nothing (most of the table, once footprints are range-local), and
-/// outcomes are identical for every shard count.
+/// Exclusive/shared lock table over a database of fixed size.
 #[derive(Debug, Clone)]
 pub struct LockTable {
     slots: Vec<Slot>,
     held_count: usize,
-    /// Exclusive ends of each shard's item range: shard `s` owns items
-    /// `bounds[s-1]..bounds[s]` (with an implicit 0 start).
-    shard_ends: Vec<usize>,
-    /// Held (transaction, item) pairs per shard.
-    shard_held: Vec<usize>,
 }
 
 /// Outcome of a lock request.
@@ -63,48 +51,17 @@ pub enum LockOutcome {
 }
 
 impl LockTable {
-    /// A table for `db_size` items, all free, in a single shard.
+    /// A table for `db_size` items, all free.
     pub fn new(db_size: u64) -> Self {
-        Self::with_shards(db_size, 1)
-    }
-
-    /// A table for `db_size` items partitioned into `shards` contiguous
-    /// item ranges (`shard of item i = i × shards / db_size`, the same
-    /// map the engine's conflict fan-out uses). Behaviour is identical
-    /// for every shard count; only the scan-skipping changes.
-    pub fn with_shards(db_size: u64, shards: usize) -> Self {
-        let db = db_size as usize;
-        let n = shards.clamp(1, db.max(1));
-        // Exclusive end of shard s-1: smallest i with i*n/db >= s, i.e.
-        // ceil(s*db/n) — the exact inverse of `shard_index`.
-        let shard_ends = (1..=n).map(|s| (db * s).div_ceil(n)).collect();
         LockTable {
-            slots: vec![Slot::Free; db],
+            slots: vec![Slot::Free; db_size as usize],
             held_count: 0,
-            shard_ends,
-            shard_held: vec![0; n],
         }
     }
 
     /// Number of items in the database.
     pub fn db_size(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Number of item-range shards the table is partitioned into.
-    pub fn shards(&self) -> usize {
-        self.shard_held.len()
-    }
-
-    /// The shard owning item index `i`.
-    fn shard_index(&self, i: usize) -> usize {
-        i * self.shard_held.len() / self.slots.len()
-    }
-
-    /// The item range of shard `s`.
-    fn shard_range(&self, s: usize) -> std::ops::Range<usize> {
-        let start = if s == 0 { 0 } else { self.shard_ends[s - 1] };
-        start..self.shard_ends[s]
     }
 
     /// Number of (transaction, item) lock pairs currently held.
@@ -129,19 +86,16 @@ impl LockTable {
     /// * re-requests are idempotent; a shared holder requesting exclusive
     ///   is an upgrade, granted iff it is the only holder.
     pub fn request(&mut self, txn: TxnId, item: ItemId, mode: LockMode) -> LockOutcome {
-        let shard = self.shard_index(item.0 as usize);
         let slot = &mut self.slots[item.0 as usize];
         match (&mut *slot, mode) {
             (Slot::Free, LockMode::Shared) => {
                 *slot = Slot::Shared(vec![txn]);
                 self.held_count += 1;
-                self.shard_held[shard] += 1;
                 LockOutcome::Granted
             }
             (Slot::Free, LockMode::Exclusive) => {
                 *slot = Slot::Exclusive(txn);
                 self.held_count += 1;
-                self.shard_held[shard] += 1;
                 LockOutcome::Granted
             }
             (Slot::Shared(holders), LockMode::Shared) => {
@@ -149,7 +103,6 @@ impl LockTable {
                     holders.push(txn);
                     holders.sort_unstable();
                     self.held_count += 1;
-                    self.shard_held[shard] += 1;
                 }
                 LockOutcome::Granted
             }
@@ -185,74 +138,55 @@ impl LockTable {
     }
 
     /// Release every lock held by `txn` (commit or abort). Returns how
-    /// many were released. Shards holding no locks at all are skipped
-    /// without touching their slots.
+    /// many were released.
     pub fn release_all(&mut self, txn: TxnId) -> usize {
         let mut released = 0;
-        for s in 0..self.shard_held.len() {
-            if self.shard_held[s] == 0 {
-                continue;
-            }
-            let mut in_shard = 0;
-            let range = self.shard_range(s);
-            for slot in &mut self.slots[range] {
-                match slot {
-                    Slot::Exclusive(h) if *h == txn => {
-                        *slot = Slot::Free;
-                        in_shard += 1;
-                    }
-                    Slot::Shared(holders) => {
-                        let before = holders.len();
-                        holders.retain(|&h| h != txn);
-                        if holders.len() != before {
-                            in_shard += 1;
-                            if holders.is_empty() {
-                                *slot = Slot::Free;
-                            }
+        for slot in &mut self.slots {
+            match slot {
+                Slot::Exclusive(h) if *h == txn => {
+                    *slot = Slot::Free;
+                    released += 1;
+                }
+                Slot::Shared(holders) => {
+                    let before = holders.len();
+                    holders.retain(|&h| h != txn);
+                    if holders.len() != before {
+                        released += 1;
+                        if holders.is_empty() {
+                            *slot = Slot::Free;
                         }
                     }
-                    _ => {}
                 }
+                _ => {}
             }
-            self.shard_held[s] -= in_shard;
-            released += in_shard;
         }
         self.held_count -= released;
         released
     }
 
     /// Items on which `txn` holds a lock (either mode), in item order.
-    /// Shards holding no locks at all are skipped.
     pub fn held_by(&self, txn: TxnId) -> Vec<ItemId> {
-        let mut held = Vec::new();
-        for s in 0..self.shard_held.len() {
-            if self.shard_held[s] == 0 {
-                continue;
-            }
-            let range = self.shard_range(s);
-            for (i, slot) in range.clone().zip(&self.slots[range]) {
-                let mine = match slot {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, slot)| {
+                let held = match slot {
                     Slot::Free => false,
                     Slot::Exclusive(h) => *h == txn,
                     Slot::Shared(hs) => hs.contains(&txn),
                 };
-                if mine {
-                    held.push(ItemId(i as u32));
-                }
-            }
-        }
-        held
+                held.then_some(ItemId(i as u32))
+            })
+            .collect()
     }
 
-    /// Debug invariant: `held_count` and the per-shard counts match the
-    /// table contents.
+    /// Debug invariant: `held_count` matches the table contents.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut actual = 0;
-        let mut per_shard = vec![0usize; self.shard_held.len()];
         for (i, slot) in self.slots.iter().enumerate() {
-            let here = match slot {
-                Slot::Free => 0,
-                Slot::Exclusive(_) => 1,
+            match slot {
+                Slot::Free => {}
+                Slot::Exclusive(_) => actual += 1,
                 Slot::Shared(hs) => {
                     if hs.is_empty() {
                         return Err(format!("item {i}: empty shared holder list"));
@@ -262,22 +196,14 @@ impl LockTable {
                     if sorted.len() != hs.len() {
                         return Err(format!("item {i}: duplicate shared holders"));
                     }
-                    hs.len()
+                    actual += hs.len();
                 }
-            };
-            actual += here;
-            per_shard[self.shard_index(i)] += here;
+            }
         }
         if actual != self.held_count {
             return Err(format!(
                 "held_count {} != actual {}",
                 self.held_count, actual
-            ));
-        }
-        if per_shard != self.shard_held {
-            return Err(format!(
-                "shard_held {:?} != actual {per_shard:?}",
-                self.shard_held
             ));
         }
         Ok(())
@@ -437,61 +363,5 @@ mod tests {
         let mut lt = LockTable::new(10);
         lt.request(TxnId(1), ItemId(4), Exclusive);
         lt.grant_after_abort(TxnId(2), ItemId(4), LockMode::Exclusive);
-    }
-
-    /// Drive the same request/release script through tables with
-    /// different shard counts; observable behaviour must be identical.
-    #[test]
-    fn shard_count_is_invisible() {
-        let db = 13u64;
-        let mut tables: Vec<LockTable> = [1usize, 2, 4, 8, 13]
-            .iter()
-            .map(|&s| LockTable::with_shards(db, s))
-            .collect();
-        // Deterministic pseudo-random script of grants and releases.
-        let mut state = 0x9e3779b9u64;
-        let mut step = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        for _ in 0..400 {
-            let r = step();
-            let txn = TxnId(r % 7);
-            let item = ItemId(step() % db as u32);
-            let outcomes: Vec<_> = tables
-                .iter_mut()
-                .map(|lt| {
-                    if r % 5 == 0 {
-                        lt.release_all(txn);
-                        None
-                    } else {
-                        let mode = if r % 2 == 0 { Exclusive } else { Shared };
-                        Some(lt.request(txn, item, mode))
-                    }
-                })
-                .collect();
-            assert!(outcomes.windows(2).all(|w| w[0] == w[1]));
-            let views: Vec<_> = tables
-                .iter()
-                .map(|lt| (lt.held_count(), lt.held_by(txn), lt.holders(item)))
-                .collect();
-            for v in &views[1..] {
-                assert_eq!(*v, views[0], "shard views diverged: {views:?}");
-            }
-            for lt in &tables {
-                lt.check_invariants().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn shards_clamped_to_db_size() {
-        let lt = LockTable::with_shards(3, 8);
-        assert_eq!(lt.shards(), 3);
-        let lt = LockTable::with_shards(100, 4);
-        assert_eq!(lt.shards(), 4);
-        assert_eq!(LockTable::new(10).shards(), 1);
     }
 }

@@ -63,8 +63,9 @@ pub struct SchedStats {
     /// anchor changes and cross-half cache writes).
     pub index_migrations: u64,
     /// Compute bursts whose anchor migration walks were skipped entirely
-    /// because no pick happened during the burst (deferred-arming
-    /// batching; 0 when `eager_migrations` forces the per-burst walks).
+    /// because the same runner re-anchored while its walked timed-half
+    /// membership was still valid (0 when `eager_migrations` forces the
+    /// per-burst walks).
     pub migrations_batched: u64,
     /// Secondary-way (victim-slot) lookups performed by the two-way pair
     /// caches after a primary-slot key miss.
@@ -76,17 +77,6 @@ pub struct SchedStats {
     /// Verify-mode divergence checks performed (cache-vs-fresh
     /// assertions that ran and passed; 0 outside `CacheMode::Verify`).
     pub verify_checks: u64,
-    /// Conflict-epoch barriers crossed by the sharded evaluation path:
-    /// one per repair epoch whose candidates were fanned out to per-shard
-    /// worker threads and merged back in ascending-id order. Always 0 at
-    /// `shards = 1`. Deterministic — a function of seeds and shard count,
-    /// not of the host machine.
-    pub shard_barriers: u64,
-    /// Conflicting transactions surfaced at an epoch barrier whose
-    /// access footprint spans more than one item-range shard (the
-    /// coordination cost ForeSight-style partitioning cannot elide).
-    /// Always 0 at `shards = 1`; deterministic for a given shard count.
-    pub cross_shard_conflicts: u64,
     /// Wall-clock nanoseconds spent inside `pick_next` (profiled runs
     /// only; 0 otherwise).
     pub sched_wall_ns: u64,

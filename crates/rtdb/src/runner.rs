@@ -101,9 +101,7 @@ impl ReplicationTimer {
 /// [`run_seeds`]) execute a replication batch.
 ///
 /// The options never affect *what* is computed — only on how many threads
-/// and whether timing is collected. (`shards` is the one exception in
-/// mechanism, not in outcome: it overrides `cfg.system.shards` for every
-/// replication, and sharded runs are bit-identical to serial ones.)
+/// and whether timing is collected.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicationOptions {
     /// Worker-thread policy.
@@ -111,9 +109,6 @@ pub struct ReplicationOptions {
     /// Optional shared timer; every completed replication adds its wall
     /// time, regardless of which worker ran it.
     pub timer: Option<Arc<ReplicationTimer>>,
-    /// Overrides `cfg.system.shards` for every replication when set
-    /// (the `--shards` experiment flag).
-    pub shards: Option<usize>,
 }
 
 impl ReplicationOptions {
@@ -122,7 +117,6 @@ impl ReplicationOptions {
         ReplicationOptions {
             parallelism: Parallelism::Serial,
             timer: None,
-            shards: None,
         }
     }
 
@@ -131,7 +125,6 @@ impl ReplicationOptions {
         ReplicationOptions {
             parallelism: Parallelism::Threads(n),
             timer: None,
-            shards: None,
         }
     }
 
@@ -140,7 +133,6 @@ impl ReplicationOptions {
         ReplicationOptions {
             parallelism: Parallelism::Auto,
             timer: None,
-            shards: None,
         }
     }
 
@@ -148,25 +140,6 @@ impl ReplicationOptions {
     pub fn with_timer(mut self, timer: Arc<ReplicationTimer>) -> Self {
         self.timer = Some(timer);
         self
-    }
-
-    /// Override the engine shard count for every replication.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// The configuration a replication should actually run: `cfg` with the
-    /// shard override applied (borrowed unchanged when there is none).
-    fn effective_cfg<'c>(&self, cfg: &'c SimConfig) -> std::borrow::Cow<'c, SimConfig> {
-        match self.shards {
-            None => std::borrow::Cow::Borrowed(cfg),
-            Some(n) => {
-                let mut c = cfg.clone();
-                c.system.shards = n;
-                std::borrow::Cow::Owned(c)
-            }
-        }
     }
 }
 
@@ -389,8 +362,7 @@ pub fn run_replications_checked(
     opts: &ReplicationOptions,
 ) -> BatchSummary {
     assert!(replications > 0, "need at least one replication");
-    let cfg = opts.effective_cfg(cfg);
-    let outcomes = run_seeds_checked(replications, opts, |rep| run_one_checked(&cfg, policy, rep));
+    let outcomes = run_seeds_checked(replications, opts, |rep| run_one_checked(cfg, policy, rep));
     let survivors: Vec<RunSummary> = outcomes.iter().filter_map(|o| o.clone().ok()).collect();
     let aggregate = if survivors.is_empty() {
         None
@@ -461,8 +433,7 @@ pub fn run_replications_with(
     opts: &ReplicationOptions,
 ) -> AggregateSummary {
     assert!(replications > 0, "need at least one replication");
-    let cfg = opts.effective_cfg(cfg);
-    let summaries = run_seeds(replications, opts, |rep| run_one(&cfg, policy, rep));
+    let summaries = run_seeds(replications, opts, |rep| run_one(cfg, policy, rep));
     aggregate(policy.name(), &summaries)
 }
 

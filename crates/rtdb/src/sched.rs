@@ -546,63 +546,6 @@ impl ConflictAccel {
     }
 }
 
-/// Partition of the item space `0..db_size` into `shards` contiguous
-/// ranges of near-equal width.
-///
-/// The map is a pure function of `(db_size, shards)` — `shard_of` is
-/// `item × shards / db_size`, monotone in the item id — so every engine
-/// structure that shards by item range (the lock table, the conflict
-/// epoch fan-out) derives the same partition and the same
-/// home-shard/cross-shard classification for any footprint, on any
-/// machine. Transactions whose `might_access` sets land in disjoint
-/// shards can be evaluated by different workers with no coordination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ShardMap {
-    db_size: u64,
-    shards: u64,
-}
-
-impl ShardMap {
-    pub(crate) fn new(db_size: u64, shards: usize) -> Self {
-        assert!(db_size > 0, "cannot shard an empty item space");
-        assert!(shards > 0, "need at least one shard");
-        ShardMap {
-            db_size,
-            shards: shards.min(db_size as usize) as u64,
-        }
-    }
-
-    /// Number of shards (≤ db_size; a shard needs at least one item).
-    pub(crate) fn shards(&self) -> usize {
-        self.shards as usize
-    }
-
-    /// The shard owning `item`. Items at or past `db_size` (possible only
-    /// for misconfigured footprints) clamp to the last shard.
-    pub(crate) fn shard_of(&self, item: rtx_preanalysis::ItemId) -> usize {
-        let i = (item.0 as u64).min(self.db_size - 1);
-        (i * self.shards / self.db_size) as usize
-    }
-
-    /// The shard of a footprint's lowest item — the worker that evaluates
-    /// a candidate in the parallel conflict epoch. Empty footprints are
-    /// homed on shard 0.
-    pub(crate) fn home_shard(&self, items: &DataSet) -> usize {
-        items.iter().next().map_or(0, |i| self.shard_of(i))
-    }
-
-    /// True iff the footprint touches more than one shard. Shards are
-    /// contiguous and `shard_of` monotone, so the lowest and highest set
-    /// items decide.
-    pub(crate) fn is_cross_shard(&self, items: &DataSet) -> bool {
-        let mut iter = items.iter();
-        match (iter.next(), iter.last()) {
-            (Some(lo), Some(hi)) => self.shard_of(lo) != self.shard_of(hi),
-            _ => false,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,53 +805,5 @@ mod tests {
         assert_eq!(c.evictions(), 0);
         assert_eq!(c.get(k1, (0, 1)), Some(false));
         assert_eq!(c.get(k2, (7, 7)), Some(false));
-    }
-
-    #[test]
-    fn shard_map_covers_every_item_contiguously() {
-        for &(db, shards) in &[(30u64, 1usize), (30, 4), (30, 8), (13, 4), (7, 8), (1, 8)] {
-            let m = ShardMap::new(db, shards);
-            assert!(m.shards() <= shards);
-            assert!(m.shards() as u64 <= db);
-            // Monotone, contiguous, onto: every shard owns a nonempty
-            // range and shard ids never decrease with the item id.
-            let mut prev = 0;
-            let mut seen = vec![false; m.shards()];
-            for i in 0..db {
-                let s = m.shard_of(ItemId(i as u32));
-                assert!(s >= prev && s < m.shards(), "db={db} shards={shards} i={i}");
-                prev = s;
-                seen[s] = true;
-            }
-            assert!(
-                seen.iter().all(|&s| s),
-                "db={db} shards={shards}: empty shard"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_map_agrees_with_lock_table_geometry() {
-        // The lock table's per-shard ranges and the ShardMap must place
-        // every item in the same shard — the parallel epoch relies on it.
-        for &(db, shards) in &[(30u64, 4usize), (13, 4), (100, 8)] {
-            let m = ShardMap::new(db, shards);
-            let lt = crate::locks::LockTable::with_shards(db, shards);
-            assert_eq!(m.shards(), lt.shards());
-        }
-    }
-
-    #[test]
-    fn shard_map_home_and_cross() {
-        let m = ShardMap::new(30, 4);
-        let low = DataSet::from_items([ItemId(0), ItemId(2)]);
-        assert_eq!(m.home_shard(&low), 0);
-        assert!(!m.is_cross_shard(&low));
-        let wide = DataSet::from_items([ItemId(0), ItemId(2), ItemId(29)]);
-        assert_eq!(m.home_shard(&wide), 0);
-        assert!(m.is_cross_shard(&wide));
-        let empty = DataSet::new();
-        assert_eq!(m.home_shard(&empty), 0);
-        assert!(!m.is_cross_shard(&empty));
     }
 }

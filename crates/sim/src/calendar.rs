@@ -34,18 +34,6 @@ impl EventHandle {
     pub fn is_null(self) -> bool {
         self.0 == u64::MAX
     }
-
-    /// Build a handle from a raw sequence number. For alternative event
-    /// list implementations (e.g. the RTDB's lane calendar) that issue
-    /// [`Calendar`]-compatible handles; `u64::MAX` is the null sentinel.
-    pub fn from_raw(raw: u64) -> EventHandle {
-        EventHandle(raw)
-    }
-
-    /// The raw sequence number this handle wraps (`u64::MAX` for null).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -6,9 +6,6 @@
 //! * [`time`] — integer-microsecond simulation clock types;
 //! * [`calendar`] — the future event list with O(log n) schedule/cancel and
 //!   deterministic FIFO ordering of simultaneous events;
-//! * [`component`] — the Component model: actors with `next_tick`/`tick`
-//!   on a global min-heap keyed `(next_tick, ComponentId)`, the
-//!   generalization the RTDB's lane calendar is built on;
 //! * [`clock`] — virtual vs wall-clock time sources, so a serving loop can
 //!   pace the same event machinery against real time;
 //! * [`rng`] — self-contained xoshiro256++ generators with labelled,
@@ -53,7 +50,6 @@
 
 pub mod calendar;
 pub mod clock;
-pub mod component;
 pub mod dist;
 pub mod fault;
 pub mod hist;
@@ -63,7 +59,6 @@ pub mod time;
 
 pub use calendar::{Calendar, EventHandle, Fired};
 pub use clock::Clock;
-pub use component::{Component, ComponentHeap, ComponentId};
 pub use fault::{Attempt, Brownout, CpuFaultInjector, CpuFaultPlan, FaultInjector, FaultPlan};
 pub use hist::Histogram;
 pub use rng::{StreamSeeder, Xoshiro256};

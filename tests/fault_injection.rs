@@ -137,7 +137,6 @@ fn fault_laden_replications_identical_across_thread_counts() {
         let opts = ReplicationOptions {
             parallelism,
             timer: None,
-            shards: None,
         };
         let parallel = run_replications_with(&cfg, &Cca::base(), 6, &opts);
         assert_bitwise_identical(&serial, &parallel);

@@ -12,7 +12,8 @@
 //! These tests pin that all three modes produce identical trajectories
 //! and metrics (modulo the scheduler's own instrumentation counters) on
 //! arbitrary workloads: random item sets, shared locks, decision
-//! narrowing, disk IO, injected faults, and admission control.
+//! narrowing, disk IO, injected disk and CPU faults, and admission
+//! control.
 
 use proptest::prelude::*;
 use rtx::policies::{Cca, EdfHp, EdfWait, Lsf};
@@ -25,7 +26,7 @@ use rtx::rtdb::{
     AdmissionConfig, CacheMode, DecisionSpec, Policy, ReplaySource, RunSummary, SimConfig, Stage,
     Transaction, TxnId, TxnState,
 };
-use rtx::sim::fault::{Brownout, FaultPlan};
+use rtx::sim::fault::{Brownout, CpuFaultPlan, FaultPlan};
 use rtx::sim::{SimDuration, SimTime};
 
 /// Specification of one random transaction (mirrors `prop_system.rs`).
@@ -183,6 +184,19 @@ fn run_specs_mode_eager(
             cpu: None,
         };
     }
+    if faults {
+        // CPU stalls and slowdowns on both residencies, so stall retries
+        // and budget-exhaustion restarts run through every cache mode.
+        cfg.system.faults.cpu = Some(CpuFaultPlan {
+            stall_prob: 0.1,
+            slow_prob: 0.1,
+            slow_factor: 2.0,
+            retry_budget: 2,
+            backoff_base_ms: 2.0,
+            backoff_cap_ms: 16.0,
+            brownout: None,
+        });
+    }
     let txns = build(specs, &cfg, with_modes);
     let n = txns.len();
     let mut source = ReplaySource::new(txns);
@@ -297,6 +311,38 @@ proptest! {
         prop_assert_eq!(oracle.sched.heap_validated_picks, 0);
         prop_assert_eq!(inc.sched.verify_checks, 0);
         prop_assert!(verified.sched.verify_checks > 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// An incremental run equals the recompute oracle on arbitrary
+    /// workloads (disk + CPU faults, shared locks and decision narrowing
+    /// included), and rerunning it is bit-identical, instrumentation
+    /// counters included.
+    #[test]
+    fn incremental_outcomes_are_rerun_invariant(
+        specs in proptest::collection::vec(txn_spec(), 1..25),
+        disk in any::<bool>(),
+        with_modes in any::<bool>(),
+        faults in any::<bool>(),
+        which in 0usize..4,
+    ) {
+        let p = policy_by_index(which);
+        let inc =
+            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::Incremental);
+        let oracle =
+            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::AlwaysRecompute);
+        prop_assert_eq!(
+            inc.sans_sched_stats(),
+            oracle.sans_sched_stats(),
+            "incremental run diverged from the recompute oracle under {}",
+            p.name()
+        );
+        let again =
+            run_specs_mode(&specs, p.as_ref(), disk, with_modes, faults, CacheMode::Incremental);
+        prop_assert_eq!(&inc, &again, "nondeterministic rerun under {}", p.name());
     }
 }
 

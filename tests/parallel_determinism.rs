@@ -56,7 +56,6 @@ fn check_all_parallelism_settings(cfg: &SimConfig, policy: &dyn Policy, reps: us
         let opts = ReplicationOptions {
             parallelism,
             timer: None,
-            shards: None,
         };
         let parallel = run_replications_with(cfg, policy, reps, &opts);
         assert_identical(&serial, &parallel);

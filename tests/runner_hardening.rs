@@ -33,7 +33,6 @@ fn poisoned_batch(parallelism: Parallelism) -> BatchSummary {
     let opts = ReplicationOptions {
         parallelism,
         timer: None,
-        shards: None,
     };
     run_replications_checked(&cfg, &Cca::base(), 5, &opts)
 }

@@ -208,6 +208,11 @@ fn engine_panic_resolves_every_ticket_and_restarts() {
     let mut serve = ServeConfig::virtual_mode();
     serve.panic_at_arrival = Some(50);
     serve.max_restarts = 2;
+    // Virtual-mode intake is unthrottled, so with a deep queue the engine
+    // can take every request before arrival 50 and leave nothing for the
+    // restarted engine. A shallow queue keeps requests waiting in it at
+    // the crash on any core count.
+    serve.queue_capacity = 16;
     let server =
         Server::start(serve, Arc::new(serve_cfg()), Arc::new(EdfHp)).expect("config is valid");
 
