@@ -54,8 +54,10 @@ fn bench_disjoint(c: &mut Criterion) {
 
 fn bench_pairwise_conflict(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitset_pairwise");
-    // The clear-repair walk's shape: one partial's written set probed
-    // against many candidates' might_access sets.
+    // A pair-at-a-time unsafe scan, the `Verify` oracle's shape: one
+    // partial's written set probed against many candidates' might_access
+    // sets. The engine's clear-repair walk takes the same set from its
+    // per-item slot rows instead, one OR per item.
     for &mpl in &[64usize, 1024] {
         let written = random_set(3, 30, 8);
         let candidates: Vec<DataSet> = (0..mpl)

@@ -98,10 +98,12 @@ fn append_bench_history(
              pair_cache_evictions,pair_cache_probes,frozen_compactions"
         )?;
     }
+    // The two pair-cache columns outlived the pair-verdict memo: the log
+    // is append-only, so its header stays and new rows write 0 there.
     for r in rows {
         writeln!(
             f,
-            "{epoch},{commit},{},{},{},{:.1},{:.2},{},{},{},{},{},{}",
+            "{epoch},{commit},{},{},{},{:.1},{:.2},{},{},{},0,0,{}",
             r.name,
             r.policy,
             r.mpl,
@@ -110,8 +112,6 @@ fn append_bench_history(
             r.heap_stale_pops,
             r.index_migrations,
             r.migrations_batched,
-            r.pair_cache_evictions,
-            r.pair_cache_probes,
             r.frozen_compactions,
         )?;
     }

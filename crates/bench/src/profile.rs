@@ -186,7 +186,6 @@ fn run_cell(
         cell.sched.clear_repair_visits += s.sched.clear_repair_visits;
         cell.sched.index_migrations += s.sched.index_migrations;
         cell.sched.migrations_batched += s.sched.migrations_batched;
-        cell.sched.pair_cache_probes += s.sched.pair_cache_probes;
         cell.sched.frozen_compactions += s.sched.frozen_compactions;
         cell.sched.verify_checks += s.sched.verify_checks;
         cell.sched.sched_wall_ns += s.sched.sched_wall_ns;
@@ -206,8 +205,7 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
          {indent}  \"pair_checks\": {},\n{indent}  \"pair_cache_hits\": {},\n\
          {indent}  \"heap_pushes\": {},\n{indent}  \"heap_stale_pops\": {},\n\
          {indent}  \"heap_validated_picks\": {},\n{indent}  \"pair_invalidations\": {},\n\
-         {indent}  \"pair_cache_evictions\": {},\n{indent}  \"pair_cache_probes\": {},\n\
-         {indent}  \"clear_repair_clears\": {},\n\
+         {indent}  \"pair_cache_evictions\": {},\n{indent}  \"clear_repair_clears\": {},\n\
          {indent}  \"clear_repair_visits\": {},\n{indent}  \"index_migrations\": {},\n\
          {indent}  \"migrations_batched\": {},\n{indent}  \"frozen_compactions\": {},\n\
          {indent}  \"committed\": {}\n{indent}}}",
@@ -223,7 +221,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
         cell.sched.heap_validated_picks,
         cell.sched.pair_invalidations,
         cell.sched.pair_cache_evictions,
-        cell.sched.pair_cache_probes,
         cell.sched.clear_repair_clears,
         cell.sched.clear_repair_visits,
         cell.sched.index_migrations,
@@ -254,10 +251,6 @@ pub struct ScenarioSummary {
     pub index_migrations: u64,
     /// Compute bursts whose membership walk was skipped entirely.
     pub migrations_batched: u64,
-    /// Pair-cache entries dropped to make room.
-    pub pair_cache_evictions: u64,
-    /// Pair-cache victim-way probes after a primary-way miss.
-    pub pair_cache_probes: u64,
     /// Timed-half frozen-entry compaction passes.
     pub frozen_compactions: u64,
 }
@@ -318,8 +311,7 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
              \"oracle_pick_ns\": {:.1},\n      \"sched_speedup\": {:.2},\n      \
              \"heap_stale_pops\": {},\n      \"clear_repair_clears\": {},\n      \
              \"clear_repair_visits\": {},\n      \"index_migrations\": {},\n      \
-             \"migrations_batched\": {},\n      \"pair_cache_evictions\": {},\n      \
-             \"pair_cache_probes\": {},\n      \"frozen_compactions\": {}\n    }}",
+             \"migrations_batched\": {},\n      \"frozen_compactions\": {}\n    }}",
             sc.name,
             policy.name(),
             sc.cfg.run.num_transactions,
@@ -331,8 +323,6 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             cached.sched.clear_repair_visits,
             cached.sched.index_migrations,
             cached.sched.migrations_batched,
-            cached.sched.pair_cache_evictions,
-            cached.sched.pair_cache_probes,
             cached.sched.frozen_compactions,
         ));
         rows.push(ScenarioSummary {
@@ -344,8 +334,6 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             heap_stale_pops: cached.sched.heap_stale_pops,
             index_migrations: cached.sched.index_migrations,
             migrations_batched: cached.sched.migrations_batched,
-            pair_cache_evictions: cached.sched.pair_cache_evictions,
-            pair_cache_probes: cached.sched.pair_cache_probes,
             frozen_compactions: cached.sched.frozen_compactions,
         });
     }

@@ -18,8 +18,8 @@ use rtx_rtdb::txn::Transaction;
 use rtx_sim::time::SimDuration;
 
 // The unsafety test lives with the transaction state (so the engine's
-// pair memo shares the single definition its cached verdicts must stay
-// bit-identical to); re-exported here, its historical home.
+// pair tests and oracles share the single definition its slot rows must
+// match); re-exported here, its historical home.
 pub use rtx_rtdb::txn::is_unsafe_with;
 
 /// The penalty of conflict of `candidate`: the total effective service
@@ -28,9 +28,9 @@ pub use rtx_rtdb::txn::is_unsafe_with;
 /// point without interruption.
 ///
 /// The pair tests go through [`SystemView::is_unsafe_with`], so inside
-/// the engine they hit the version-gated memo; the sum itself is over
+/// the engine they walk the maintained P-list; the sum itself is over
 /// exact integer durations, so its value is independent of evaluation
-/// order and of whether verdicts came from the cache.
+/// order.
 ///
 /// Invalidation contract (see `PriorityDeps::ConflictState`): other
 /// transactions influence this sum only through (a) which partials test

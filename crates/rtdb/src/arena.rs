@@ -1,13 +1,12 @@
 //! Dense per-transaction scheduler state.
 //!
-//! The scheduler's hot loops — peek-validate-demote picks, clear-repair
-//! walks, pair-predicate version gates — used to chase four separate
-//! version vectors plus a priority-cache vector, paying one cache line
-//! per structure per transaction touched. This module packs all of that
-//! per-transaction state into a single 64-byte [`SlotState`] record in
-//! one arena, indexed by a compact [`TxnSlot`]: validating one candidate
-//! now reads exactly one cache line, and a repair walk streams
-//! contiguous lines instead of gathering across five allocations.
+//! The scheduler's hot loops — peek-validate-demote picks and
+//! clear-repair walks — touch the state of many transactions. This
+//! module packs each transaction's hot state into a single 64-byte
+//! [`SlotState`] record in one arena, indexed by a compact [`TxnSlot`]:
+//! validating one candidate reads exactly one cache line, and a repair
+//! walk streams contiguous lines. The same slot numbers index the
+//! conflict accelerator's per-item slot rows.
 //!
 //! The arena holds *redundant acceleration state only*: every field is
 //! reconstructible from the transactions themselves, and the `Verify`
@@ -36,13 +35,10 @@ impl TxnSlot {
 
 /// One transaction's hot scheduler state, packed into a single cache
 /// line: the cached priority with the stamps it was computed from, and
-/// the conflict-bookkeeping version counters that gate the pair caches.
-///
-/// Field semantics mirror the structures this replaces (the engine's
-/// `PriEntry` vector and the accelerator's four version vectors);
-/// see the field docs. Validity of the cached priority is encoded in
-/// `pri_stamp`: [`SlotState::NO_PRI`] means "never computed" (real
-/// stamps count up from 0 and can never reach it).
+/// the stamps it is validated against (see the field docs). Validity of
+/// the cached priority is encoded in `pri_stamp`: [`SlotState::NO_PRI`]
+/// means "never computed" (real stamps count up from 0 and can never
+/// reach it).
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 pub(crate) struct SlotState {
@@ -63,12 +59,6 @@ pub(crate) struct SlotState {
     /// Bumped on *any* own-state change that could move this
     /// transaction's priority (progress, restarts, set changes).
     pub own_version: u64,
-    /// Bumped when the `accessed`/`written` sets grow or are cleared.
-    /// Gates the dynamic unsafe-pair cache.
-    pub access_version: u64,
-    /// Bumped when `might_access` is reassigned (decision narrowing,
-    /// restart re-widening). Gates the static pair cache.
-    pub might_version: u64,
 }
 
 const _: () = assert!(
@@ -89,8 +79,6 @@ impl SlotState {
         pri_own: 0,
         pair_stamp: 0,
         own_version: 0,
-        access_version: 0,
-        might_version: 0,
     };
 
     /// Has a priority ever been cached for this transaction?
@@ -110,8 +98,7 @@ impl SlotState {
 /// reset to [`SlotState::EMPTY`] in O(1) at release, exactly the state a
 /// fresh push would have had, and the generation lets debug builds and
 /// tests prove no stale [`TxnSlot`] from a previous incarnation is ever
-/// dereferenced (pair caches never need flushing either — their keys are
-/// transaction ids, which are never reused).
+/// dereferenced.
 pub(crate) struct SchedArena {
     slots: Vec<Cell<SlotState>>,
     /// Incarnation counter per slot, bumped when the slot is released.

@@ -612,10 +612,10 @@ struct EngineState<'p> {
     /// Measure wall time in `pick_next`? Off in normal runs so summaries
     /// stay comparable across machines.
     profile: bool,
-    /// Incrementally maintained conflict state: the P-list, per-txn
-    /// version counters, the pairwise conflict memo and the epoch. Kept
-    /// up to date in every mode (it is the ground truth `Verify` checks
-    /// the scans against); only *consulted* outside `AlwaysRecompute`.
+    /// Incrementally maintained conflict state: the P-list, the per-txn
+    /// stamps and the per-item slot rows. Kept up to date in every mode
+    /// (it is the ground truth `Verify` checks the scans against); only
+    /// *consulted* outside `AlwaysRecompute`.
     accel: ConflictAccel,
     /// Number of active transactions in `TxnState::Ready`, maintained by
     /// [`Self::set_state`] — replaces the per-event ready-queue scan.
@@ -681,8 +681,8 @@ struct EngineState<'p> {
     /// Scratch buffer for the anchor-arming and compaction walks, which
     /// run from `&self` pick paths and so cannot take `walk_buf`.
     arm_buf: RefCell<Vec<TxnId>>,
-    /// Scratch buffer for reverse-index sharer enumeration.
-    sharer_buf: RefCell<Vec<TxnId>>,
+    /// Scratch slot set for the set-at-a-time conflict relations.
+    row_buf: RefCell<Vec<u64>>,
     // Scheduler-overhead tallies (Cells: bumped from &self paths).
     pick_next_calls: Cell<u64>,
     priority_evals: Cell<u64>,
@@ -692,9 +692,8 @@ struct EngineState<'p> {
     heap_stale_pops: Cell<u64>,
     heap_validated_picks: Cell<u64>,
     verify_checks: Cell<u64>,
-    /// Clear-repair walks performed and candidates visited by them: the
-    /// visit count scales with the cleared transaction's sharer set, not
-    /// with MPL, which is the reverse index's point.
+    /// Clear-repair walks performed and the victims they took from the
+    /// slot rows.
     clear_repair_clears: Cell<u64>,
     clear_repair_visits: Cell<u64>,
     /// Entries moved between split-index halves (anchor changes and
@@ -808,7 +807,7 @@ impl<'p> EngineState<'p> {
             slack_scratch: RefCell::new(Vec::new()),
             walk_buf: Vec::new(),
             arm_buf: RefCell::new(Vec::new()),
-            sharer_buf: RefCell::new(Vec::new()),
+            row_buf: RefCell::new(Vec::new()),
             pick_next_calls: Cell::new(0),
             priority_evals: Cell::new(0),
             priority_cache_hits: Cell::new(0),
@@ -908,24 +907,28 @@ impl<'p> EngineState<'p> {
             .or_else(|| self.walked.get())
     }
 
+    /// The timed half's target runner if `id` is unsafe w.r.t. it —
+    /// exactly the keys that fall at `fall_rate` while that runner
+    /// computes; `None` under a zero fall rate, with no target, and for
+    /// the target itself.
+    fn falls_under(&self, id: TxnId) -> Option<TxnId> {
+        let r = self.timed_target().filter(|_| self.fall_rate > 0.0)?;
+        (r != id && self.accel.is_unsafe(self.txn(r), self.txn(id))).then_some(r)
+    }
+
     /// The key and half for `id`'s index entry given its cached bound
-    /// `value`: timed iff `id` is unsafe w.r.t. the timed half's target
-    /// runner (exactly the keys that fall at `fall_rate` while that
-    /// runner computes), with the fall offset folded in so the stored
-    /// key holds still while the effective bound falls. Enrolling while
-    /// the half is frozen (between a streak's bursts) is sound — the
+    /// `value`: timed iff `id` [falls under](Self::falls_under) the timed
+    /// half's target, with the fall offset folded in so the stored key
+    /// holds still while the effective bound falls. Enrolling while the
+    /// half is frozen (between a streak's bursts) is sound — the
     /// effective bound equals `value` until the next anchor resumes the
     /// fall — and is what lets boundary-pick re-parks rejoin the falling
     /// band instead of going stale in the free half.
     fn entry_key_for(&self, id: TxnId, value: Priority) -> (Priority, Half) {
-        if self.fall_rate > 0.0 {
-            if let Some(r) = self.timed_target() {
-                if r != id && self.accel.is_unsafe(self.txn(r), self.txn(id)) {
-                    let a = self.fall_offset_now();
-                    let key = Priority(nudge_up(value.0 + a, value.0.abs().max(a)));
-                    return (key, Half::Timed);
-                }
-            }
+        if self.falls_under(id).is_some() {
+            let a = self.fall_offset_now();
+            let key = Priority(nudge_up(value.0 + a, value.0.abs().max(a)));
+            return (key, Half::Timed);
         }
         (value, Half::Free)
     }
@@ -949,33 +952,36 @@ impl<'p> EngineState<'p> {
     /// membership, so the walks' mirror stays complete. The depth test is
     /// a performance heuristic only — either outcome keeps every key an
     /// upper bound.
-    fn entry_key_for_write(&self, id: TxnId, value: Priority) -> (Priority, Half) {
-        if self.fall_rate > 0.0 {
-            if let Some(r) = self.timed_target() {
-                if r != id && self.accel.is_unsafe(self.txn(r), self.txn(id)) {
-                    let enroll = {
-                        let index = self.index.borrow();
-                        match index.half_of(id) {
-                            Some(Half::Timed) => true,
-                            _ => match index.peek(Half::Timed) {
-                                None => true,
-                                Some(top) => {
-                                    let t = self.txn(r);
-                                    let rem = self.fall_rate
-                                        * (t.resource_time.as_ms() - t.service.as_ms()).max(0.0);
-                                    let band =
-                                        self.timed_effective(top.pri, self.fall_offset_now());
-                                    value.0 >= band.0 - rem
-                                }
-                            },
+    ///
+    /// `runner` is [`Self::falls_under`]`(id)`, which a caller writing
+    /// many keys against one runner can take from a slot row instead.
+    fn entry_key_for_write(
+        &self,
+        id: TxnId,
+        value: Priority,
+        runner: Option<TxnId>,
+    ) -> (Priority, Half) {
+        if let Some(r) = runner {
+            let enroll = {
+                let index = self.index.borrow();
+                match index.half_of(id) {
+                    Some(Half::Timed) => true,
+                    _ => match index.peek(Half::Timed) {
+                        None => true,
+                        Some(top) => {
+                            let t = self.txn(r);
+                            let rem = self.fall_rate
+                                * (t.resource_time.as_ms() - t.service.as_ms()).max(0.0);
+                            let band = self.timed_effective(top.pri, self.fall_offset_now());
+                            value.0 >= band.0 - rem
                         }
-                    };
-                    if enroll {
-                        let a = self.fall_offset_now();
-                        let key = Priority(nudge_up(value.0 + a, value.0.abs().max(a)));
-                        return (key, Half::Timed);
-                    }
+                    },
                 }
+            };
+            if enroll {
+                let a = self.fall_offset_now();
+                let key = Priority(nudge_up(value.0 + a, value.0.abs().max(a)));
+                return (key, Half::Timed);
             }
         }
         (value, Half::Free)
@@ -1016,39 +1022,38 @@ impl<'p> EngineState<'p> {
         self.walked.set(Some(r));
     }
 
-    /// The anchor's migration walks. O(affected), not O(active): timed
-    /// entries that are not unsafe w.r.t. `r` fold back to the free half
-    /// (their effective bound is constant again), and the free entries to
-    /// pull in are enumerated through the item→transaction reverse index
-    /// — any transaction unsafe w.r.t. `r` shares an item with
-    /// `r.accessed`.
+    /// The anchor's migration walks, set-at-a-time over `r`'s unsafe set
+    /// taken from the slot rows: timed entries outside it fold back to
+    /// the free half (their effective bound is constant again), and the
+    /// free entries inside it are pulled in, ascending by id.
     fn run_migration_walks(&self, r: TxnId) {
         let a = self.offset_base.get();
+        let mut row = self.row_buf.borrow_mut();
+        self.accel.unsafe_set(self.txn(r), &mut row);
         let mut movers = self.arm_buf.borrow_mut();
-        movers.clear();
-        {
-            let index = self.index.borrow();
-            let rt = self.txn(r);
-            for e in index.entries(Half::Timed) {
-                if e.id == r || !self.accel.is_unsafe(rt, self.txn(e.id)) {
-                    movers.push(e.id);
-                }
-            }
-        }
+        self.timed_leavers(r, &row, &mut movers);
         self.fold_out_timed(&movers, a);
-        movers.clear();
+        self.accel.ids(&row, &mut movers);
         {
-            let mut sharers = self.sharer_buf.borrow_mut();
-            self.accel.sharers(&self.txn(r).accessed, &mut sharers);
             let index = self.index.borrow();
-            let rt = self.txn(r);
-            for &x in sharers.iter() {
-                if x != r
-                    && index.half_of(x) == Some(Half::Free)
-                    && self.accel.is_unsafe(rt, self.txn(x))
-                {
-                    movers.push(x);
-                }
+            movers.retain(|&x| index.half_of(x) == Some(Half::Free));
+            if self.mode == CacheMode::Verify {
+                let rt = self.txn(r);
+                let scan: Vec<TxnId> = self
+                    .active
+                    .iter()
+                    .copied()
+                    .filter(|&x| {
+                        x != r
+                            && index.half_of(x) == Some(Half::Free)
+                            && crate::txn::is_unsafe_with(rt, self.txn(x))
+                    })
+                    .collect();
+                assert_eq!(
+                    *movers, scan,
+                    "{r}: migration pull-in diverged from the active-scan oracle"
+                );
+                self.verify_checks.set(self.verify_checks.get() + 1);
             }
         }
         for &x in movers.iter() {
@@ -1069,6 +1074,41 @@ impl<'p> EngineState<'p> {
             self.index_migrations.set(self.index_migrations.get() + 1);
         }
         movers.clear();
+    }
+
+    /// Collect into `out` the timed-half entries outside `row`, the
+    /// unsafe set of `r` ([`ConflictAccel::unsafe_set`], which leaves `r`
+    /// out): the entries a walk or compaction folds back to the free
+    /// half, in heap order.
+    fn timed_leavers(&self, r: TxnId, row: &[u64], out: &mut Vec<TxnId>) {
+        let index = self.index.borrow();
+        out.clear();
+        out.extend(
+            index
+                .entries(Half::Timed)
+                .iter()
+                .map(|e| e.id)
+                .filter(|&x| !self.accel.holds(row, x)),
+        );
+        if self.mode == CacheMode::Verify {
+            let rt = self.txn(r);
+            let scan: Vec<TxnId> = self
+                .active
+                .iter()
+                .copied()
+                .filter(|&x| {
+                    index.half_of(x) == Some(Half::Timed)
+                        && (x == r || !crate::txn::is_unsafe_with(rt, self.txn(x)))
+                })
+                .collect();
+            let mut got = out.clone();
+            got.sort_unstable();
+            assert_eq!(
+                got, scan,
+                "{r}: timed fold-out diverged from the active-scan oracle"
+            );
+            self.verify_checks.set(self.verify_checks.get() + 1);
+        }
     }
 
     /// Fold the listed timed-half entries back to the free half at fall
@@ -1161,13 +1201,9 @@ impl<'p> EngineState<'p> {
             // members (the walks keep this set empty in the common case,
             // so the scan is a cheap amortized verification).
             Some(r) => {
-                let index = self.index.borrow();
-                let rt = self.txn(r);
-                for e in index.entries(Half::Timed) {
-                    if e.id == r || !self.accel.is_unsafe(rt, self.txn(e.id)) {
-                        movers.push(e.id);
-                    }
-                }
+                let mut row = self.row_buf.borrow_mut();
+                self.accel.unsafe_set(self.txn(r), &mut row);
+                self.timed_leavers(r, &row, &mut movers);
             }
         }
         self.fold_out_timed(&movers, a);
@@ -1259,7 +1295,7 @@ impl<'p> EngineState<'p> {
     /// `id`'s access sets are about to be cleared (abort/restart or
     /// commit): repair the cached priorities of the transactions whose
     /// penalty currently includes `id` — the walk runs *before* the
-    /// clearing so the still-valid memo describes the contribution being
+    /// clearing, while `id`'s sets still describe the contribution being
     /// removed — then record the clearing.
     ///
     /// This is the **one** conflict event that keeps an eager walk: a
@@ -1300,37 +1336,30 @@ impl<'p> EngineState<'p> {
     /// re-pushed every victim here — O(victims) full evaluations per
     /// clear, which dominated high-contention runs.
     ///
-    /// O(sharers) memoized pair tests, paid only on clears (the rare,
-    /// priority-raising event): instead of probing every active
-    /// transaction, the walk enumerates through the item→transaction
-    /// reverse index only the transactions whose `might_access` shares
-    /// an item with `c.accessed` — a sound superset of the unsafe set,
-    /// since either direction of `is_unsafe_with(c, x)` requires such a
-    /// shared item (`written ⊆ accessed ⊆ might_access`). The other
-    /// active transactions keep their cached priorities untouched, and
-    /// the walk's cost scales with `c`'s conflicting set, not with MPL
-    /// (`clear_repair_visits` evidences this).
+    /// The victims come set-at-a-time from the slot rows
+    /// ([`ConflictAccel::unsafe_set`]): the OR of one row per item of
+    /// `c.accessed`, MPL/64 words each, paid only on clears (the rare,
+    /// priority-raising event). Each victim's timed-half membership —
+    /// is it unsafe w.r.t. the timed half's target runner? — is read
+    /// from that runner's row, computed once per walk: re-keying victims
+    /// moves no access set, so the runner's unsafe set holds still. The
+    /// other active transactions keep their cached priorities untouched.
     fn repair_unsafe_against(&mut self, c: TxnId) {
         let raise = self.policy.conflict_clear_raise(self.txn(c), &self.view());
         let mut affected = std::mem::take(&mut self.walk_buf);
-        affected.clear();
+        let mut row = std::mem::take(self.row_buf.get_mut());
         {
             let ct = self.txn(c);
-            let mut sharers = self.sharer_buf.borrow_mut();
-            self.accel.sharers(&ct.accessed, &mut sharers);
+            self.accel.unsafe_set(ct, &mut row);
+            self.accel.ids(&row, &mut affected);
             self.clear_repair_clears
                 .set(self.clear_repair_clears.get() + 1);
             self.clear_repair_visits
-                .set(self.clear_repair_visits.get() + sharers.len() as u64);
-            for &x in sharers.iter() {
-                if x != c && self.accel.is_unsafe(ct, self.txn(x)) {
-                    affected.push(x);
-                }
-            }
+                .set(self.clear_repair_visits.get() + affected.len() as u64);
             if self.mode == CacheMode::Verify {
-                // Oracle: the pre-reverse-index full active walk. Both
-                // enumerate ascending by id (= arrival order), so the
-                // affected lists must match exactly, order included.
+                // Oracle: the full active walk. Both enumerate ascending
+                // by id (= arrival order), so the affected lists must
+                // match exactly, order included.
                 let full: Vec<TxnId> = self
                     .active
                     .iter()
@@ -1339,10 +1368,14 @@ impl<'p> EngineState<'p> {
                     .collect();
                 assert_eq!(
                     affected, full,
-                    "reverse-index repair walk diverged from the active-scan oracle"
+                    "slot-row repair walk diverged from the active-scan oracle"
                 );
                 self.verify_checks.set(self.verify_checks.get() + 1);
             }
+        }
+        let runner = self.timed_target().filter(|_| self.fall_rate > 0.0);
+        if let Some(r) = runner {
+            self.accel.unsafe_set(self.txn(r), &mut row);
         }
         let a = self.fall_offset_now();
         for &x in &affected {
@@ -1373,10 +1406,18 @@ impl<'p> EngineState<'p> {
                 Priority(nudge_up(value.0 + raise, value.0.abs().max(raise)))
             };
             self.accel.write_pri(x, bound, self.now());
-            self.index_upsert(x, bound);
+            let under = runner.filter(|_| self.accel.holds(&row, x));
+            if self.mode == CacheMode::Verify {
+                let fresh = runner
+                    .filter(|&r| r != x && crate::txn::is_unsafe_with(self.txn(r), self.txn(x)));
+                assert_eq!(under, fresh, "{x}: runner row diverged from the pair test");
+                self.verify_checks.set(self.verify_checks.get() + 1);
+            }
+            self.index_upsert_under(x, bound, under);
         }
         affected.clear();
         self.walk_buf = affected;
+        *self.row_buf.get_mut() = row;
     }
 
     /// The view handed to policies: accel-backed unless the engine is the
@@ -1389,7 +1430,7 @@ impl<'p> EngineState<'p> {
         }
     }
 
-    /// A scan-based, memo-free view — what `Verify` recomputes against.
+    /// A scan-based, accel-free view — what `Verify` recomputes against.
     fn fresh_view(&self) -> SystemView<'_> {
         SystemView::new(self.now(), &self.txns, self.cfg.system.abort_cost())
     }
@@ -1490,12 +1531,13 @@ impl<'p> EngineState<'p> {
     /// already exact and this delegates to [`Self::priority_of`]. For
     /// `ConflictState` under lazy falls a surviving entry may be
     /// stale-high, so the value is recomputed against the accel-backed
-    /// view (memoized pair verdicts keep this O(P-list), and the P-list
-    /// stays near-empty in exactly the high-contention regimes that made
-    /// the old per-event walks explode). A recompute that *confirms* the
-    /// surviving entry counts as a cache hit and leaves cache and index
-    /// untouched; a fall rewrites the entry and demotes the index key in
-    /// place — which is exactly how the pick loop retires a stale top.
+    /// view (the maintained P-list keeps this O(P-list) pair tests, and
+    /// the P-list stays near-empty in exactly the high-contention
+    /// regimes that made the old per-event walks explode). A recompute
+    /// that *confirms* the surviving entry counts as a cache hit and
+    /// leaves cache and index untouched; a fall rewrites the entry and
+    /// demotes the index key in place — which is exactly how the pick
+    /// loop retires a stale top.
     fn priority_exact(&self, id: TxnId) -> Priority {
         self.priority_exact_impl(id, true)
     }
@@ -1555,7 +1597,13 @@ impl<'p> EngineState<'p> {
     /// runner anchor that flipped its membership) and migrates if
     /// needed. O(log n) sift; never creates a duplicate entry.
     fn index_upsert(&self, id: TxnId, value: Priority) {
-        let (key, half) = self.entry_key_for_write(id, value);
+        self.index_upsert_under(id, value, self.falls_under(id));
+    }
+
+    /// [`Self::index_upsert`] with `id`'s [`Self::falls_under`] runner
+    /// supplied by the caller.
+    fn index_upsert_under(&self, id: TxnId, value: Priority, runner: Option<TxnId>) {
+        let (key, half) = self.entry_key_for_write(id, value, runner);
         let mut index = self.index.borrow_mut();
         match index.half_of(id) {
             Some(h) if h == half => {
@@ -1633,11 +1681,10 @@ impl<'p> EngineState<'p> {
         self.state_tags.push(TxnState::Ready);
         self.active.push(id);
         self.ready_count += 1;
-        // Enter the reverse index under the admitted footprint (only
+        // Enter the slot rows under the admitted footprint (only
         // admitted transactions are ever indexed — repairs must not
         // touch rejected slots' unseeded caches).
-        self.accel
-            .reindex(id, &self.txns[id.0 as usize].might_access);
+        self.accel.reindex(&self.txns[id.0 as usize]);
         // Seed the newcomer's cache entry and index key eagerly: the
         // index must hold exactly one entry per active transaction before
         // the next pick can trust its peek.
@@ -1706,20 +1753,11 @@ impl<'p> EngineState<'p> {
                 .count(),
             _ => {
                 // The maintained P-list *is* the set the scan above
-                // filters `active` down to, and the pair memo returns the
-                // same verdicts as `conflicts_with`. Only sharers of the
-                // newcomer's footprint can conflict at all, so the probe
-                // set is their intersection with the P-list — same
-                // count, O(sharers ∩ P) instead of O(P) pair tests.
-                let mut sharers = self.sharer_buf.borrow_mut();
-                self.accel.sharers(&txn.might_access, &mut sharers);
-                let n = sharers
-                    .iter()
-                    .filter(|&&p| {
-                        self.accel.plist().binary_search(&p).is_ok()
-                            && self.accel.conflicts(txn, self.txn(p))
-                    })
-                    .count();
+                // filters `active` down to: count the newcomer's
+                // conflicts within it set-at-a-time from the slot rows.
+                let n = self
+                    .accel
+                    .partial_conflicts(txn, &mut self.row_buf.borrow_mut());
                 if self.mode == CacheMode::Verify {
                     let scanned = self
                         .active
@@ -1807,8 +1845,7 @@ impl<'p> EngineState<'p> {
                 self.accel.bump_own(id);
                 if narrowed {
                     self.accel.note_narrowed(id);
-                    self.accel
-                        .reindex(id, &self.txns[id.0 as usize].might_access);
+                    self.accel.reindex(&self.txns[id.0 as usize]);
                     if self.heap_in_use() {
                         self.priority_exact(id);
                     }
@@ -1930,8 +1967,7 @@ impl<'p> EngineState<'p> {
             // narrowed mightaccess): leave the P-list, invalidate pairs.
             self.conflict_cleared(id);
             self.txn_mut(id).reset_for_restart();
-            self.accel
-                .reindex(id, &self.txns[id.0 as usize].might_access);
+            self.accel.reindex(&self.txns[id.0 as usize]);
             self.slack_upsert(id);
             self.set_state(id, TxnState::Ready);
         } else {
@@ -1980,8 +2016,7 @@ impl<'p> EngineState<'p> {
             // narrowed mightaccess): leave the P-list, invalidate pairs.
             self.conflict_cleared(id);
             self.txn_mut(id).reset_for_restart();
-            self.accel
-                .reindex(id, &self.txns[id.0 as usize].might_access);
+            self.accel.reindex(&self.txns[id.0 as usize]);
             self.slack_upsert(id);
             self.set_state(id, TxnState::Ready);
         } else {
@@ -2339,9 +2374,8 @@ impl<'p> EngineState<'p> {
             }
         }
         // `reset_for_restart` (every arm above) re-widens `might_access`
-        // and zeroes progress: refresh the reverse index and the slack key.
-        self.accel
-            .reindex(victim, &self.txns[victim.0 as usize].might_access);
+        // and zeroes progress: refresh the slot rows and the slack key.
+        self.accel.reindex(&self.txns[victim.0 as usize]);
         self.slack_upsert(victim);
     }
 
@@ -2659,14 +2693,9 @@ impl<'p> EngineState<'p> {
                 // half (bound carried over, now falling): frozen at its
                 // stale key it would stick above the falling band and be
                 // lifted again at every subsequent pick.
-                let parked = if half == Half::Free && self.fall_rate > 0.0 {
-                    match self.timed_target() {
-                        Some(r) if r != id && self.accel.is_unsafe(self.txn(r), self.txn(id)) => {
-                            let key = Priority(nudge_up(entry.pri.0 + a, entry.pri.0.abs().max(a)));
-                            (HeapEntry { pri: key, ..entry }, Half::Timed)
-                        }
-                        _ => (entry, half),
-                    }
+                let parked = if half == Half::Free && self.falls_under(id).is_some() {
+                    let key = Priority(nudge_up(entry.pri.0 + a, entry.pri.0.abs().max(a)));
+                    (HeapEntry { pri: key, ..entry }, Half::Timed)
                 } else {
                     (entry, half)
                 };
@@ -2848,7 +2877,7 @@ impl<'p> EngineState<'p> {
         best.map(|(_, _, id)| id)
     }
 
-    /// The scan the `Verify` heap asserts against: fresh (memo-free)
+    /// The scan the `Verify` heap asserts against: fresh (accel-free)
     /// priorities over `active` with the scan tie-break, restricted by
     /// `filter`.
     fn fresh_best(&self, filter: impl Fn(TxnId) -> bool) -> Option<TxnId> {
@@ -2874,7 +2903,7 @@ impl<'p> EngineState<'p> {
         best.map(|(_, _, id)| id)
     }
 
-    /// Memo-free IOwait compatibility (the `Verify` oracle's filter).
+    /// Accel-free IOwait compatibility (the `Verify` oracle's filter).
     fn fresh_compatible(&self, id: TxnId) -> bool {
         let candidate = self.txn(id);
         self.active
@@ -3028,52 +3057,28 @@ impl<'p> EngineState<'p> {
     /// with shared locks only write-involved overlaps count.
     ///
     /// Incrementally: iterate the maintained P-list (same transactions,
-    /// same ascending-id order as the `active` scan) with memoized pair
-    /// verdicts.
+    /// same ascending-id order as the `active` scan); `Verify` asserts
+    /// the answer against that scan.
     fn compatible_with_plist(&self, id: TxnId) -> bool {
-        let candidate = self.txn(id);
-        match self.mode {
-            CacheMode::AlwaysRecompute => self
-                .active
-                .iter()
-                .filter(|&&p| p != id)
-                .map(|&p| self.txn(p))
-                .filter(|p| p.is_partially_executed())
-                .all(|p| !candidate.conflicts_with(p)),
-            CacheMode::Verify => {
-                // One pass over `active` yields both answers: filtering it
-                // by `is_partially_executed` visits exactly the maintained
-                // P-list in the same ascending-id order (that identity is
-                // itself asserted in `update_queue_metrics` and
-                // `validate_state`), so each pair can be checked memoized
-                // vs fresh as it streams by instead of scanning twice.
-                let mut compatible = true;
-                for &p in &self.active {
-                    if p == id {
-                        continue;
-                    }
-                    let partial = self.txn(p);
-                    if !partial.is_partially_executed() {
-                        continue;
-                    }
-                    let memoized = self.accel.conflicts(candidate, partial);
-                    let fresh = candidate.conflicts_with(partial);
-                    self.verify_checks.set(self.verify_checks.get() + 1);
-                    assert_eq!(
-                        memoized, fresh,
-                        "{id}: memoized pair verdict against {p} diverged"
-                    );
-                    compatible &= !memoized;
-                }
-                compatible
-            }
-            CacheMode::Incremental => self
-                .accel
-                .plist()
-                .iter()
-                .filter(|&&p| p != id)
-                .all(|&p| !self.accel.conflicts(candidate, self.txn(p))),
+        if self.mode == CacheMode::AlwaysRecompute {
+            return self.fresh_compatible(id);
         }
+        let candidate = self.txn(id);
+        let compatible = self
+            .accel
+            .plist()
+            .iter()
+            .filter(|&&p| p != id)
+            .all(|&p| !self.accel.conflicts(candidate, self.txn(p)));
+        if self.mode == CacheMode::Verify {
+            self.verify_checks.set(self.verify_checks.get() + 1);
+            assert_eq!(
+                compatible,
+                self.fresh_compatible(id),
+                "{id}: P-list IOwait compatibility diverged from the active scan"
+            );
+        }
+        compatible
     }
 
     fn preempt_running(&mut self) {
@@ -3554,17 +3559,16 @@ impl EngineState<'_> {
             priority_evals: self.priority_evals.get(),
             priority_cache_hits: self.priority_cache_hits.get(),
             pair_checks: self.accel.pair_checks(),
-            pair_cache_hits: self.accel.pair_cache_hits(),
+            pair_cache_hits: 0,
             heap_pushes: self.heap_pushes.get(),
             heap_stale_pops: self.heap_stale_pops.get(),
             heap_validated_picks: self.heap_validated_picks.get(),
             pair_invalidations: self.accel.pair_invalidations(),
-            pair_cache_evictions: self.accel.pair_cache_evictions(),
+            pair_cache_evictions: 0,
             clear_repair_clears: self.clear_repair_clears.get(),
             clear_repair_visits: self.clear_repair_visits.get(),
             index_migrations: self.index_migrations.get(),
             migrations_batched: self.migrations_batched.get(),
-            pair_cache_probes: self.accel.pair_cache_probes(),
             frozen_compactions: self.frozen_compactions.get(),
             verify_checks: self.verify_checks.get(),
             sched_wall_ns: self.sched_wall_ns.get(),
@@ -3892,7 +3896,7 @@ impl<'p> PickHarness<'p> {
             st.txns.push(txn);
             st.secondary.push(false);
             st.active.push(id);
-            st.accel.reindex(id, &st.txns[id.0 as usize].might_access);
+            st.accel.reindex(&st.txns[id.0 as usize]);
             if partial {
                 st.accel.note_access_growth(id, false);
             }
@@ -3938,17 +3942,16 @@ impl<'p> PickHarness<'p> {
             priority_evals: self.st.priority_evals.get(),
             priority_cache_hits: self.st.priority_cache_hits.get(),
             pair_checks: self.st.accel.pair_checks(),
-            pair_cache_hits: self.st.accel.pair_cache_hits(),
+            pair_cache_hits: 0,
             heap_pushes: self.st.heap_pushes.get(),
             heap_stale_pops: self.st.heap_stale_pops.get(),
             heap_validated_picks: self.st.heap_validated_picks.get(),
             pair_invalidations: self.st.accel.pair_invalidations(),
-            pair_cache_evictions: self.st.accel.pair_cache_evictions(),
+            pair_cache_evictions: 0,
             clear_repair_clears: self.st.clear_repair_clears.get(),
             clear_repair_visits: self.st.clear_repair_visits.get(),
             index_migrations: self.st.index_migrations.get(),
             migrations_batched: self.st.migrations_batched.get(),
-            pair_cache_probes: self.st.accel.pair_cache_probes(),
             frozen_compactions: self.st.frozen_compactions.get(),
             verify_checks: self.st.verify_checks.get(),
             sched_wall_ns: self.st.sched_wall_ns.get(),

@@ -31,9 +31,11 @@ pub struct SchedStats {
     /// value bit-for-bit.
     pub priority_cache_hits: u64,
     /// Pairwise conflict tests requested (static `conflicts_with` plus
-    /// dynamic `is_unsafe_with`, e.g. from `penalty_of_conflict`).
+    /// dynamic `is_unsafe_with`, e.g. from `penalty_of_conflict`). The
+    /// set-at-a-time slot-row relations test no pairs and count none.
     pub pair_checks: u64,
-    /// Pair tests answered from the version-gated pair cache.
+    /// Always 0: the pair-verdict memo it counted is gone. Kept because
+    /// the repository benchmark reads it.
     pub pair_cache_hits: u64,
     /// Priority-index key writes: inserts plus in-place repositions
     /// (clear repairs and eval-driven cache writes) while the
@@ -49,15 +51,14 @@ pub struct SchedStats {
     /// ConflictState priorities targeted invalidation actually flushed
     /// (the global epoch flushed *all* of them on every change).
     pub pair_invalidations: u64,
-    /// Pair-cache slots overwritten by a *different* pair (direct-mapped
-    /// collision evictions — a measure of cache pressure at high MPL).
+    /// Always 0: the pair-verdict memo it counted is gone. Kept because
+    /// the repository benchmark reads it.
     pub pair_cache_evictions: u64,
     /// Conflict-clear repair walks performed (one per clear of a
     /// partially executed transaction under targeted invalidation).
     pub clear_repair_clears: u64,
-    /// Candidates visited by those walks. With the item→transaction
-    /// reverse index this scales with the cleared transaction's sharer
-    /// set, not with MPL.
+    /// Victims those walks took from the slot rows: the transactions the
+    /// cleared one was unsafe with respect to.
     pub clear_repair_visits: u64,
     /// Entries moved between the split priority index's halves (runner
     /// anchor changes and cross-half cache writes).
@@ -67,9 +68,6 @@ pub struct SchedStats {
     /// membership was still valid (0 when `eager_migrations` forces the
     /// per-burst walks).
     pub migrations_batched: u64,
-    /// Secondary-way (victim-slot) lookups performed by the two-way pair
-    /// caches after a primary-slot key miss.
-    pub pair_cache_probes: u64,
     /// Timed-half compactions: frozen entries drained back to the free
     /// half and the shared fall offset re-zeroed, bounding stale-offset
     /// accumulation in long mostly-idle runs.

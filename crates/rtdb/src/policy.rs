@@ -111,8 +111,8 @@ pub enum PriorityDeps {
 /// transaction's priority.
 ///
 /// Construct with [`SystemView::new`]; the engine additionally threads an
-/// internal conflict accelerator through it so `penalty_of_conflict`'s
-/// pair tests hit the memoized path transparently.
+/// internal conflict accelerator through it so `penalty_of_conflict`
+/// walks the maintained P-list and its pair tests are counted.
 pub struct SystemView<'a> {
     /// Current simulation time.
     pub now: SimTime,
@@ -138,7 +138,7 @@ impl<'a> SystemView<'a> {
     }
 
     /// A view backed by the engine's conflict accelerator: P-list walks
-    /// iterate the maintained list and pair tests are memoized.
+    /// iterate the maintained list and pair tests are counted.
     pub(crate) fn with_accel(
         now: SimTime,
         txns: &'a [Transaction],
@@ -176,9 +176,9 @@ impl<'a> SystemView<'a> {
     }
 
     /// Is `partial` unsafe (or conditionally unsafe) with respect to
-    /// `candidate`? Memoized through the engine's pair cache when this
-    /// view carries one; otherwise computed from the transactions' sets.
-    /// Identical verdicts either way — see [`crate::txn::is_unsafe_with`].
+    /// `candidate`? Computed from the transactions' sets, and counted in
+    /// the engine's `pair_checks` when this view carries its accelerator
+    /// — see [`crate::txn::is_unsafe_with`].
     pub fn is_unsafe_with(&self, partial: &Transaction, candidate: &Transaction) -> bool {
         match self.accel {
             Some(a) => a.is_unsafe(partial, candidate),
@@ -186,8 +186,8 @@ impl<'a> SystemView<'a> {
         }
     }
 
-    /// Symmetric static conflict test (`conflicts_with`), memoized when
-    /// this view carries the engine's pair cache.
+    /// Symmetric static conflict test (`conflicts_with`), counted in the
+    /// engine's `pair_checks` when this view carries its accelerator.
     pub fn conflicts(&self, a: &Transaction, b: &Transaction) -> bool {
         match self.accel {
             Some(acc) => acc.conflicts(a, b),

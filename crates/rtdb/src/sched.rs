@@ -8,10 +8,13 @@
 //!
 //! * an explicitly maintained, id-sorted **P-list** (the partially
 //!   executed transactions) replaces the per-event scan of all slots;
-//! * a **pairwise conflict cache** (direct-mapped, lossy) memoizes the
-//!   static `conflicts_with` test and the dynamic `is_unsafe_with` test,
-//!   gated by per-transaction version counters so a pair is only
-//!   re-examined after one side's access sets actually changed;
+//! * **per-item slot rows** evaluate the unsafe and conflict relations a
+//!   whole set at a time. Every database item `i` owns two bit rows over
+//!   arena slots: `might[i]` (the slot's `might_access` holds `i`) and
+//!   `write[i]` (the slot might write `i`). The transactions a partial
+//!   `c` is unsafe with respect to are then the OR of `might[i]` over
+//!   `c.written` and `write[i]` over `c.accessed` — one row per item,
+//!   MPL/64 words each — instead of one pair test per candidate;
 //! * a **per-transaction pair stamp** records, for every transaction,
 //!   the last time the set of partially executed transactions unsafe with
 //!   respect to *it* changed. A conflict event at transaction `C`
@@ -21,25 +24,26 @@
 //!   those [`crate::policy::PriorityDeps::ConflictState`] entries instead
 //!   of epoch-flushing every one of them.
 //!
-//! Correctness contract: every cached answer is **bit-identical** to a
-//! fresh recomputation. The engine's [`CacheMode::Verify`] mode asserts
+//! Correctness contract: every maintained answer is **bit-identical** to
+//! a fresh recomputation. The engine's [`CacheMode::Verify`] mode asserts
 //! this at every single use, and `tests/incremental_equivalence.rs`
 //! drives it over randomized workloads.
 
 use std::cell::Cell;
 
-use rtx_preanalysis::sets::DataSet;
+use rtx_preanalysis::sets::{DataSet, ItemId};
 use rtx_sim::time::SimTime;
 
 use crate::arena::{SchedArena, SlotState, TxnSlot};
+use crate::locks::LockMode;
 use crate::policy::Priority;
 use crate::txn::{is_unsafe_with, Transaction, TxnId};
 
 /// How the engine evaluates priorities and conflict relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// Use the maintained P-list, the pairwise conflict cache and the
-    /// epoch-invalidated priority cache (the default; production path).
+    /// Use the maintained P-list, the per-item slot rows and the
+    /// stamp-gated priority cache (the default; production path).
     #[default]
     Incremental,
     /// Recompute everything from scratch at every scheduling point — the
@@ -51,215 +55,76 @@ pub enum CacheMode {
     Verify,
 }
 
-/// splitmix64 finalizer: a deterministic full-avalanche mix for packed
-/// `u64` pair keys, fixed across platforms so runs stay reproducible.
+/// Offset of `might[i]` within item `i`'s pair of rows.
+const MIGHT: usize = 0;
+/// Offset of `write[i]` within item `i`'s pair of rows.
+const WRITE: usize = 1;
+
+/// The word holding `slot`'s bit in a slot row, and the bit's mask.
 #[inline]
-fn mix64(n: u64) -> u64 {
-    let mut z = n;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+fn bit(slot: TxnSlot) -> (usize, u64) {
+    let s = slot.0 as usize;
+    (s / 64, 1 << (s % 64))
 }
 
-/// One memoized pair verdict, tagged with the pair key it belongs to and
-/// the version counters of the inputs it was computed from.
-#[derive(Clone, Copy)]
-struct PairSlot {
-    key: u64,
-    versions: (u64, u64),
-    result: bool,
-}
-
-impl PairSlot {
-    /// No transaction ever gets id `u32::MAX` (ids are dense from 0), so
-    /// this key matches no real pair.
-    const EMPTY: PairSlot = PairSlot {
-        key: u64::MAX,
-        versions: (0, 0),
-        result: false,
-    };
-}
-
-/// Smallest pair-cache size: 2^13 = 8192 slots × 32 B = 256 KiB per
-/// cache — the original fixed table, still right for small MPLs.
-const PAIR_CACHE_MIN_BITS: u32 = 13;
-
-/// Largest pair-cache size: 2^18 slots × 32 B = 8 MiB per cache. Beyond
-/// this the table stops being cache-resident and bigger only buys
-/// compulsory misses.
-const PAIR_CACHE_MAX_BITS: u32 = 18;
-
-/// Two-way (primary + victim slot), lossy pair-verdict cache, sized by
-/// MPL.
-///
-/// Each packed pair key hashes to a primary slot `s`; its victim way is
-/// the adjacent slot `s ^ 1`, so both ways share one 64-byte cache line.
-/// A colliding pair displaces the primary occupant into the victim way
-/// instead of dropping it, which halves thrash between two hot pairs
-/// that hash together. Losing an entry only costs a recomputation —
-/// verdicts are pure functions of the two transactions' sets, so a
-/// lossy cache cannot change results, only hit rates. Compared to a
-/// `HashMap` memo this removes probe chains, occupancy bookkeeping and
-/// insertion rehashing from the innermost loop — which matters precisely
-/// in high-contention bursts, where version churn drives the hit rate
-/// toward zero and every check would otherwise pay full map overhead for
-/// nothing. `Cell` slots keep lookups `&self` without `RefCell` traffic.
-///
-/// The slot count is the next power of two covering a `4 × MPL²` pair
-/// budget, clamped to `[2^13, 2^18]`: the hot working set is
-/// partials × candidates, which grows quadratically with MPL, and the
-/// fixed 8192-slot table was the dominant eviction source at MPL 1024
-/// (~2.1 M evictions per burst run).
-struct PairCache {
-    slots: Box<[Cell<PairSlot>]>,
-    /// `64 - log2(slot count)`: `slot_of` takes the top bits of the
-    /// mixed key.
-    shift: u32,
-    /// Times `put` dropped a live entry for a *different* pair from the
-    /// cache entirely (displaced out of the victim way) — the collision/
-    /// thrash signal. Refreshing a slot that already holds the same pair
-    /// (version churn) is not an eviction, and neither is the
-    /// primary→victim displacement itself.
-    evictions: Cell<u64>,
-    /// Victim-way lookups performed after a primary-slot key miss.
-    probes: Cell<u64>,
-}
-
-impl PairCache {
-    fn with_bits(bits: u32) -> Self {
-        debug_assert!((1..=63).contains(&bits));
-        PairCache {
-            slots: vec![Cell::new(PairSlot::EMPTY); 1 << bits].into_boxed_slice(),
-            shift: 64 - bits,
-            evictions: Cell::new(0),
-            probes: Cell::new(0),
-        }
-    }
-
-    /// Slot-count bits for a run admitting at most `capacity` concurrent
-    /// transactions: next power of two ≥ the `4 × capacity²` pair
-    /// budget, clamped to `[PAIR_CACHE_MIN_BITS, PAIR_CACHE_MAX_BITS]`.
-    fn bits_for_capacity(capacity: usize) -> u32 {
-        let budget = capacity
-            .saturating_mul(capacity)
-            .saturating_mul(4)
-            .max(1)
-            .next_power_of_two();
-        budget
-            .trailing_zeros()
-            .clamp(PAIR_CACHE_MIN_BITS, PAIR_CACHE_MAX_BITS)
-    }
-
-    fn sized_for(capacity: usize) -> Self {
-        Self::with_bits(Self::bits_for_capacity(capacity))
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    fn slot_of(&self, key: u64) -> usize {
-        (mix64(key) >> self.shift) as usize
-    }
-
-    #[inline]
-    fn get(&self, key: u64, versions: (u64, u64)) -> Option<bool> {
-        let s = self.slot_of(key);
-        let a = self.slots[s].get();
-        if a.key == key {
-            return (a.versions == versions).then_some(a.result);
-        }
-        // Primary way holds a different pair: probe the victim way.
-        self.probes.set(self.probes.get() + 1);
-        let b = self.slots[s ^ 1].get();
-        (b.key == key && b.versions == versions).then_some(b.result)
-    }
-
-    #[inline]
-    fn put(&self, key: u64, versions: (u64, u64), result: bool) {
-        let fresh = PairSlot {
-            key,
-            versions,
-            result,
-        };
-        let s = self.slot_of(key);
-        let primary = &self.slots[s];
-        if primary.get().key == key {
-            primary.set(fresh);
-            return;
-        }
-        let victim = &self.slots[s ^ 1];
-        if victim.get().key == key {
-            victim.set(fresh);
-            return;
-        }
-        if primary.get().key == u64::MAX {
-            primary.set(fresh);
-            return;
-        }
-        // Displace the primary occupant into the victim way; whatever
-        // lived there leaves the cache.
-        let dropped = victim.get().key;
-        victim.set(primary.get());
-        primary.set(fresh);
-        if dropped != u64::MAX {
-            self.evictions.set(self.evictions.get() + 1);
-        }
-    }
-
-    fn evictions(&self) -> u64 {
-        self.evictions.get()
-    }
-
-    fn probes(&self) -> u64 {
-        self.probes.get()
-    }
-}
-
+/// Position in the row store of word `w` of item `item`'s row `kind`
+/// (`MIGHT` or `WRITE`), at `words` words per row.
 #[inline]
-fn pair_key(a: TxnId, b: TxnId) -> u64 {
-    (u64::from(a.0) << 32) | u64::from(b.0)
+fn at(words: usize, item: ItemId, kind: usize, w: usize) -> usize {
+    (2 * item.0 as usize + kind) * words + w
+}
+
+/// Call `f` with every item `t` might write — mode-aware like
+/// [`Transaction::might_write_into`]: without lock modes every item of
+/// `might_access` is written.
+fn each_write(t: &Transaction, mut f: impl FnMut(ItemId)) {
+    if t.modes.is_empty() {
+        t.might_access.iter().for_each(f);
+    } else {
+        for (&item, &mode) in t.items.iter().zip(&t.modes) {
+            if mode == LockMode::Exclusive && t.might_access.contains(item) {
+                f(item);
+            }
+        }
+    }
 }
 
 /// Incrementally maintained conflict state (see the module docs).
 ///
 /// Owned by the engine; policies reach it read-only through
 /// [`crate::policy::SystemView`]. All mutation goes through the engine's
-/// state-transition bookkeeping, which is what makes the version/epoch
-/// stamps trustworthy.
+/// state-transition bookkeeping, which is what makes the stamps and the
+/// slot rows trustworthy.
 pub struct ConflictAccel {
     /// Partially executed transactions, sorted by id (ascending). Because
     /// the engine's `active` list is always in arrival = id order, this
     /// reproduces the exact iteration order of the full-scan P-list.
     plist: Vec<TxnId>,
-    /// Dense per-transaction hot state: the version counters gating the
-    /// pair caches (`might_version`, `access_version`, `own_version`),
-    /// the per-transaction conflict stamp (`pair_stamp` — bumped by the
+    /// Dense per-transaction hot state: the own-state version, the
+    /// per-transaction conflict stamp (`pair_stamp` — bumped by the
     /// engine's targeted walks via [`Self::bump_pair_stamp`] for exactly
     /// the transactions whose unsafe-partial set changed), and the
     /// engine's cached priority with its validity stamps — one 64-byte
-    /// [`SlotState`] line per transaction instead of five scattered
-    /// vectors.
+    /// [`SlotState`] line per transaction.
     arena: SchedArena,
     /// Total pair-stamp bumps (targeted invalidations) performed.
     pair_invalidations: Cell<u64>,
-    static_pairs: PairCache,
-    unsafe_pairs: PairCache,
     pair_checks: Cell<u64>,
-    pair_cache_hits: Cell<u64>,
-    /// Item → admitted transactions whose `might_access` contains the
-    /// item, each list ascending by id. Because `accessed ⊆ might_access`
-    /// (decision narrowing keeps the already-taken prefix) this is a
-    /// reverse index over *every* set the pair predicates read, so any
-    /// pair with a true `conflicts_with`/`is_unsafe_with` verdict shares
-    /// at least one list.
-    item_txns: Vec<Vec<TxnId>>,
-    /// Per-transaction snapshot of the footprint currently registered in
-    /// `item_txns`, diffed on reindex so membership updates touch only
-    /// the items that changed.
-    indexed_items: Vec<DataSet>,
+    /// Two bit rows per database item over arena slots, `words` words
+    /// each: row `2i` is `might[i]`, row `2i + 1` is `write[i]` (see
+    /// [`each_write`]). Only admitted transactions are indexed, so a set
+    /// bit always names a live, admitted transaction.
+    rows: Vec<u64>,
+    /// Words per row: the arena's high-water mark over 64, rounded up —
+    /// the peak concurrent population, not the run's transaction count.
+    words: usize,
+    /// One row over slots: the P-list members.
+    partial: Vec<u64>,
+    /// Per slot: the `might_access` its bits in `rows` were set from
+    /// (empty while unindexed), so a reindex clears exactly those bits.
+    footprint: Vec<DataSet>,
+    /// Per slot: the transaction holding it.
+    owner: Vec<TxnId>,
     /// Transaction id → arena slot. Ids are dense and never reused, so
     /// this is a push-only vector; slots of departed transactions are
     /// recycled through the arena's free list and marked
@@ -273,33 +138,61 @@ impl ConflictAccel {
             plist: Vec::new(),
             arena: SchedArena::with_capacity(capacity),
             pair_invalidations: Cell::new(0),
-            static_pairs: PairCache::sized_for(capacity),
-            unsafe_pairs: PairCache::sized_for(capacity),
             pair_checks: Cell::new(0),
-            pair_cache_hits: Cell::new(0),
-            item_txns: vec![Vec::new(); db_size],
-            indexed_items: Vec::with_capacity(capacity),
+            rows: vec![0; 2 * db_size],
+            words: 1,
+            partial: vec![0],
+            footprint: Vec::new(),
+            owner: Vec::new(),
             slot_map: Vec::with_capacity(capacity),
         }
     }
 
     /// Register a newly arrived transaction (ids are dense and arrive in
     /// order, so the slot-map entry is a push; the arena slot itself may
-    /// be a recycled one).
+    /// be a recycled one). The slot starts out unindexed.
     pub(crate) fn register(&mut self, id: TxnId) {
         debug_assert_eq!(id.0 as usize, self.slot_map.len());
         let slot = self.arena.register();
         self.slot_map.push(slot);
-        self.indexed_items.push(DataSet::new());
+        let s = slot.0 as usize;
+        if s < self.owner.len() {
+            self.owner[s] = id;
+        } else {
+            self.owner.push(id);
+            self.footprint.push(DataSet::new());
+            if s == self.words * 64 {
+                self.widen();
+            }
+        }
+    }
+
+    /// Grow every slot row by one word: the arena outgrew `words × 64`
+    /// slots.
+    fn widen(&mut self) {
+        let (old, new) = (self.words, self.words + 1);
+        let mut rows = vec![0; self.rows.len() / old * new];
+        for (to, from) in rows.chunks_exact_mut(new).zip(self.rows.chunks_exact(old)) {
+            to[..old].copy_from_slice(from);
+        }
+        self.rows = rows;
+        self.words = new;
+        self.partial.push(0);
     }
 
     /// `id` departed for good (commit or admission rejection): return its
-    /// arena slot to the free list. The id's pair-cache entries need no
-    /// sweep — ids are never reused, so those keys can never be probed
-    /// again.
+    /// arena slot to the free list. Its bits must already be gone
+    /// ([`Self::drop_index`]), or the slot's next owner would inherit
+    /// them.
     pub(crate) fn release(&mut self, id: TxnId) {
         let slot = std::mem::replace(&mut self.slot_map[id.0 as usize], TxnSlot::RELEASED);
         debug_assert_ne!(slot, TxnSlot::RELEASED, "double release of {id}");
+        let (w, m) = bit(slot);
+        debug_assert!(
+            self.footprint[slot.0 as usize].is_empty(),
+            "{id}: released while indexed"
+        );
+        debug_assert_eq!(self.partial[w] & m, 0, "{id}: released on the P-list");
         self.arena.release(slot);
     }
 
@@ -319,69 +212,107 @@ impl ConflictAccel {
         slot
     }
 
-    /// (Re)register `id` in the item→transaction reverse index under
-    /// `footprint` (its current `might_access`). Diffs against the
-    /// previous footprint so only changed items' lists move. Only
-    /// *admitted* transactions may be indexed — the engine calls this on
-    /// admission, decision narrowing and restart re-widening, and
-    /// [`Self::drop_index`] on departure.
-    pub(crate) fn reindex(&mut self, id: TxnId, footprint: &DataSet) {
-        let slot = id.0 as usize;
-        let old = std::mem::take(&mut self.indexed_items[slot]);
-        for item in old.iter() {
-            if !footprint.contains(item) {
-                let list = &mut self.item_txns[item.0 as usize];
-                let pos = list
-                    .binary_search(&id)
-                    .expect("indexed item lists mirror the stored footprint");
-                list.remove(pos);
-            }
+    /// (Re)index `t` in the slot rows under its current `might_access`:
+    /// clear the bits of its previous footprint, then set `might[i]` for
+    /// every item it might access and `write[i]` for every item it might
+    /// write. Only *admitted* transactions may be indexed — the engine
+    /// calls this on admission, decision narrowing and restart
+    /// re-widening, and [`Self::drop_index`] on departure.
+    pub(crate) fn reindex(&mut self, t: &Transaction) {
+        let slot = self.slot_idx(t.id);
+        self.unindex(slot);
+        let (w, m) = bit(slot);
+        let (words, rows) = (self.words, &mut self.rows);
+        for i in t.might_access.iter() {
+            rows[at(words, i, MIGHT, w)] |= m;
         }
-        for item in footprint.iter() {
-            if !old.contains(item) {
-                let list = &mut self.item_txns[item.0 as usize];
-                if let Err(pos) = list.binary_search(&id) {
-                    list.insert(pos, id);
-                }
-            }
-        }
-        self.indexed_items[slot] = footprint.clone();
+        each_write(t, |i| rows[at(words, i, WRITE, w)] |= m);
+        self.footprint[slot.0 as usize].union_with(&t.might_access);
     }
 
-    /// Remove `id` from the reverse index (commit, or any other
-    /// departure from the active set).
+    /// Remove `id` from the slot rows (commit, or any other departure
+    /// from the active set). Runs before [`Self::release`] recycles the
+    /// slot.
     pub(crate) fn drop_index(&mut self, id: TxnId) {
-        let slot = id.0 as usize;
-        let old = std::mem::take(&mut self.indexed_items[slot]);
-        for item in old.iter() {
-            let list = &mut self.item_txns[item.0 as usize];
-            let pos = list
-                .binary_search(&id)
-                .expect("indexed item lists mirror the stored footprint");
-            list.remove(pos);
+        self.unindex(self.slot_idx(id));
+    }
+
+    fn unindex(&mut self, slot: TxnSlot) {
+        let (w, m) = bit(slot);
+        let footprint = &mut self.footprint[slot.0 as usize];
+        for i in footprint.iter() {
+            self.rows[at(self.words, i, MIGHT, w)] &= !m;
+            self.rows[at(self.words, i, WRITE, w)] &= !m;
+        }
+        footprint.clear();
+    }
+
+    /// OR item `item`'s row `kind` into `set`.
+    #[inline]
+    fn or_row(&self, item: ItemId, kind: usize, set: &mut [u64]) {
+        let start = at(self.words, item, kind, 0);
+        for (s, r) in set.iter_mut().zip(&self.rows[start..start + self.words]) {
+            *s |= r;
         }
     }
 
-    /// Collect into `out` every indexed transaction whose registered
-    /// footprint intersects `items`, ascending by id. This is a sound
-    /// superset of the transactions that can hold a true
-    /// `conflicts_with` or (either-direction) `is_unsafe_with` verdict
-    /// against a transaction whose sets are covered by `items`: both
-    /// predicates require a shared item between one side's
-    /// `accessed`/`written`/`might_access` and the other's, and every
-    /// such set is a subset of the registered `might_access`.
-    pub(crate) fn sharers(&self, items: &DataSet, out: &mut Vec<TxnId>) {
+    /// Fill `set` with every indexed transaction other than `partial`
+    /// itself that `partial` is unsafe with respect to — each `x` with
+    /// [`is_unsafe_with`]`(partial, x)`: the OR of `might[i]` over
+    /// `partial.written` and `write[i]` over `partial.accessed`.
+    pub(crate) fn unsafe_set(&self, partial: &Transaction, set: &mut Vec<u64>) {
+        set.clear();
+        set.resize(self.words, 0);
+        for i in partial.written.iter() {
+            self.or_row(i, MIGHT, set);
+        }
+        for i in partial.accessed.iter() {
+            self.or_row(i, WRITE, set);
+        }
+        let (w, m) = bit(self.slot_idx(partial.id));
+        set[w] &= !m;
+    }
+
+    /// How many P-list members conflict with `candidate`
+    /// (`conflicts_with`): the OR of `write[i]` over its `might_access`
+    /// and `might[i]` over the items it might write, counted within the
+    /// P-list row. `candidate` is an arrival, not on the P-list itself;
+    /// `set` is scratch.
+    pub(crate) fn partial_conflicts(&self, candidate: &Transaction, set: &mut Vec<u64>) -> usize {
+        set.clear();
+        set.resize(self.words, 0);
+        for i in candidate.might_access.iter() {
+            self.or_row(i, WRITE, set);
+        }
+        each_write(candidate, |i| self.or_row(i, MIGHT, set));
+        set.iter()
+            .zip(&self.partial)
+            .map(|(s, p)| (s & p).count_ones() as usize)
+            .sum()
+    }
+
+    /// Is `id` in `set`?
+    #[inline]
+    pub(crate) fn holds(&self, set: &[u64], id: TxnId) -> bool {
+        let (w, m) = bit(self.slot_idx(id));
+        set[w] & m != 0
+    }
+
+    /// The transactions in `set`, ascending by id. Slots are recycled
+    /// last-in first-out, so slot order is not id order.
+    pub(crate) fn ids(&self, set: &[u64], out: &mut Vec<TxnId>) {
         out.clear();
-        for item in items.iter() {
-            if let Some(list) = self.item_txns.get(item.0 as usize) {
-                out.extend_from_slice(list);
+        for (w, &word) in set.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(self.owner[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
             }
         }
         out.sort_unstable();
-        out.dedup();
     }
 
-    /// One cache-line copy of `id`'s hot scheduler state (versions,
+    /// One cache-line copy of `id`'s hot scheduler state (own version,
     /// conflict stamp, cached priority).
     #[inline]
     pub(crate) fn slot(&self, id: TxnId) -> SlotState {
@@ -431,13 +362,13 @@ impl ConflictAccel {
     /// and revalidates on pop. Only clears — which *raise* priorities —
     /// get an eager walk (see [`Self::note_sets_cleared`]).
     pub(crate) fn note_access_growth(&mut self, id: TxnId, was_partial: bool) {
-        self.arena.update(self.slot_idx(id), |s| {
-            s.access_version += 1;
-            s.own_version += 1;
-        });
+        let slot = self.slot_idx(id);
+        self.arena.update(slot, |s| s.own_version += 1);
         if !was_partial {
             let pos = self.plist.binary_search(&id).unwrap_err();
             self.plist.insert(pos, id);
+            let (w, m) = bit(slot);
+            self.partial[w] |= m;
         }
     }
 
@@ -446,19 +377,18 @@ impl ConflictAccel {
     /// transaction leaves the P-list.
     ///
     /// The engine performs the targeted pair-stamp walk *before* this
-    /// call, while `id`'s sets (and the memoized verdicts keyed on their
-    /// versions) still describe the contribution being removed.
+    /// call, while `id`'s sets still describe the contribution being
+    /// removed.
     pub(crate) fn note_sets_cleared(&mut self, id: TxnId) {
-        self.arena.update(self.slot_idx(id), |s| {
-            s.access_version += 1;
-            s.might_version += 1;
-            s.own_version += 1;
-        });
+        let slot = self.slot_idx(id);
+        self.arena.update(slot, |s| s.own_version += 1);
         let pos = self
             .plist
             .binary_search(&id)
             .expect("cleared transaction held locks, so it was on the P-list");
         self.plist.remove(pos);
+        let (w, m) = bit(slot);
+        self.partial[w] &= !m;
     }
 
     /// `id` executed its decision point, narrowing `might_access`.
@@ -467,10 +397,8 @@ impl ConflictAccel {
     /// candidate (`is_unsafe` reads the partial's `accessed`/`written`
     /// against the candidate's `might_access`), so the only
     /// `ConflictState` priority it can move is `id`'s own: one stamp
-    /// bump, no walk.
+    /// bump, no walk. The engine reindexes `id`'s rows alongside.
     pub(crate) fn note_narrowed(&mut self, id: TxnId) {
-        self.arena
-            .update(self.slot_idx(id), |s| s.might_version += 1);
         self.bump_pair_stamp(id);
     }
 
@@ -483,66 +411,25 @@ impl ConflictAccel {
         self.plist.len()
     }
 
-    /// Memoized `is_unsafe_with(partial, candidate)` (directional), valid
-    /// while `partial`'s access sets and `candidate`'s `might_access` are
-    /// unchanged.
+    /// `is_unsafe_with(partial, candidate)` (directional), counted in
+    /// `pair_checks`.
     pub(crate) fn is_unsafe(&self, partial: &Transaction, candidate: &Transaction) -> bool {
         self.pair_checks.set(self.pair_checks.get() + 1);
-        let versions = (
-            self.arena.get(self.slot_idx(partial.id)).access_version,
-            self.arena.get(self.slot_idx(candidate.id)).might_version,
-        );
-        let key = pair_key(partial.id, candidate.id);
-        if let Some(result) = self.unsafe_pairs.get(key, versions) {
-            self.pair_cache_hits.set(self.pair_cache_hits.get() + 1);
-            return result;
-        }
-        let result = is_unsafe_with(partial, candidate);
-        self.unsafe_pairs.put(key, versions, result);
-        result
+        is_unsafe_with(partial, candidate)
     }
 
-    /// Memoized symmetric `a.conflicts_with(b)`, valid while both sides'
-    /// `might_access` sets are unchanged.
+    /// Symmetric `a.conflicts_with(b)`, counted in `pair_checks`.
     pub(crate) fn conflicts(&self, a: &Transaction, b: &Transaction) -> bool {
         self.pair_checks.set(self.pair_checks.get() + 1);
-        let (lo, hi) = if a.id <= b.id { (a, b) } else { (b, a) };
-        let versions = (
-            self.arena.get(self.slot_idx(lo.id)).might_version,
-            self.arena.get(self.slot_idx(hi.id)).might_version,
-        );
-        let key = pair_key(lo.id, hi.id);
-        if let Some(result) = self.static_pairs.get(key, versions) {
-            self.pair_cache_hits.set(self.pair_cache_hits.get() + 1);
-            return result;
-        }
-        let result = lo.conflicts_with(hi);
-        self.static_pairs.put(key, versions, result);
-        result
+        a.conflicts_with(b)
     }
 
     pub(crate) fn pair_checks(&self) -> u64 {
         self.pair_checks.get()
     }
 
-    pub(crate) fn pair_cache_hits(&self) -> u64 {
-        self.pair_cache_hits.get()
-    }
-
     pub(crate) fn pair_invalidations(&self) -> u64 {
         self.pair_invalidations.get()
-    }
-
-    /// Live entries dropped from the two pair caches by colliding pairs
-    /// (thrash signal; see [`PairCache`]).
-    pub(crate) fn pair_cache_evictions(&self) -> u64 {
-        self.static_pairs.evictions() + self.unsafe_pairs.evictions()
-    }
-
-    /// Victim-way lookups performed by the two pair caches after a
-    /// primary-slot miss (see [`PairCache`]).
-    pub(crate) fn pair_cache_probes(&self) -> u64 {
-        self.static_pairs.probes() + self.unsafe_pairs.probes()
     }
 }
 
@@ -550,6 +437,7 @@ impl ConflictAccel {
 mod tests {
     use super::*;
     use crate::txn::{Stage, TxnState};
+    use proptest::prelude::*;
     use rtx_preanalysis::sets::DataSet;
     use rtx_preanalysis::table::TypeId;
     use rtx_preanalysis::ItemId;
@@ -587,6 +475,25 @@ mod tests {
         }
     }
 
+    /// The transactions `partial` is unsafe with respect to, from the
+    /// slot rows.
+    fn unsafe_ids(a: &ConflictAccel, partial: &Transaction) -> Vec<TxnId> {
+        let (mut set, mut out) = (Vec::new(), Vec::new());
+        a.unsafe_set(partial, &mut set);
+        a.ids(&set, &mut out);
+        out
+    }
+
+    /// Grant `t` a lock on `item`, as the engine's lock path does.
+    fn grant(a: &mut ConflictAccel, t: &mut Transaction, item: u32, write: bool) {
+        let was_partial = !t.accessed.is_empty();
+        t.accessed.insert(ItemId(item));
+        if write {
+            t.written.insert(ItemId(item));
+        }
+        a.note_access_growth(t.id, was_partial);
+    }
+
     #[test]
     fn plist_stays_sorted() {
         let mut a = ConflictAccel::new(4, 64);
@@ -612,39 +519,57 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_cache_invalidates_on_version_bump() {
+    fn unsafe_set_follows_access_growth() {
         let mut a = ConflictAccel::new(2, 64);
-        a.register(TxnId(0));
-        a.register(TxnId(1));
         let mut partial = mk(0, &[1, 2]);
         let candidate = mk(1, &[1, 9]);
-        // No overlap with accessed yet → safe; the verdict is cached.
-        assert!(!a.is_unsafe(&partial, &candidate));
-        assert!(!a.is_unsafe(&partial, &candidate));
-        assert_eq!(a.pair_cache_hits(), 1);
-        // The partial writes item 1. Without the version bump the stale
-        // "safe" verdict would be returned; with it, recomputed.
-        partial.accessed.insert(ItemId(1));
-        partial.written.insert(ItemId(1));
-        a.note_access_growth(TxnId(0), false);
+        for t in [&partial, &candidate] {
+            a.register(t.id);
+            a.reindex(t);
+        }
+        // Nothing accessed yet: unsafe w.r.t. nobody.
+        assert!(unsafe_ids(&a, &partial).is_empty());
+        // A read of item 2 touches nothing the candidate might write.
+        grant(&mut a, &mut partial, 2, false);
+        assert!(unsafe_ids(&a, &partial).is_empty());
+        // Writing item 1 makes the partial unsafe w.r.t. the candidate,
+        // never w.r.t. itself.
+        grant(&mut a, &mut partial, 1, true);
+        assert_eq!(unsafe_ids(&a, &partial), vec![TxnId(1)]);
         assert!(a.is_unsafe(&partial, &candidate));
-        assert_eq!(a.pair_checks(), 3);
+        assert_eq!(a.pair_checks(), 1, "only pair tests are counted");
     }
 
     #[test]
-    fn static_cache_is_symmetric_and_version_gated() {
+    fn unsafe_set_follows_narrowing_and_rewidening() {
         let mut a = ConflictAccel::new(2, 64);
-        a.register(TxnId(0));
-        a.register(TxnId(1));
-        let mut x = mk(0, &[1, 2]);
-        let y = mk(1, &[2, 3]);
-        assert!(a.conflicts(&x, &y));
-        assert!(a.conflicts(&y, &x), "symmetric lookup hits the same entry");
-        assert_eq!(a.pair_cache_hits(), 1);
-        // Narrow x away from the overlap; the verdict flips.
-        x.might_access = DataSet::from_items([ItemId(1)]);
-        a.note_narrowed(TxnId(0));
-        assert!(!a.conflicts(&x, &y));
+        let mut partial = mk(0, &[1, 2]);
+        let mut candidate = mk(1, &[2, 3]);
+        let full = candidate.might_access.clone();
+        let mut probe = Vec::new();
+        for t in [&partial, &candidate] {
+            a.register(t.id);
+            a.reindex(t);
+        }
+        grant(&mut a, &mut partial, 2, true);
+        assert_eq!(unsafe_ids(&a, &partial), vec![TxnId(1)]);
+        assert_eq!(a.partial_conflicts(&mk(2, &[2]), &mut probe), 1);
+        // The candidate narrows away from the overlap: out of the set.
+        candidate.might_access = DataSet::from_items([ItemId(3)]);
+        a.note_narrowed(candidate.id);
+        a.reindex(&candidate);
+        assert!(unsafe_ids(&a, &partial).is_empty());
+        // A restart re-widens it: back in.
+        candidate.might_access = full;
+        a.reindex(&candidate);
+        assert_eq!(unsafe_ids(&a, &partial), vec![TxnId(1)]);
+        // The partial's own clear empties its unsafe set and takes it off
+        // the P-list row.
+        a.note_sets_cleared(partial.id);
+        partial.accessed.clear();
+        partial.written.clear();
+        assert!(unsafe_ids(&a, &partial).is_empty());
+        assert_eq!(a.partial_conflicts(&mk(2, &[2]), &mut probe), 0);
     }
 
     #[test]
@@ -665,8 +590,8 @@ mod tests {
         assert!(a.pair_stamp(TxnId(2)) > s2);
         assert_eq!(a.pair_stamp(TxnId(0)), 0);
         assert_eq!(a.pair_invalidations(), inv + 1);
-        // Growth and clearing keep version counters moving but leave the
-        // cross-transaction stamping to the engine's walk.
+        // Growth and clearing leave the cross-transaction stamping to the
+        // engine's walk.
         a.note_access_growth(TxnId(0), false);
         a.note_sets_cleared(TxnId(0));
         assert_eq!(a.pair_stamp(TxnId(0)), 0);
@@ -705,105 +630,208 @@ mod tests {
     }
 
     #[test]
-    fn reverse_index_tracks_footprints() {
+    fn slot_rows_track_footprints() {
         let mut a = ConflictAccel::new(3, 64);
-        for i in 0..3 {
-            a.register(TxnId(i));
+        let mut t = [mk(0, &[1, 2]), mk(1, &[2, 3]), mk(2, &[9])];
+        for x in &t {
+            a.register(x.id);
+            a.reindex(x);
         }
-        let mut out = Vec::new();
-        a.reindex(TxnId(0), &DataSet::from_items([ItemId(1), ItemId(2)]));
-        a.reindex(TxnId(1), &DataSet::from_items([ItemId(2), ItemId(3)]));
-        a.reindex(TxnId(2), &DataSet::from_items([ItemId(9)]));
-        a.sharers(&DataSet::from_items([ItemId(2)]), &mut out);
-        assert_eq!(out, vec![TxnId(0), TxnId(1)]);
+        // A writer of items 1, 2, 3 and 9 is unsafe w.r.t. everyone who
+        // might access one of them.
+        let mut writer = mk(3, &[1, 2, 3, 9]);
+        a.register(writer.id);
+        a.reindex(&writer);
+        for i in [1, 2, 3, 9] {
+            grant(&mut a, &mut writer, i, true);
+        }
+        assert_eq!(unsafe_ids(&a, &writer), vec![TxnId(0), TxnId(1), TxnId(2)]);
         // Narrowing away from item 2 drops that membership only.
-        a.reindex(TxnId(0), &DataSet::from_items([ItemId(1)]));
-        a.sharers(&DataSet::from_items([ItemId(2), ItemId(9)]), &mut out);
-        assert_eq!(out, vec![TxnId(1), TxnId(2)]);
-        // Departure empties all of the transaction's list memberships.
+        t[0].might_access = DataSet::from_items([ItemId(1)]);
+        a.reindex(&t[0]);
+        let mut reader = mk(4, &[2, 9]);
+        a.register(reader.id);
+        a.reindex(&reader);
+        grant(&mut a, &mut reader, 2, true);
+        grant(&mut a, &mut reader, 9, true);
+        assert_eq!(unsafe_ids(&a, &reader), vec![TxnId(1), TxnId(2), TxnId(3)]);
+        // Departure empties every row the transaction was in, and its
+        // recycled slot starts out of all of them.
         a.drop_index(TxnId(1));
-        a.sharers(
-            &DataSet::from_items([ItemId(1), ItemId(2), ItemId(3)]),
-            &mut out,
-        );
-        assert_eq!(out, vec![TxnId(0)]);
-        // Multi-item queries dedup across lists and stay id-ascending.
-        a.reindex(TxnId(1), &DataSet::from_items([ItemId(1), ItemId(9)]));
-        a.sharers(&DataSet::from_items([ItemId(1), ItemId(9)]), &mut out);
-        assert_eq!(out, vec![TxnId(0), TxnId(1), TxnId(2)]);
+        a.release(TxnId(1));
+        assert_eq!(unsafe_ids(&a, &reader), vec![TxnId(2), TxnId(3)]);
+        a.register(TxnId(5));
+        assert_eq!(unsafe_ids(&a, &writer), vec![TxnId(0), TxnId(2), TxnId(4)]);
+        // Mode-aware write rows: a shared-mode reader of item 1 is unsafe
+        // only w.r.t. a partial that *wrote* item 1, not one that read it.
+        let mut shared = mk(5, &[1]);
+        shared.modes = vec![LockMode::Shared];
+        a.reindex(&shared);
+        let mut read_one = mk(6, &[1]);
+        a.register(read_one.id);
+        grant(&mut a, &mut read_one, 1, false);
+        assert!(!unsafe_ids(&a, &read_one).contains(&TxnId(5)));
+        assert!(unsafe_ids(&a, &writer).contains(&TxnId(5)));
     }
 
-    #[test]
-    fn pair_cache_counts_evictions() {
-        let c = PairCache::with_bits(PAIR_CACHE_MIN_BITS);
-        let k1 = 1u64;
-        let target = c.slot_of(k1);
-        let mut colliding = (2u64..).filter(|&k| c.slot_of(k) == target);
-        let k2 = colliding.next().expect("lossy cache has colliding keys");
-        let k3 = colliding.next().expect("lossy cache has colliding keys");
-        c.put(k1, (0, 0), true);
-        assert_eq!(c.evictions(), 0);
-        // Refreshing the same pair under new versions is not an eviction.
-        c.put(k1, (1, 0), false);
-        assert_eq!(c.evictions(), 0);
-        // A colliding pair displaces k1 into the (empty) victim way:
-        // nothing leaves the cache yet, and k1 is still readable there.
-        c.put(k2, (0, 0), true);
-        assert_eq!(c.evictions(), 0);
-        let probes = c.probes();
-        assert_eq!(c.get(k1, (1, 0)), Some(false), "victim way serves k1");
-        assert!(c.probes() > probes, "victim-way lookups are counted");
-        // A third colliding pair finally drops one of them.
-        c.put(k3, (0, 0), true);
-        assert_eq!(c.evictions(), 1);
+    /// One step of a random accel history (see the proptest below).
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Register an arrival built from the seed; admit (index) it or
+        /// reject it (release it unindexed).
+        Arrive(u64, bool),
+        /// Grant the picked live transaction its next lock.
+        Grow(usize),
+        /// Execute the picked transaction's decision point.
+        Narrow(usize),
+        /// Abort and restart the picked transaction (clear, re-widen).
+        Restart(usize),
+        /// Commit the picked transaction (clear, drop, release).
+        Commit(usize),
     }
 
-    #[test]
-    fn pair_cache_capacity_is_mpl_derived_power_of_two() {
-        // The budget is 4 × capacity², clamped to [2^13, 2^18] slots.
-        for (capacity, bits) in [
-            (0, 13),
-            (1, 13),
-            (45, 13),
-            (64, 14),
-            (128, 16),
-            (256, 18),
-            (1024, 18),
-            (1_000_000, 18),
-        ] {
-            let got = PairCache::bits_for_capacity(capacity);
-            assert_eq!(got, bits, "capacity {capacity}");
-            let cache = PairCache::sized_for(capacity);
-            assert!(cache.len().is_power_of_two());
-            assert_eq!(cache.len(), 1 << bits);
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..10, any::<u64>()).prop_map(|(kind, seed)| {
+            let pick = seed as usize;
+            match kind {
+                0..=2 => Op::Arrive(seed, seed % 4 != 0),
+                3..=5 => Op::Grow(pick),
+                6 => Op::Narrow(pick),
+                7 => Op::Restart(pick),
+                _ => Op::Commit(pick),
+            }
+        })
+    }
+
+    /// A transaction over a 12-item database drawn from `seed`: 1–5
+    /// items, random lock modes (or none, the paper's write-only model),
+    /// and sometimes a decision point narrowing to the first half.
+    fn arrival(id: u32, mut seed: u64) -> Transaction {
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        let len = 1 + next(5) as usize;
+        let items: Vec<u32> = (0..len).map(|_| next(12) as u32).collect();
+        let mut t = mk(id, &items);
+        if next(2) == 0 {
+            t.modes = (0..len)
+                .map(|_| {
+                    if next(2) == 0 {
+                        LockMode::Shared
+                    } else {
+                        LockMode::Exclusive
+                    }
+                })
+                .collect();
         }
-        // The accel sizes both of its caches from the admitted-transaction
-        // capacity.
-        let a = ConflictAccel::new(1024, 64);
-        assert_eq!(a.static_pairs.len(), 1 << PAIR_CACHE_MAX_BITS);
-        assert_eq!(a.unsafe_pairs.len(), 1 << PAIR_CACHE_MAX_BITS);
+        if next(3) == 0 {
+            t.decision = Some(crate::txn::DecisionSpec {
+                after_update: 0,
+                full: t.might_access.clone(),
+                narrowed: t.items[..len.div_ceil(2)].iter().copied().collect(),
+            });
+        }
+        t
     }
 
-    #[test]
-    fn pair_cache_victim_way_shares_the_bucket() {
-        let c = PairCache::with_bits(PAIR_CACHE_MIN_BITS);
-        let k1 = 1u64;
-        let target = c.slot_of(k1);
-        let k2 = (2u64..)
-            .find(|&k| c.slot_of(k) == target)
-            .expect("lossy cache has colliding keys");
-        c.put(k1, (0, 0), true);
-        c.put(k2, (7, 7), false);
-        // Both colliding pairs are live at once — one per way.
-        assert_eq!(c.get(k1, (0, 0)), Some(true));
-        assert_eq!(c.get(k2, (7, 7)), Some(false));
-        // Version-stale entries still miss in either way.
-        assert_eq!(c.get(k1, (0, 1)), None);
-        assert_eq!(c.get(k2, (7, 8)), None);
-        // Refreshing the displaced pair updates it in place (no eviction).
-        c.put(k1, (0, 1), false);
-        assert_eq!(c.evictions(), 0);
-        assert_eq!(c.get(k1, (0, 1)), Some(false));
-        assert_eq!(c.get(k2, (7, 7)), Some(false));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Over random register / reindex / grow / narrow / clear /
+        /// release histories with random lock modes, the slot rows give
+        /// every partial's unsafe set exactly as a scan of
+        /// `is_unsafe_with` does, ascending by id, and the admission
+        /// count exactly as a scan of `conflicts_with` over the P-list —
+        /// across recycled slots whose order differs from id order, and
+        /// across row widening past 64 slots.
+        #[test]
+        fn slot_rows_match_pair_scans(
+            prefill in 0usize..160,
+            ops in proptest::collection::vec(op(), 1..300),
+        ) {
+            let mut a = ConflictAccel::new(0, 12);
+            let mut txns: Vec<Transaction> = Vec::new();
+            let mut live: Vec<TxnId> = Vec::new();
+            let mut probe = Vec::new();
+            let arrivals = (0..prefill).map(|i| Op::Arrive(i as u64, true));
+            for op in arrivals.chain(ops) {
+                let pick = |k: usize| (!live.is_empty()).then(|| live[k % live.len()]);
+                match op {
+                    Op::Arrive(seed, admit) => {
+                        let t = arrival(txns.len() as u32, seed);
+                        a.register(t.id);
+                        if admit {
+                            a.reindex(&t);
+                            live.push(t.id);
+                        } else {
+                            a.release(t.id);
+                        }
+                        txns.push(t);
+                    }
+                    Op::Grow(k) => if let Some(id) = pick(k) {
+                        let t = &mut txns[id.0 as usize];
+                        if t.progress < t.items.len() {
+                            let was_partial = t.is_partially_executed();
+                            let item = t.items[t.progress];
+                            t.accessed.insert(item);
+                            if t.current_mode() == LockMode::Exclusive {
+                                t.written.insert(item);
+                            }
+                            t.progress += 1;
+                            a.note_access_growth(id, was_partial);
+                        }
+                    },
+                    Op::Narrow(k) => if let Some(id) = pick(k) {
+                        let t = &mut txns[id.0 as usize];
+                        if let Some(d) = &t.decision {
+                            t.might_access = d.narrowed.union(&t.accessed);
+                            a.note_narrowed(id);
+                            a.reindex(t);
+                        }
+                    },
+                    Op::Restart(k) => if let Some(id) = pick(k) {
+                        let t = &mut txns[id.0 as usize];
+                        if t.is_partially_executed() {
+                            a.note_sets_cleared(id);
+                        }
+                        t.reset_for_restart();
+                        a.reindex(t);
+                    },
+                    Op::Commit(k) => if let Some(id) = pick(k) {
+                        let t = &mut txns[id.0 as usize];
+                        if t.is_partially_executed() {
+                            a.note_sets_cleared(id);
+                        }
+                        t.state = TxnState::Committed;
+                        a.drop_index(id);
+                        a.release(id);
+                        live.retain(|&x| x != id);
+                    },
+                }
+                live.sort_unstable();
+                for &p in &live {
+                    let partial = &txns[p.0 as usize];
+                    if !partial.is_partially_executed() {
+                        continue;
+                    }
+                    let scan: Vec<TxnId> = live
+                        .iter()
+                        .copied()
+                        .filter(|&x| x != p && is_unsafe_with(partial, &txns[x.0 as usize]))
+                        .collect();
+                    prop_assert_eq!(unsafe_ids(&a, partial), scan);
+                }
+                let newcomer = arrival(u32::MAX, txns.len() as u64);
+                let scanned = live
+                    .iter()
+                    .map(|&x| &txns[x.0 as usize])
+                    .filter(|x| x.is_partially_executed() && newcomer.conflicts_with(x))
+                    .count();
+                prop_assert_eq!(a.partial_conflicts(&newcomer, &mut probe), scanned);
+            }
+        }
     }
 }

@@ -306,8 +306,8 @@ impl Transaction {
 /// conditions collapse to `hasaccessed(partial) ∩ mightaccess(candidate)`.
 ///
 /// Lives here (rather than in `rtx-core`'s penalty module, which
-/// re-exports it) so the engine's conflict memoization can share the one
-/// definition the cached verdicts must stay bit-identical to.
+/// re-exports it) so the engine's pair tests and `Verify` oracles share
+/// the one definition its slot rows' set-at-a-time answers must match.
 pub fn is_unsafe_with(partial: &Transaction, candidate: &Transaction) -> bool {
     partial.written.intersects(&candidate.might_access)
         || candidate.might_write_into(&partial.accessed)
