@@ -94,16 +94,19 @@ fn append_bench_history(
         writeln!(
             f,
             "epoch_s,commit,scenario,policy,mpl,cached_pick_ns,sched_speedup,\
-             heap_stale_pops,index_migrations,migrations_batched,\
-             pair_cache_evictions,pair_cache_probes,frozen_compactions"
+             heap_stale_pops,index_migrations,retired_walks,\
+             pair_cache_evictions,pair_cache_probes,retired_compactions"
         )?;
     }
-    // The two pair-cache columns outlived the pair-verdict memo: the log
-    // is append-only, so its header stays and new rows write 0 there.
+    // The log is append-only, so its 13 columns stay: new rows write 0 in
+    // the columns of counters whose mechanisms are gone — the two
+    // pair-cache ones (the pair-verdict memo) and the two `retired_*`
+    // ones (the timed half of the priority index, whose batched walks and
+    // compactions they counted under their original names).
     for r in rows {
         writeln!(
             f,
-            "{epoch},{commit},{},{},{},{:.1},{:.2},{},{},{},0,0,{}",
+            "{epoch},{commit},{},{},{},{:.1},{:.2},{},{},0,0,0,0",
             r.name,
             r.policy,
             r.mpl,
@@ -111,8 +114,6 @@ fn append_bench_history(
             r.sched_speedup,
             r.heap_stale_pops,
             r.index_migrations,
-            r.migrations_batched,
-            r.frozen_compactions,
         )?;
     }
     Ok(())

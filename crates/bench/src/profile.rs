@@ -60,8 +60,7 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     if quick {
         // CI smoke: small, mid-size and deep bursts — enough to catch a
         // pick-path regression (cached slower than the oracle, stale-pop
-        // blowup, migration or eviction volume creeping back up) in
-        // seconds. The MPL-256 and MPL-1024 cells are what the CI
+        // blowup) in seconds. The MPL-256 and MPL-1024 cells are what the CI
         // regression gate compares against its checked-in baselines.
         return vec![
             Scenario {
@@ -84,7 +83,7 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
             },
         ];
     }
-    // Split-index-vs-scan across MPL for both ConflictState policies,
+    // Heap-vs-scan across MPL for both ConflictState policies,
     // plus the slack-ordered index for LSF (TimeAndSelf).
     let mut out = vec![
         Scenario {
@@ -185,8 +184,6 @@ fn run_cell(
         cell.sched.clear_repair_clears += s.sched.clear_repair_clears;
         cell.sched.clear_repair_visits += s.sched.clear_repair_visits;
         cell.sched.index_migrations += s.sched.index_migrations;
-        cell.sched.migrations_batched += s.sched.migrations_batched;
-        cell.sched.frozen_compactions += s.sched.frozen_compactions;
         cell.sched.verify_checks += s.sched.verify_checks;
         cell.sched.sched_wall_ns += s.sched.sched_wall_ns;
         cell.committed += s.committed;
@@ -207,7 +204,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
          {indent}  \"heap_validated_picks\": {},\n{indent}  \"pair_invalidations\": {},\n\
          {indent}  \"pair_cache_evictions\": {},\n{indent}  \"clear_repair_clears\": {},\n\
          {indent}  \"clear_repair_visits\": {},\n{indent}  \"index_migrations\": {},\n\
-         {indent}  \"migrations_batched\": {},\n{indent}  \"frozen_compactions\": {},\n\
          {indent}  \"committed\": {}\n{indent}}}",
         cell.sched.sched_wall_ns,
         cell.pick_ns(),
@@ -224,8 +220,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
         cell.sched.clear_repair_clears,
         cell.sched.clear_repair_visits,
         cell.sched.index_migrations,
-        cell.sched.migrations_batched,
-        cell.sched.frozen_compactions,
         cell.committed,
     )
 }
@@ -247,12 +241,8 @@ pub struct ScenarioSummary {
     pub sched_speedup: f64,
     /// Deterministic counters from the incremental cell.
     pub heap_stale_pops: u64,
-    /// Timed-half membership walks actually performed.
+    /// Always 0 ([`SchedStats::index_migrations`]).
     pub index_migrations: u64,
-    /// Compute bursts whose membership walk was skipped entirely.
-    pub migrations_batched: u64,
-    /// Timed-half frozen-entry compaction passes.
-    pub frozen_compactions: u64,
 }
 
 /// Run the scheduler-overhead profile and render both JSON documents:
@@ -310,8 +300,7 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
              \"mpl\": {},\n      \"cached_pick_ns\": {:.1},\n      \
              \"oracle_pick_ns\": {:.1},\n      \"sched_speedup\": {:.2},\n      \
              \"heap_stale_pops\": {},\n      \"clear_repair_clears\": {},\n      \
-             \"clear_repair_visits\": {},\n      \"index_migrations\": {},\n      \
-             \"migrations_batched\": {},\n      \"frozen_compactions\": {}\n    }}",
+             \"clear_repair_visits\": {},\n      \"index_migrations\": {}\n    }}",
             sc.name,
             policy.name(),
             sc.cfg.run.num_transactions,
@@ -322,8 +311,6 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             cached.sched.clear_repair_clears,
             cached.sched.clear_repair_visits,
             cached.sched.index_migrations,
-            cached.sched.migrations_batched,
-            cached.sched.frozen_compactions,
         ));
         rows.push(ScenarioSummary {
             name: sc.name.to_string(),
@@ -333,8 +320,6 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
             sched_speedup: speedup,
             heap_stale_pops: cached.sched.heap_stale_pops,
             index_migrations: cached.sched.index_migrations,
-            migrations_batched: cached.sched.migrations_batched,
-            frozen_compactions: cached.sched.frozen_compactions,
         });
     }
     let full = format!(

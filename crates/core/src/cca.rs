@@ -96,15 +96,7 @@ impl Policy for Cca {
         // since every penalty term is nonnegative and grows with access
         // growth and the clock, only a partial's clear can *raise* the
         // priority (fall-monotonicity, w >= 0).
-        //
-        // The only penalty term that moves with the clock is the
-        // *runner's* effective service (Running + Compute), which grows
-        // 1 ms per ms — so every priority unsafe w.r.t. the runner falls
-        // at exactly `w` per ms of runner compute time, and all other
-        // priorities hold still. That is the split-index fall rate.
-        PriorityDeps::ConflictState {
-            runner_fall_rate: self.weight,
-        }
+        PriorityDeps::ConflictState
     }
 }
 

@@ -64,9 +64,9 @@ impl<P: Policy> Policy for Criticality<P> {
         // The class offset is static; the base policy's dependencies are
         // the wrapper's dependencies. Adding a per-transaction constant
         // preserves the base policy's `ConflictState` invalidation
-        // contract (including its runner fall rate — constants drop out
-        // of any difference), so the delegated hint stays valid under
-        // targeted (per-pair) invalidation too.
+        // contract (constants drop out of any difference), so the
+        // delegated hint stays valid under targeted (per-pair)
+        // invalidation too.
         self.inner.depends_on()
     }
 

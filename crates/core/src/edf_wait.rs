@@ -54,11 +54,8 @@ impl Policy for EdfWait {
         // trivially: growth can only add victims (priority falls, which
         // the lazy heap tolerates), a clear removes them (eager walk),
         // and there is no dependence on the victims' service at all — a
-        // cached value survives clock advances bit-exactly, which is a
-        // zero runner fall rate: no key ever needs the timed half.
-        PriorityDeps::ConflictState {
-            runner_fall_rate: 0.0,
-        }
+        // cached value survives clock advances bit-exactly.
+        PriorityDeps::ConflictState
     }
 }
 

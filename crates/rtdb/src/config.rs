@@ -325,14 +325,6 @@ pub struct SystemConfig {
     pub faults: FaultPlan,
     /// Feasibility-based admission control; `None` admits everything.
     pub admission: Option<AdmissionConfig>,
-    /// Run the split priority index's anchor-migration walks at every
-    /// compute-burst start. By default the walks are skipped when the
-    /// same runner re-anchors and nothing since could have removed a pair
-    /// from its unsafe set (a clear of that runner, any decision
-    /// narrowing, or the timed half draining). Results are bit-identical
-    /// either way — this is the ablation/test hook the batched-vs-eager
-    /// equivalence proptest toggles.
-    pub eager_migrations: bool,
 }
 
 impl SystemConfig {
@@ -392,7 +384,6 @@ impl SimConfig {
                 starvation_threshold: 100,
                 faults: FaultPlan::none(),
                 admission: None,
-                eager_migrations: false,
             },
             run: RunConfig {
                 arrival_rate_tps: 5.0,
@@ -437,7 +428,6 @@ impl SimConfig {
                 starvation_threshold: 100,
                 faults: FaultPlan::none(),
                 admission: None,
-                eager_migrations: false,
             },
             run: RunConfig {
                 arrival_rate_tps: 4.0,

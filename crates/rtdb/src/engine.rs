@@ -110,21 +110,22 @@ impl PartialOrd for HeapEntry {
 }
 
 /// The lazy max-heap priority index: a position-tracked binary heap with
-/// exactly one entry per indexed transaction.
+/// exactly one entry per indexed transaction. It is the engine's one
+/// priority heap (`Static` and `ConflictState` policies) and the heap
+/// under each deadline band of the LSF slack index ([`SlackBands`]).
 ///
 /// Position tracking (`pos`) is what makes conflict-epoch invalidation
 /// O(log n) *in place*: a clear repairs each affected transaction's key
 /// with [`PriorityIndex::set_key`] (a sift, no duplicate entry, no
 /// rebuild), and a lazy-fall demotion during pick validation is the same
-/// operation downwards. The old duplicate-entry design paid an eval +
-/// push + eventual stale pop per repaired transaction; this pays a few
-/// swaps.
+/// operation downwards.
 #[derive(Default)]
 struct PriorityIndex {
     /// The heap slots (max-heap by [`HeapEntry::cmp`]).
     slots: Vec<HeapEntry>,
     /// Transaction id → slot position + 1; 0 = not in the index. Grown
-    /// on demand at insert (bands only ever see a subset of ids).
+    /// on demand at insert, so it is only as long as the largest id the
+    /// index has held (bands see a subset of the ids).
     pos: Vec<u32>,
 }
 
@@ -146,10 +147,8 @@ impl PriorityIndex {
         }
     }
 
-    /// Insert an entry for a transaction not currently indexed. Grows
-    /// the position vector on demand — indexes created after ids were
-    /// issued (the lazily-materialized slack bands) never saw a
-    /// [`PriorityIndex::register`] for them.
+    /// Insert an entry for a transaction not currently indexed, growing
+    /// the position vector on demand.
     fn insert(&mut self, e: HeapEntry) {
         debug_assert!(!self.contains(e.id), "{} already indexed", e.id);
         let slot = e.id.0 as usize;
@@ -242,8 +241,8 @@ impl PriorityIndex {
         self.pos[e.id.0 as usize] = i as u32 + 1;
     }
 
-    /// All current entries, heap order (used to enumerate a half during
-    /// anchor migration; order does not matter to callers).
+    /// All current entries, heap order (the consistency checks walk
+    /// them; order does not matter to callers).
     fn entries(&self) -> &[HeapEntry] {
         &self.slots
     }
@@ -338,225 +337,6 @@ impl SlackBands {
     }
 }
 
-/// Which half of the [`SplitIndex`] an entry lives in.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Half {
-    /// Keys are bit-identical to the cached value (or a repaired bound)
-    /// and hold still between structural events.
-    Free,
-    /// Keys store `bound + A(t_write)` where `A` is the engine's global
-    /// fall accumulator, so the *effective* bound `key − A(now)` falls
-    /// with the anchored runner's accruing service while the stored key
-    /// never moves. Holds exactly the entries whose true priority is
-    /// falling: those unsafe w.r.t. the anchored runner (plus entries
-    /// frozen in place after the anchor ended, whose folded bounds are
-    /// then simply constant and still sound).
-    Timed,
-}
-
-/// The split lazy priority index.
-///
-/// PR 4's single index demoted every runner-conflicting key at every
-/// pick while the runner's service accrued — O(conflicting) evals per
-/// scheduling point at high MPL. Splitting the index by *how* a key
-/// decays turns that into O(1): runner-free keys don't move at all, and
-/// runner-conflicting keys all fall at the same policy-declared rate
-/// ([`crate::policy::PriorityDeps::ConflictState::runner_fall_rate`]),
-/// so one shared offset `A(now)` stands in for all of their falls. Keys
-/// migrate between halves only at structural events (anchor changes,
-/// cache writes), each migration O(log n) and counted.
-/// Tag bit marking a timed-half position in [`SplitIndex::pos`].
-const TIMED_TAG: u32 = 1 << 31;
-
-#[derive(Default)]
-struct SplitIndex {
-    /// Free-half heap slots (max-heap by [`HeapEntry::cmp`]).
-    free: Vec<HeapEntry>,
-    /// Timed-half heap slots.
-    timed: Vec<HeapEntry>,
-    /// id → tagged slot position: 0 = absent, else `pos + 1` with
-    /// [`TIMED_TAG`] set for the timed half. One dense lane answers
-    /// presence, half, and position in a single lookup — the old
-    /// two-`PriorityIndex` layout paid a miss in one `pos` vector
-    /// before hitting the other on every cross-half question.
-    pos: Vec<u32>,
-}
-
-// Hole-based heap sifts over one half's slots and the shared tagged
-// position lane: parents/children shift into place one write each, and
-// the displaced entry lands once at the end.
-
-fn split_sift_up(slots: &mut [HeapEntry], pos: &mut [u32], tag: u32, mut i: usize) {
-    let e = slots[i];
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if e <= slots[parent] {
-            break;
-        }
-        slots[i] = slots[parent];
-        pos[slots[i].id.0 as usize] = (i as u32 + 1) | tag;
-        i = parent;
-    }
-    slots[i] = e;
-    pos[e.id.0 as usize] = (i as u32 + 1) | tag;
-}
-
-fn split_sift_down(slots: &mut [HeapEntry], pos: &mut [u32], tag: u32, mut i: usize) {
-    let e = slots[i];
-    loop {
-        let l = 2 * i + 1;
-        if l >= slots.len() {
-            break;
-        }
-        let r = l + 1;
-        let child = if r < slots.len() && slots[r] > slots[l] {
-            r
-        } else {
-            l
-        };
-        if slots[child] <= e {
-            break;
-        }
-        slots[i] = slots[child];
-        pos[slots[i].id.0 as usize] = (i as u32 + 1) | tag;
-        i = child;
-    }
-    slots[i] = e;
-    pos[e.id.0 as usize] = (i as u32 + 1) | tag;
-}
-
-impl SplitIndex {
-    fn register(&mut self) {
-        self.pos.push(0);
-    }
-
-    fn len(&self) -> usize {
-        self.free.len() + self.timed.len()
-    }
-
-    fn half_len(&self, h: Half) -> usize {
-        self.slots(h).len()
-    }
-
-    fn slots(&self, h: Half) -> &[HeapEntry] {
-        match h {
-            Half::Free => &self.free,
-            Half::Timed => &self.timed,
-        }
-    }
-
-    /// One half's slots, the shared position lane, and the half's
-    /// position tag — the disjoint borrows every mutation needs.
-    fn parts(&mut self, h: Half) -> (&mut Vec<HeapEntry>, &mut Vec<u32>, u32) {
-        match h {
-            Half::Free => (&mut self.free, &mut self.pos, 0),
-            Half::Timed => (&mut self.timed, &mut self.pos, TIMED_TAG),
-        }
-    }
-
-    fn half_of(&self, id: TxnId) -> Option<Half> {
-        match self.pos[id.0 as usize] {
-            0 => None,
-            p if p & TIMED_TAG != 0 => Some(Half::Timed),
-            _ => Some(Half::Free),
-        }
-    }
-
-    /// The maximum entry of one half, if any. O(1).
-    fn peek(&self, h: Half) -> Option<HeapEntry> {
-        self.slots(h).first().copied()
-    }
-
-    /// All current entries of one half, heap order (used to enumerate a
-    /// half during anchor migration; order does not matter to callers).
-    fn entries(&self, h: Half) -> &[HeapEntry] {
-        self.slots(h)
-    }
-
-    /// `id`'s stored key and half, if indexed. One lookup.
-    fn key_of(&self, id: TxnId) -> Option<(Priority, Half)> {
-        let p = self.pos[id.0 as usize];
-        if p == 0 {
-            return None;
-        }
-        let h = if p & TIMED_TAG != 0 {
-            Half::Timed
-        } else {
-            Half::Free
-        };
-        let i = ((p & !TIMED_TAG) - 1) as usize;
-        Some((self.slots(h)[i].pri, h))
-    }
-
-    /// `id`'s key if it lives in half `h` (migration walks enumerate a
-    /// half and then operate on its members).
-    fn key_in(&self, h: Half, id: TxnId) -> Option<Priority> {
-        match self.key_of(id) {
-            Some((k, half)) if half == h => Some(k),
-            _ => None,
-        }
-    }
-
-    /// Insert an entry for a transaction not currently indexed.
-    fn insert(&mut self, h: Half, e: HeapEntry) {
-        debug_assert!(self.half_of(e.id).is_none(), "{} already indexed", e.id);
-        let (slots, pos, tag) = self.parts(h);
-        let i = slots.len();
-        slots.push(e);
-        pos[e.id.0 as usize] = (i as u32 + 1) | tag;
-        split_sift_up(slots, pos, tag, i);
-    }
-
-    /// Remove `id`'s entry from whichever half holds it. Returns whether
-    /// it was present.
-    fn remove(&mut self, id: TxnId) -> bool {
-        let p = self.pos[id.0 as usize];
-        if p == 0 {
-            return false;
-        }
-        let h = if p & TIMED_TAG != 0 {
-            Half::Timed
-        } else {
-            Half::Free
-        };
-        let i = ((p & !TIMED_TAG) - 1) as usize;
-        self.pos[id.0 as usize] = 0;
-        let (slots, pos, tag) = self.parts(h);
-        let last = slots.len() - 1;
-        if i != last {
-            slots.swap(i, last);
-            pos[slots[i].id.0 as usize] = (i as u32 + 1) | tag;
-        }
-        slots.pop();
-        if i < slots.len() {
-            // The displaced entry can need to move either way.
-            split_sift_up(slots, pos, tag, i);
-            split_sift_down(slots, pos, tag, i);
-        }
-        true
-    }
-
-    /// Reposition `id` under a new key within its current half (raise or
-    /// lower). Returns whether it was present.
-    fn set_key(&mut self, id: TxnId, pri: Priority) -> bool {
-        let p = self.pos[id.0 as usize];
-        if p == 0 {
-            return false;
-        }
-        let h = if p & TIMED_TAG != 0 {
-            Half::Timed
-        } else {
-            Half::Free
-        };
-        let i = ((p & !TIMED_TAG) - 1) as usize;
-        let (slots, pos, tag) = self.parts(h);
-        slots[i].pri = pri;
-        split_sift_up(slots, pos, tag, i);
-        split_sift_down(slots, pos, tag, i);
-        true
-    }
-}
-
 struct EngineState<'p> {
     cfg: &'p SimConfig,
     policy: &'p dyn Policy,
@@ -627,16 +407,17 @@ struct EngineState<'p> {
     /// at MPL ≥ 1024 the tag vector stays resident in a few cache lines
     /// while the transaction structs span megabytes.
     state_tags: Vec<TxnState>,
-    /// The split lazy priority index over active transactions (used for
-    /// `Static` and `ConflictState` policies outside `AlwaysRecompute`).
-    /// Exactly one entry per active transaction across the two halves —
-    /// seeded at arrival, repositioned in place whenever the cache is
-    /// written, and removed at commit. Invariant: an active
-    /// transaction's *free*-half key is bit-identical to its cached
-    /// priority in the accelerator's slot arena; a *timed*-half key
-    /// folded back by the fall accumulator (`key − A(now)`, with float
-    /// slack) is an upper bound on it.
-    index: RefCell<SplitIndex>,
+    /// The lazy priority index over active transactions (used for
+    /// `Static` and `ConflictState` policies outside `AlwaysRecompute`):
+    /// exactly one entry per active transaction — seeded at arrival,
+    /// repositioned in place whenever the cache is written, and removed
+    /// at commit. Invariant: an active transaction's key is
+    /// bit-identical to its cached priority in the accelerator's slot
+    /// arena. Both are upper bounds on the exact priority: a
+    /// `ConflictState` priority falls without any write as the runner's
+    /// service accrues and as partials grow their sets, and the pick's
+    /// validated argmax ([`Self::heap_best`]) pops the stale-high tops.
+    index: RefCell<PriorityIndex>,
     /// Slack-ordered pick index for `TimeAndSelf` policies exposing a
     /// time-invariant key (`Policy::time_invariant_key`; LSF): keys hold
     /// `K` with `priority ≈ now + K`, so the order is the priority order
@@ -644,43 +425,15 @@ struct EngineState<'p> {
     /// the active set. Partitioned into per-deadline bands, each with
     /// its own validation-nudge scale ([`SlackBands`]).
     slack: RefCell<SlackBands>,
-    /// The policy's declared runner fall rate (`ConflictState` policies;
-    /// 0 elsewhere): priority units per ms of runner compute time.
-    fall_rate: f64,
-    /// Fall accumulated over *completed* anchored compute spans, in
-    /// priority units. `A(now) = offset_base + fall_rate · (now − t0)`
-    /// while anchored at `t0`, else `offset_base`.
-    offset_base: Cell<f64>,
-    /// `Some((runner, t0))` while the runner's compute burst accrues
-    /// service: the timed half's effective bounds fall at `fall_rate`
-    /// from `t0` until the anchor is released.
-    anchor: Cell<Option<(TxnId, SimTime)>>,
-    /// The runner whose unsafe set the timed half currently mirrors
-    /// (set by the migration walks at [`Self::anchor_timed`]). When the
-    /// next anchored runner is the same transaction and no conflict
-    /// clear or decision narrowing intervened, the walks are skipped
-    /// wholesale — the timed membership is still a subset of the
-    /// runner's unsafe set, which is all soundness needs (the counter
-    /// `migrations_batched` tallies these reuses). Any event that can
-    /// *remove* an unsafe pair (a clear's repair walk, a narrowing)
-    /// resets this to `None`, forcing a fresh walk at the next anchor.
-    walked: Cell<Option<TxnId>>,
-    /// Consecutive anchor releases that left frozen entries lingering in
-    /// the timed half; at [`FROZEN_COMPACT_SPANS`] the half is scanned
-    /// and non-members folded out ([`Self::maybe_compact_frozen`]).
-    frozen_spans: Cell<u32>,
     /// Scratch buffer for filtered picks (IOwait-schedule): entries of
     /// unacceptable transactions are lifted out while scanning and
     /// re-inserted afterwards; reused to avoid per-pick allocation.
-    scratch: RefCell<Vec<(HeapEntry, Half)>>,
+    scratch: RefCell<Vec<HeapEntry>>,
     /// Scratch for slack-band picks: popped entries tagged with their
     /// band, re-inserted after the argmax settles.
     slack_scratch: RefCell<Vec<(HeapEntry, usize)>>,
     /// Scratch buffer for the targeted pair-stamp walks.
     walk_buf: Vec<TxnId>,
-    /// Scratch buffer for the anchor-arming and compaction walks, which
-    /// run from `&self` pick paths and so cannot take `walk_buf`.
-    arm_buf: RefCell<Vec<TxnId>>,
     /// Scratch slot set for the set-at-a-time conflict relations.
     row_buf: RefCell<Vec<u64>>,
     // Scheduler-overhead tallies (Cells: bumped from &self paths).
@@ -696,23 +449,7 @@ struct EngineState<'p> {
     /// slot rows.
     clear_repair_clears: Cell<u64>,
     clear_repair_visits: Cell<u64>,
-    /// Entries moved between split-index halves (anchor changes and
-    /// cross-half cache writes).
-    index_migrations: Cell<u64>,
-    /// Compute bursts that reused the previous walk's timed-half
-    /// membership — their migration walks were skipped entirely.
-    migrations_batched: Cell<u64>,
-    /// Timed-half drains performed by [`Self::maybe_compact_frozen`].
-    frozen_compactions: Cell<u64>,
 }
-
-/// How many consecutive anchor releases may pass before
-/// [`EngineState::maybe_compact_frozen`] scans the frozen timed half and
-/// folds out entries that are no longer members of the mirrored unsafe
-/// set. Bounds how long a leftover can linger (and with it the offset's
-/// monotone growth) in long mostly-idle runs where a handful of frozen
-/// entries would otherwise sit across thousands of spans.
-const FROZEN_COMPACT_SPANS: u32 = 256;
 
 /// `v` plus a floating-point safety margin: used when repairing a cached
 /// upper bound by an exact real-arithmetic delta, so the repaired key
@@ -787,26 +524,11 @@ impl<'p> EngineState<'p> {
             accel: ConflictAccel::new(cfg.run.num_transactions, cfg.workload.db_size as usize),
             ready_count: 0,
             state_tags: Vec::with_capacity(cfg.run.num_transactions),
-            index: RefCell::new(SplitIndex::default()),
+            index: RefCell::new(PriorityIndex::default()),
             slack: RefCell::new(SlackBands::default()),
-            fall_rate: match policy.depends_on() {
-                PriorityDeps::ConflictState { runner_fall_rate } => {
-                    assert!(
-                        runner_fall_rate.is_finite() && runner_fall_rate >= 0.0,
-                        "runner fall rate must be finite and non-negative"
-                    );
-                    runner_fall_rate
-                }
-                _ => 0.0,
-            },
-            offset_base: Cell::new(0.0),
-            anchor: Cell::new(None),
-            walked: Cell::new(None),
-            frozen_spans: Cell::new(0),
             scratch: RefCell::new(Vec::new()),
             slack_scratch: RefCell::new(Vec::new()),
             walk_buf: Vec::new(),
-            arm_buf: RefCell::new(Vec::new()),
             row_buf: RefCell::new(Vec::new()),
             pick_next_calls: Cell::new(0),
             priority_evals: Cell::new(0),
@@ -818,9 +540,6 @@ impl<'p> EngineState<'p> {
             verify_checks: Cell::new(0),
             clear_repair_clears: Cell::new(0),
             clear_repair_visits: Cell::new(0),
-            index_migrations: Cell::new(0),
-            migrations_batched: Cell::new(0),
-            frozen_compactions: Cell::new(0),
         }
     }
 
@@ -835,7 +554,7 @@ impl<'p> EngineState<'p> {
         self.mode != CacheMode::AlwaysRecompute
             && matches!(
                 self.policy.depends_on(),
-                PriorityDeps::Static | PriorityDeps::ConflictState { .. }
+                PriorityDeps::Static | PriorityDeps::ConflictState
             )
     }
 
@@ -881,340 +600,6 @@ impl<'p> EngineState<'p> {
             },
         );
         self.heap_pushes.set(self.heap_pushes.get() + 1);
-    }
-
-    /// The fall accumulator `A(now)`: total priority fall every
-    /// runner-unsafe key has accrued since the run started. Monotone
-    /// nondecreasing; grows only while a compute burst is anchored.
-    fn fall_offset_now(&self) -> f64 {
-        let base = self.offset_base.get();
-        match self.anchor.get() {
-            Some((_, t0)) => base + self.fall_rate * self.now().since(t0).as_ms(),
-            None => base,
-        }
-    }
-
-    /// The runner whose unsafe set the timed half currently tracks: the
-    /// anchored runner while a burst is on the CPU, else the last-walked
-    /// runner whose membership the half still mirrors (the half stays
-    /// frozen — but valid — between the bursts of a runner's streak).
-    /// `None` disables timed enrollment.
-    #[inline]
-    fn timed_target(&self) -> Option<TxnId> {
-        self.anchor
-            .get()
-            .map(|(r, _)| r)
-            .or_else(|| self.walked.get())
-    }
-
-    /// The timed half's target runner if `id` is unsafe w.r.t. it —
-    /// exactly the keys that fall at `fall_rate` while that runner
-    /// computes; `None` under a zero fall rate, with no target, and for
-    /// the target itself.
-    fn falls_under(&self, id: TxnId) -> Option<TxnId> {
-        let r = self.timed_target().filter(|_| self.fall_rate > 0.0)?;
-        (r != id && self.accel.is_unsafe(self.txn(r), self.txn(id))).then_some(r)
-    }
-
-    /// The key and half for `id`'s index entry given its cached bound
-    /// `value`: timed iff `id` [falls under](Self::falls_under) the timed
-    /// half's target, with the fall offset folded in so the stored key
-    /// holds still while the effective bound falls. Enrolling while the
-    /// half is frozen (between a streak's bursts) is sound — the
-    /// effective bound equals `value` until the next anchor resumes the
-    /// fall — and is what lets boundary-pick re-parks rejoin the falling
-    /// band instead of going stale in the free half.
-    fn entry_key_for(&self, id: TxnId, value: Priority) -> (Priority, Half) {
-        if self.falls_under(id).is_some() {
-            let a = self.fall_offset_now();
-            let key = Priority(nudge_up(value.0 + a, value.0.abs().max(a)));
-            return (key, Half::Timed);
-        }
-        (value, Half::Free)
-    }
-
-    /// The effective upper bound a timed-half key stands for right now.
-    fn timed_effective(&self, key: Priority, a: f64) -> Priority {
-        Priority(nudge_up(key.0 - a, key.0.abs().max(a)))
-    }
-
-    /// [`Self::entry_key_for`] for *cache-write* upserts: an entry not
-    /// already in the timed half enrolls only if the falling band can
-    /// still reach its bound — the band's top effective bound falls at
-    /// most `fall_rate ×` the target's remaining compute before the
-    /// streak ends and the next walk re-decides membership, so a write
-    /// that lands deeper than that would migrate an entry no pick can
-    /// observe in the band. Leaving it in the free half is sound (its
-    /// exact key holds still while the member priorities fall — stale
-    /// *high*), and cheap: most such writes are conflict-raise repairs of
-    /// far-from-the-top blocked transactions that get re-keyed again long
-    /// before they matter. Entries already enrolled keep their
-    /// membership, so the walks' mirror stays complete. The depth test is
-    /// a performance heuristic only — either outcome keeps every key an
-    /// upper bound.
-    ///
-    /// `runner` is [`Self::falls_under`]`(id)`, which a caller writing
-    /// many keys against one runner can take from a slot row instead.
-    fn entry_key_for_write(
-        &self,
-        id: TxnId,
-        value: Priority,
-        runner: Option<TxnId>,
-    ) -> (Priority, Half) {
-        if let Some(r) = runner {
-            let enroll = {
-                let index = self.index.borrow();
-                match index.half_of(id) {
-                    Some(Half::Timed) => true,
-                    _ => match index.peek(Half::Timed) {
-                        None => true,
-                        Some(top) => {
-                            let t = self.txn(r);
-                            let rem = self.fall_rate
-                                * (t.resource_time.as_ms() - t.service.as_ms()).max(0.0);
-                            let band = self.timed_effective(top.pri, self.fall_offset_now());
-                            value.0 >= band.0 - rem
-                        }
-                    },
-                }
-            };
-            if enroll {
-                let a = self.fall_offset_now();
-                let key = Priority(nudge_up(value.0 + a, value.0.abs().max(a)));
-                return (key, Half::Timed);
-            }
-        }
-        (value, Half::Free)
-    }
-
-    /// Anchor runner `r`'s starting compute burst: from now until the
-    /// burst ends, the fall accumulator accrues and exactly the
-    /// priorities unsafe w.r.t. `r` fall at `fall_rate`. The migration
-    /// walks that (re)populate the timed half run only when the half does
-    /// not already mirror `r`'s unsafe set — same runner as the last
-    /// walk, and no conflict-set clear or narrowing since (tracked by
-    /// `walked`). A runner committing or being preempted and re-granted
-    /// repeatedly — the high-MPL steady state — pays the walks once per
-    /// streak, not once per burst (`migrations_batched` counts the
-    /// skips). Reuse is sound: between walks `r`'s sets only grow
-    /// (missing pairs leave keys stale-*high*, which the validated pick
-    /// tolerates) and members only stop being unsafe on clears or
-    /// narrowings, which invalidate `walked`.
-    ///
-    /// `cfg.system.eager_migrations` disables reuse — every burst walks,
-    /// for the batched-vs-eager equivalence ablation.
-    fn anchor_timed(&mut self, r: TxnId) {
-        if self.fall_rate == 0.0 || !self.heap_in_use() {
-            return;
-        }
-        debug_assert!(self.anchor.get().is_none(), "anchoring while anchored");
-        debug_assert!(
-            self.txn(r).is_partially_executed(),
-            "compute bursts only run after a lock grant"
-        );
-        self.anchor.set(Some((r, self.now())));
-        if !self.cfg.system.eager_migrations && self.walked.get() == Some(r) {
-            self.migrations_batched
-                .set(self.migrations_batched.get() + 1);
-            return;
-        }
-        self.run_migration_walks(r);
-        self.walked.set(Some(r));
-    }
-
-    /// The anchor's migration walks, set-at-a-time over `r`'s unsafe set
-    /// taken from the slot rows: timed entries outside it fold back to
-    /// the free half (their effective bound is constant again), and the
-    /// free entries inside it are pulled in, ascending by id.
-    fn run_migration_walks(&self, r: TxnId) {
-        let a = self.offset_base.get();
-        let mut row = self.row_buf.borrow_mut();
-        self.accel.unsafe_set(self.txn(r), &mut row);
-        let mut movers = self.arm_buf.borrow_mut();
-        self.timed_leavers(r, &row, &mut movers);
-        self.fold_out_timed(&movers, a);
-        self.accel.ids(&row, &mut movers);
-        {
-            let index = self.index.borrow();
-            movers.retain(|&x| index.half_of(x) == Some(Half::Free));
-            if self.mode == CacheMode::Verify {
-                let rt = self.txn(r);
-                let scan: Vec<TxnId> = self
-                    .active
-                    .iter()
-                    .copied()
-                    .filter(|&x| {
-                        x != r
-                            && index.half_of(x) == Some(Half::Free)
-                            && crate::txn::is_unsafe_with(rt, self.txn(x))
-                    })
-                    .collect();
-                assert_eq!(
-                    *movers, scan,
-                    "{r}: migration pull-in diverged from the active-scan oracle"
-                );
-                self.verify_checks.set(self.verify_checks.get() + 1);
-            }
-        }
-        for &x in movers.iter() {
-            let mut index = self.index.borrow_mut();
-            let bound = index
-                .key_in(Half::Free, x)
-                .expect("enumerated from free half");
-            index.remove(x);
-            let key = Priority(nudge_up(bound.0 + a, bound.0.abs().max(a)));
-            index.insert(
-                Half::Timed,
-                HeapEntry {
-                    pri: key,
-                    arrival: self.txn(x).arrival,
-                    id: x,
-                },
-            );
-            self.index_migrations.set(self.index_migrations.get() + 1);
-        }
-        movers.clear();
-    }
-
-    /// Collect into `out` the timed-half entries outside `row`, the
-    /// unsafe set of `r` ([`ConflictAccel::unsafe_set`], which leaves `r`
-    /// out): the entries a walk or compaction folds back to the free
-    /// half, in heap order.
-    fn timed_leavers(&self, r: TxnId, row: &[u64], out: &mut Vec<TxnId>) {
-        let index = self.index.borrow();
-        out.clear();
-        out.extend(
-            index
-                .entries(Half::Timed)
-                .iter()
-                .map(|e| e.id)
-                .filter(|&x| !self.accel.holds(row, x)),
-        );
-        if self.mode == CacheMode::Verify {
-            let rt = self.txn(r);
-            let scan: Vec<TxnId> = self
-                .active
-                .iter()
-                .copied()
-                .filter(|&x| {
-                    index.half_of(x) == Some(Half::Timed)
-                        && (x == r || !crate::txn::is_unsafe_with(rt, self.txn(x)))
-                })
-                .collect();
-            let mut got = out.clone();
-            got.sort_unstable();
-            assert_eq!(
-                got, scan,
-                "{r}: timed fold-out diverged from the active-scan oracle"
-            );
-            self.verify_checks.set(self.verify_checks.get() + 1);
-        }
-    }
-
-    /// Fold the listed timed-half entries back to the free half at fall
-    /// offset `a`, rewriting each cache entry to the folded bound so the
-    /// cache stays bit-identical to the free-half key (both stay upper
-    /// bounds — the write only loosens by the fold's ULP slack).
-    fn fold_out_timed(&self, ids: &[TxnId], a: f64) {
-        for &x in ids {
-            let mut index = self.index.borrow_mut();
-            let key = index
-                .key_in(Half::Timed, x)
-                .expect("enumerated from timed half");
-            index.remove(x);
-            let bound = self.timed_effective(key, a);
-            debug_assert!(
-                self.accel.slot(x).pri_valid(),
-                "{x}: indexed transaction without cache entry"
-            );
-            self.accel.write_pri(x, bound, self.now());
-            index.insert(
-                Half::Free,
-                HeapEntry {
-                    pri: bound,
-                    arrival: self.txn(x).arrival,
-                    id: x,
-                },
-            );
-            self.index_migrations.set(self.index_migrations.get() + 1);
-        }
-    }
-
-    /// End the anchored compute span (burst completion or preemption):
-    /// fold the span's fall into `offset_base`. Timed entries stay where
-    /// they are — their effective bounds simply stop falling, which keeps
-    /// them sound and lets the next burst by the same runner reuse them —
-    /// and drain back to the free half lazily at the next walk or cache
-    /// write, with [`Self::maybe_compact_frozen`] as the backstop against
-    /// unbounded lingering.
-    fn freeze_timed(&self) {
-        if let Some((_, t0)) = self.anchor.take() {
-            self.offset_base
-                .set(self.offset_base.get() + self.fall_rate * self.now().since(t0).as_ms());
-            self.maybe_compact_frozen();
-        }
-    }
-
-    /// Bound stale-offset accumulation from lazily-drained frozen
-    /// entries. Called at each anchor release: with the timed half empty
-    /// no key encodes the accumulated offset, so it re-zeroes for free;
-    /// otherwise every [`FROZEN_COMPACT_SPANS`] releases the half is
-    /// scanned and entries that are no longer members of the mirrored
-    /// unsafe set — all of them, when no target is mirrored — fold back
-    /// to the free half. The walks keep the live mirror exact, so the
-    /// scan normally moves nothing; it is the backstop against lingering
-    /// should an enrollment path ever outpace the walks. Membership and
-    /// the offset survive a scan that leaves entries behind, so a
-    /// runner's batching streak is not interrupted; the offset re-zeroes
-    /// only when the half drains empty. All of this is invisible to
-    /// results — folds and effective-bound reads always pair a key with
-    /// the offset it was written under.
-    fn maybe_compact_frozen(&self) {
-        if self.index.borrow().half_len(Half::Timed) == 0 {
-            self.offset_base.set(0.0);
-            self.frozen_spans.set(0);
-            self.walked.set(None);
-            return;
-        }
-        let spans = self.frozen_spans.get() + 1;
-        if spans < FROZEN_COMPACT_SPANS {
-            self.frozen_spans.set(spans);
-            return;
-        }
-        self.frozen_spans.set(0);
-        let a = self.offset_base.get();
-        let mut movers = self.arm_buf.borrow_mut();
-        movers.clear();
-        match self.timed_target() {
-            // No target: the half mirrors nobody, so every frozen entry
-            // is a leftover.
-            None => {
-                movers.extend(
-                    self.index
-                        .borrow()
-                        .entries(Half::Timed)
-                        .iter()
-                        .map(|e| e.id),
-                );
-            }
-            // Live mirror: fold out only entries that stopped being
-            // members (the walks keep this set empty in the common case,
-            // so the scan is a cheap amortized verification).
-            Some(r) => {
-                let mut row = self.row_buf.borrow_mut();
-                self.accel.unsafe_set(self.txn(r), &mut row);
-                self.timed_leavers(r, &row, &mut movers);
-            }
-        }
-        self.fold_out_timed(&movers, a);
-        movers.clear();
-        drop(movers);
-        if self.index.borrow().half_len(Half::Timed) == 0 {
-            self.offset_base.set(0.0);
-            self.walked.set(None);
-        }
-        self.frozen_compactions
-            .set(self.frozen_compactions.get() + 1);
     }
 
     /// Record a trace event if tracing is enabled.
@@ -1274,7 +659,7 @@ impl<'p> EngineState<'p> {
     /// stamps; the `AlwaysRecompute` oracle never consults any cache.
     fn targeted_invalidation_active(&self) -> bool {
         self.mode != CacheMode::AlwaysRecompute
-            && matches!(self.policy.depends_on(), PriorityDeps::ConflictState { .. })
+            && matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
     }
 
     /// A lock grant grew `id`'s access sets: record it with the
@@ -1308,15 +693,6 @@ impl<'p> EngineState<'p> {
             self.repair_unsafe_against(id);
         }
         self.accel.note_sets_cleared(id);
-        // A clear shrinks only the unsafe pairs in which the cleared
-        // transaction is the *partial* — `is_unsafe(r, x)` reads `r`'s
-        // accessed/written sets but only `x`'s `might_access`, which a
-        // clear leaves alone. So the walked timed-half membership (pairs
-        // with the last-walked runner as partial) stays valid unless the
-        // cleared transaction *is* that runner.
-        if self.walked.get() == Some(id) {
-            self.walked.set(None);
-        }
     }
 
     /// The targeted per-pair walk on a clear: for every active
@@ -1339,11 +715,8 @@ impl<'p> EngineState<'p> {
     /// The victims come set-at-a-time from the slot rows
     /// ([`ConflictAccel::unsafe_set`]): the OR of one row per item of
     /// `c.accessed`, MPL/64 words each, paid only on clears (the rare,
-    /// priority-raising event). Each victim's timed-half membership —
-    /// is it unsafe w.r.t. the timed half's target runner? — is read
-    /// from that runner's row, computed once per walk: re-keying victims
-    /// moves no access set, so the runner's unsafe set holds still. The
-    /// other active transactions keep their cached priorities untouched.
+    /// priority-raising event). The other active transactions keep their
+    /// cached priorities untouched.
     fn repair_unsafe_against(&mut self, c: TxnId) {
         let raise = self.policy.conflict_clear_raise(self.txn(c), &self.view());
         let mut affected = std::mem::take(&mut self.walk_buf);
@@ -1373,23 +746,8 @@ impl<'p> EngineState<'p> {
                 self.verify_checks.set(self.verify_checks.get() + 1);
             }
         }
-        let runner = self.timed_target().filter(|_| self.fall_rate > 0.0);
-        if let Some(r) = runner {
-            self.accel.unsafe_set(self.txn(r), &mut row);
-        }
-        let a = self.fall_offset_now();
         for &x in &affected {
             self.accel.bump_pair_stamp(x);
-            // Raise from the *tightest* bound available: a timed-half
-            // entry's effective key has been falling with the runner's
-            // service while the cached value stood still, so repairing
-            // from the cache would silently discard every fall the timed
-            // half tracked (and hand the pick loop the stale-high key
-            // back). Both are upper bounds; take the smaller.
-            let folded = match self.index.borrow().key_of(x) {
-                Some((key, Half::Timed)) => Some(self.timed_effective(key, a)),
-                _ => None,
-            };
             let bound = {
                 let s = self.accel.slot(x);
                 debug_assert!(
@@ -1397,23 +755,11 @@ impl<'p> EngineState<'p> {
                     "{x}: active ConflictState transaction without a seeded cache entry"
                 );
                 debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
-                let mut value = s.pri_value;
-                if let Some(f) = folded {
-                    if f < value {
-                        value = f;
-                    }
-                }
+                let value = s.pri_value;
                 Priority(nudge_up(value.0 + raise, value.0.abs().max(raise)))
             };
             self.accel.write_pri(x, bound, self.now());
-            let under = runner.filter(|_| self.accel.holds(&row, x));
-            if self.mode == CacheMode::Verify {
-                let fresh = runner
-                    .filter(|&r| r != x && crate::txn::is_unsafe_with(self.txn(r), self.txn(x)));
-                assert_eq!(under, fresh, "{x}: runner row diverged from the pair test");
-                self.verify_checks.set(self.verify_checks.get() + 1);
-            }
-            self.index_upsert_under(x, bound, under);
+            self.index_upsert(x, bound);
         }
         affected.clear();
         self.walk_buf = affected;
@@ -1479,13 +825,13 @@ impl<'p> EngineState<'p> {
                     && match deps {
                         PriorityDeps::Static => true,
                         PriorityDeps::TimeAndSelf => s.pri_at == now && s.pri_own == s.own_version,
-                        PriorityDeps::ConflictState { .. } => {
+                        PriorityDeps::ConflictState => {
                             s.pri_stamp == s.pair_stamp && s.pri_own == s.own_version
                         }
                         PriorityDeps::Volatile => unreachable!("handled above"),
                     };
                 if hit {
-                    upper_bound_hit = matches!(deps, PriorityDeps::ConflictState { .. });
+                    upper_bound_hit = matches!(deps, PriorityDeps::ConflictState);
                     self.priority_cache_hits
                         .set(self.priority_cache_hits.get() + 1);
                     s.pri_value
@@ -1552,7 +898,7 @@ impl<'p> EngineState<'p> {
 
     fn priority_exact_impl(&self, id: TxnId, write_index: bool) -> Priority {
         if self.mode == CacheMode::AlwaysRecompute
-            || !matches!(self.policy.depends_on(), PriorityDeps::ConflictState { .. })
+            || !matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
         {
             // The delegate is exact for these classes. It only touches
             // the index on a `ConflictState` miss, so a detached caller
@@ -1593,44 +939,15 @@ impl<'p> EngineState<'p> {
 
     /// Move `id`'s index key to `value` in place (or insert it if `id`
     /// has no entry yet) — the index half of every priority-cache write.
-    /// Recomputes which half the entry belongs in (the write may race a
-    /// runner anchor that flipped its membership) and migrates if
-    /// needed. O(log n) sift; never creates a duplicate entry.
+    /// O(log n) sift; never creates a duplicate entry.
     fn index_upsert(&self, id: TxnId, value: Priority) {
-        self.index_upsert_under(id, value, self.falls_under(id));
-    }
-
-    /// [`Self::index_upsert`] with `id`'s [`Self::falls_under`] runner
-    /// supplied by the caller.
-    fn index_upsert_under(&self, id: TxnId, value: Priority, runner: Option<TxnId>) {
-        let (key, half) = self.entry_key_for_write(id, value, runner);
         let mut index = self.index.borrow_mut();
-        match index.half_of(id) {
-            Some(h) if h == half => {
-                index.set_key(id, key);
-            }
-            Some(_) => {
-                index.remove(id);
-                index.insert(
-                    half,
-                    HeapEntry {
-                        pri: key,
-                        arrival: self.txn(id).arrival,
-                        id,
-                    },
-                );
-                self.index_migrations.set(self.index_migrations.get() + 1);
-            }
-            None => {
-                index.insert(
-                    half,
-                    HeapEntry {
-                        pri: key,
-                        arrival: self.txn(id).arrival,
-                        id,
-                    },
-                );
-            }
+        if !index.set_key(id, value) {
+            index.insert(HeapEntry {
+                pri: value,
+                arrival: self.txn(id).arrival,
+                id,
+            });
         }
         self.heap_pushes.set(self.heap_pushes.get() + 1);
     }
@@ -1646,7 +963,6 @@ impl<'p> EngineState<'p> {
         // version/cache vectors stay dense. Arrival changes no conflict
         // state (a fresh transaction holds nothing), so no epoch bump.
         self.accel.register(id);
-        self.index.borrow_mut().register();
         if self.cfg.system.admission.is_some() {
             self.adm_maybe_roll();
             if !self.feasible(&txn) {
@@ -1797,16 +1113,13 @@ impl<'p> EngineState<'p> {
                 }
             }
             Stage::Compute => {
-                // The anchored span ends exactly where the service it
-                // mirrors stops accruing.
-                self.freeze_timed();
                 if std::mem::take(&mut self.active_cpu_failed) {
                     // Injected transient CPU stall: the burst ran its full
                     // (possibly inflated) length and its result is
-                    // discarded. The effective service still banks — the
-                    // timed index accrued it continuously while the burst
-                    // ran, and cached priority keys must stay upper
-                    // bounds — but no progress is made; the work is
+                    // discarded. The effective service still banks — it
+                    // accrued continuously while the burst ran, and
+                    // cached priority keys must stay upper bounds —
+                    // but no progress is made; the work is
                     // counted wasted instead, and the update's burst will
                     // be re-run from scratch (or the transaction
                     // restarted) by the stall handler.
@@ -1849,10 +1162,6 @@ impl<'p> EngineState<'p> {
                     if self.heap_in_use() {
                         self.priority_exact(id);
                     }
-                    // The narrowed might-access set can drop this
-                    // transaction out of a runner's unsafe set — timed
-                    // membership may no longer be reusable.
-                    self.walked.set(None);
                 }
                 self.slack_upsert(id);
                 if self.txn(id).progress == self.txn(id).total_updates() {
@@ -2229,12 +1538,6 @@ impl<'p> EngineState<'p> {
         t.burst_start = now;
         let at = now + t.cpu_left;
         self.cpu_event = self.calendar.schedule(at, Event::CpuDone(id));
-        if stage == Stage::Compute {
-            // Only a Compute burst accrues effective service (the quantity
-            // whose growth makes runner-unsafe priorities fall); Recover
-            // bursts leave every cached priority still.
-            self.anchor_timed(id);
-        }
         Started::Scheduled
     }
 
@@ -2546,19 +1849,16 @@ impl<'p> EngineState<'p> {
         self.best_by_priority(candidates).map(|id| (id, true))
     }
 
-    /// The split-index pick: TH from the validated argmax over both
-    /// halves, then the IOwait-schedule fallback through the same argmax
+    /// The indexed pick: TH from the validated argmax over the priority
+    /// heap, then the IOwait-schedule fallback through the same argmax
     /// restricted to runnable (and, when the policy asks, P-list-
     /// compatible) transactions.
     fn pick_next_heap(&self) -> Option<(TxnId, bool)> {
-        let th = self.split_best(|_| true);
+        let th = self.heap_best(|_| true);
         if self.mode == CacheMode::Verify {
             self.verify_checks.set(self.verify_checks.get() + 1);
             let oracle = self.fresh_best(|_| true);
-            assert_eq!(
-                th, oracle,
-                "split-index TH pick diverged from the fresh scan"
-            );
+            assert_eq!(th, oracle, "indexed TH pick diverged from the fresh scan");
         }
         let Some(th) = th else {
             debug_assert!(self.active.is_empty(), "index lost an active entry");
@@ -2574,9 +1874,8 @@ impl<'p> EngineState<'p> {
             return None;
         }
         let restrict = self.policy.iowait_restrict();
-        let pick = self.split_best(|id| {
-            self.runnable_tag(id) && (!restrict || self.compatible_with_plist(id))
-        });
+        let pick = self
+            .heap_best(|id| self.runnable_tag(id) && (!restrict || self.compatible_with_plist(id)));
         if self.mode == CacheMode::Verify {
             self.verify_checks.set(self.verify_checks.get() + 1);
             let oracle = self.fresh_best(|id| {
@@ -2584,157 +1883,94 @@ impl<'p> EngineState<'p> {
             });
             assert_eq!(
                 pick, oracle,
-                "split-index IOwait pick diverged from the fresh scan"
+                "indexed IOwait pick diverged from the fresh scan"
             );
         }
         pick.map(|id| (id, true))
     }
 
-    /// The validated argmax over both index halves.
+    /// The validated argmax over the priority heap.
     ///
-    /// Every stored key is an **upper bound** on its transaction's exact
-    /// priority — a free key directly (it is bit-identical to the cached
-    /// value), a timed key through the falling effective bound
-    /// [`Self::timed_effective`]. Each round peeks the two half-maxima,
-    /// takes the larger *effective* tuple, pops it, and validates it by
+    /// Every key is an **upper bound** on its transaction's exact
+    /// priority: it is bit-identical to the cached value, and the exact
+    /// priority only falls between cache writes (a clear, the one rise,
+    /// repairs the cache first). Each round pops the top and validates it by
     /// exact recomputation ([`Self::priority_exact_detached`] — the entry
     /// is out of the index, so the loop re-parks it itself under its
-    /// refreshed key and half). The moment the best validated exact tuple
-    /// beats the top effective tuple, no un-popped entry can win (its
-    /// exact sits at or below its own effective bound, which sits at or
-    /// below the top's), and the argmax is settled; the composite
-    /// `(Priority, Reverse(arrival), Reverse(id))` tuple ends in the id,
-    /// so cross-transaction ties cannot occur. Entries `accept` rejects
-    /// are parked unchanged — acceptability does not read priorities.
+    /// exact key). The moment the best validated exact entry beats the
+    /// top key, no un-popped entry can win (its exact sits at or below its
+    /// own key, which sits at or below the top's), and the argmax is
+    /// settled; the composite `(Priority, Reverse(arrival), Reverse(id))`
+    /// order ends in the id, so cross-transaction ties cannot occur.
+    /// Entries `accept` rejects are parked unchanged — acceptability does
+    /// not read priorities.
     ///
     /// Each entry pops at most once per pick, so a pick costs
     /// O(validations · log n); `heap_stale_pops` counts the validations
     /// that did *not* settle the pick (validations − 1).
-    fn split_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
-        use std::cmp::Reverse;
-        let a = self.fall_offset_now();
-        // Fast path: a free-half combined top that validates bit-exactly
-        // settles the argmax with zero heap mutation — every other
-        // entry's effective bound sits at or below the top's, and the
-        // composite tuple already broke ties. This is the steady-state
-        // common case (fresh keys, one peek + one validation per pick);
-        // a timed top never bit-confirms (its bound carries a nudge), so
-        // it takes the general loop below.
-        {
-            let top = {
-                let index = self.index.borrow();
-                let free = index.peek(Half::Free).map(|e| (e.pri, e.arrival, e.id));
-                let timed = index
-                    .peek(Half::Timed)
-                    .map(|e| (self.timed_effective(e.pri, a), e.arrival, e.id));
-                match (free, timed) {
-                    (Some(f), None) => Some(f),
-                    (Some(f), Some(t)) => {
-                        if (f.0, Reverse(f.1), Reverse(f.2)) > (t.0, Reverse(t.1), Reverse(t.2)) {
-                            Some(f)
-                        } else {
-                            None
-                        }
-                    }
-                    _ => None,
-                }
-            };
-            if let Some((eff, _, id)) = top {
-                if accept(id) {
-                    let exact = self.priority_exact_detached(id);
-                    if exact.0.to_bits() == eff.0.to_bits() {
-                        self.heap_validated_picks
-                            .set(self.heap_validated_picks.get() + 1);
-                        return Some(id);
-                    }
-                    // Stale: the cache now holds the exact value while
-                    // the key still holds the old bound — the loop below
-                    // re-pops this same top (a cache-confirmed
-                    // revalidation) and re-parks it under its exact key,
-                    // restoring the paired-writes invariant before the
-                    // pick returns.
-                }
+    fn heap_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
+        // Fast path: a top that validates bit-exactly settles the argmax
+        // with zero heap mutation — every other key sits at or below it,
+        // and the composite order already broke ties. This is the
+        // steady-state common case (fresh keys, one peek + one validation
+        // per pick).
+        let top = self.index.borrow().peek();
+        if let Some(top) = top.filter(|t| accept(t.id)) {
+            let exact = self.priority_exact_detached(top.id);
+            if exact.0.to_bits() == top.pri.0.to_bits() {
+                self.heap_validated_picks
+                    .set(self.heap_validated_picks.get() + 1);
+                return Some(top.id);
             }
+            // Stale: the cache now holds the exact value while the key
+            // still holds the old bound — the loop below re-pops this same
+            // top (a cache-confirmed revalidation) and re-parks it under
+            // its exact key, restoring the paired-writes invariant before
+            // the pick returns.
         }
         let mut scratch = self.scratch.borrow_mut();
         debug_assert!(scratch.is_empty());
-        let mut best: Option<(Priority, SimTime, TxnId)> = None;
+        let mut best: Option<HeapEntry> = None;
         let mut validations: u64 = 0;
         loop {
-            let top = {
-                let index = self.index.borrow();
-                let free = index.peek(Half::Free).map(|e| (e.pri, e, Half::Free));
-                let timed = index
-                    .peek(Half::Timed)
-                    .map(|e| (self.timed_effective(e.pri, a), e, Half::Timed));
-                match (free, timed) {
-                    (None, None) => None,
-                    (Some(x), None) | (None, Some(x)) => Some(x),
-                    (Some(f), Some(t)) => {
-                        let ft = (f.0, Reverse(f.1.arrival), Reverse(f.1.id));
-                        let tt = (t.0, Reverse(t.1.arrival), Reverse(t.1.id));
-                        Some(if ft > tt { f } else { t })
-                    }
-                }
-            };
-            let Some((eff, entry, half)) = top else {
+            let Some(entry) = self.index.borrow().peek() else {
                 break;
             };
-            if let Some((bp, ba, bi)) = best {
-                if (bp, Reverse(ba), Reverse(bi)) > (eff, Reverse(entry.arrival), Reverse(entry.id))
-                {
-                    break;
-                }
+            if best.is_some_and(|b| b > entry) {
+                break;
             }
             let id = entry.id;
             self.index.borrow_mut().remove(id);
             if !accept(id) {
-                // A lifted free-half conflicter re-parks into the timed
-                // half (bound carried over, now falling): frozen at its
-                // stale key it would stick above the falling band and be
-                // lifted again at every subsequent pick.
-                let parked = if half == Half::Free && self.falls_under(id).is_some() {
-                    let key = Priority(nudge_up(entry.pri.0 + a, entry.pri.0.abs().max(a)));
-                    (HeapEntry { pri: key, ..entry }, Half::Timed)
-                } else {
-                    (entry, half)
-                };
-                scratch.push(parked);
+                scratch.push(entry);
                 continue;
             }
             let exact = self.priority_exact_detached(id);
             validations += 1;
             debug_assert!(
-                exact <= eff,
-                "{id}: index key was not an upper bound ({} half, eff {} < exact {})",
-                if half == Half::Timed { "timed" } else { "free" },
-                eff.0,
+                exact <= entry.pri,
+                "{id}: index key {} was not an upper bound on exact {}",
+                entry.pri.0,
                 exact.0
             );
-            let (key, new_half) = self.entry_key_for(id, exact);
-            scratch.push((
-                HeapEntry {
-                    pri: key,
-                    arrival: entry.arrival,
-                    id,
-                },
-                new_half,
-            ));
+            let validated = HeapEntry {
+                pri: exact,
+                ..entry
+            };
+            scratch.push(validated);
             self.heap_pushes.set(self.heap_pushes.get() + 1);
             let better = match best {
                 None => true,
-                Some((bp, ba, bi)) => {
-                    (exact, Reverse(entry.arrival), Reverse(id)) > (bp, Reverse(ba), Reverse(bi))
-                }
+                Some(b) => validated > b,
             };
             if better {
-                best = Some((exact, entry.arrival, id));
+                best = Some(validated);
             }
         }
         {
             let mut index = self.index.borrow_mut();
-            for (e, h) in scratch.drain(..) {
-                index.insert(h, e);
+            for e in scratch.drain(..) {
+                index.insert(e);
             }
         }
         if best.is_some() {
@@ -2743,14 +1979,14 @@ impl<'p> EngineState<'p> {
             self.heap_stale_pops
                 .set(self.heap_stale_pops.get() + validations.saturating_sub(1));
         }
-        best.map(|(_, _, id)| id)
+        best.map(|b| b.id)
     }
 
     /// The slack-index pick for `TimeAndSelf` policies: every priority
     /// advances with the clock at the same unit rate (`priority ≈
     /// now_ms + K`, with `K` the policy's time-invariant key), so ordering the
     /// stored keys orders the priorities at any instant. The validated-
-    /// argmax protocol of [`Self::split_best`] applies with the effective
+    /// argmax protocol of [`Self::heap_best`] applies with the effective
     /// bound `nudge_up(now_ms + K, S_b)` — each deadline band's scale
     /// `S_b` is shared by all its entries, keeping the bounds monotone
     /// in `K` *within* the band, and the pick takes the max effective
@@ -2792,7 +2028,7 @@ impl<'p> EngineState<'p> {
         pick.map(|id| (id, true))
     }
 
-    /// [`Self::split_best`]'s protocol over the banded slack index.
+    /// [`Self::heap_best`]'s protocol over the banded slack index.
     /// Each round takes the max *effective* tuple over the band tops —
     /// every unpopped entry is dominated by its own band's top under
     /// that band's scale — pops it, and validates it by exact
@@ -2935,7 +2171,7 @@ impl<'p> EngineState<'p> {
                 && match deps {
                     PriorityDeps::Static => true,
                     PriorityDeps::TimeAndSelf => s.pri_at == now && s.pri_own == s.own_version,
-                    PriorityDeps::ConflictState { .. } => {
+                    PriorityDeps::ConflictState => {
                         s.pri_stamp == s.pair_stamp && s.pri_own == s.own_version
                     }
                     PriorityDeps::Volatile => unreachable!("handled above"),
@@ -2943,7 +2179,7 @@ impl<'p> EngineState<'p> {
             if hit {
                 let fresh = self.policy.priority(self.txn(id), &view);
                 self.verify_checks.set(self.verify_checks.get() + 1);
-                if matches!(deps, PriorityDeps::ConflictState { .. }) {
+                if matches!(deps, PriorityDeps::ConflictState) {
                     assert!(
                         s.pri_value >= fresh,
                         "{id}: surviving cache entry {} < fresh {} \
@@ -2962,31 +2198,18 @@ impl<'p> EngineState<'p> {
                 }
             }
         }
-        // Index-soundness oracles. Free-half keys must be bit-identical
-        // to their cache entries; every timed-half *effective* bound and
-        // every slack-index effective bound must dominate the fresh
-        // priority — exactly what the validated-argmax picks rely on.
+        // Index-soundness oracles. Heap keys must be bit-identical to
+        // their cache entries (whose upper-bound property the loop above
+        // checked); every slack-index effective bound must dominate the
+        // fresh priority — exactly what the validated-argmax picks rely on.
         if self.heap_in_use() {
-            let a = self.fall_offset_now();
-            let index = self.index.borrow();
-            for e in index.entries(Half::Free) {
+            for e in self.index.borrow().entries() {
                 self.verify_checks.set(self.verify_checks.get() + 1);
                 assert_eq!(
                     e.pri.0.to_bits(),
                     self.accel.slot(e.id).pri_value.0.to_bits(),
-                    "{}: free-half key and cached priority disagree",
+                    "{}: index key and cached priority disagree",
                     e.id
-                );
-            }
-            for e in index.entries(Half::Timed) {
-                let fresh = self.policy.priority(self.txn(e.id), &view);
-                self.verify_checks.set(self.verify_checks.get() + 1);
-                assert!(
-                    self.timed_effective(e.pri, a) >= fresh,
-                    "{}: timed-half effective bound {} < fresh {}",
-                    e.id,
-                    self.timed_effective(e.pri, a).0,
-                    fresh.0
                 );
             }
         }
@@ -3100,8 +2323,6 @@ impl<'p> EngineState<'p> {
                 // read effective service (CCA's penalty term) see the
                 // same value, so cached entries stay bit-valid.
                 t.service += consumed;
-                // The anchored span ends with the burst it mirrors.
-                self.freeze_timed();
             }
             self.set_state(r, TxnState::Ready);
             self.metrics.add_cpu_busy(consumed);
@@ -3281,34 +2502,18 @@ impl<'p> EngineState<'p> {
         // transaction, keyed bit-identically to its cached value.
         if self.heap_in_use() {
             let index = self.index.borrow();
-            assert_eq!(index.len(), self.active.len(), "index size diverged");
-            let a = self.fall_offset_now();
-            let view = self.fresh_view();
+            assert_eq!(
+                index.entries().len(),
+                self.active.len(),
+                "index size diverged"
+            );
             for &id in &self.active {
-                let (key, half) = index.key_of(id).expect("active but not indexed");
-                match half {
-                    Half::Free => assert_eq!(
-                        key.0.to_bits(),
-                        self.accel.slot(id).pri_value.0.to_bits(),
-                        "{id}: free-half key and cached priority disagree"
-                    ),
-                    Half::Timed => {
-                        // Timed keys exist only under a positive fall
-                        // rate, and their effective bound must dominate
-                        // the exact priority at all times.
-                        assert!(
-                            self.fall_rate > 0.0,
-                            "{id}: timed entry with zero fall rate"
-                        );
-                        let fresh = self.policy.priority(self.txn(id), &view);
-                        assert!(
-                            self.timed_effective(key, a) >= fresh,
-                            "{id}: timed-half effective bound {} < fresh {}",
-                            self.timed_effective(key, a).0,
-                            fresh.0
-                        );
-                    }
-                }
+                let key = index.key_of(id).expect("active but not indexed");
+                assert_eq!(
+                    key.0.to_bits(),
+                    self.accel.slot(id).pri_value.0.to_bits(),
+                    "{id}: index key and cached priority disagree"
+                );
             }
         }
         // The slack index, when it is the pick path, covers the active
@@ -3567,9 +2772,7 @@ impl EngineState<'_> {
             pair_cache_evictions: 0,
             clear_repair_clears: self.clear_repair_clears.get(),
             clear_repair_visits: self.clear_repair_visits.get(),
-            index_migrations: self.index_migrations.get(),
-            migrations_batched: self.migrations_batched.get(),
-            frozen_compactions: self.frozen_compactions.get(),
+            index_migrations: 0,
             verify_checks: self.verify_checks.get(),
             sched_wall_ns: self.sched_wall_ns.get(),
         });
@@ -3845,124 +3048,12 @@ pub fn run_simulation_traced(cfg: &SimConfig, policy: &dyn Policy) -> (RunSummar
     (summary, st.trace.take().expect("trace enabled above"))
 }
 
-/// A frozen-system harness for `best_by_priority` micro-benchmarks:
-/// builds an engine whose active set is exactly the supplied
-/// transactions and exposes the pick path — heap-indexed under
-/// [`CacheMode::Incremental`], the verbatim full scan under
-/// [`CacheMode::AlwaysRecompute`] — without running any events.
-///
-/// Bench/test support only. The harness never dispatches the picked
-/// transaction, so repeated [`PickHarness::pick`] calls measure the
-/// steady-state (warm-cache) cost; call
-/// [`PickHarness::invalidate_conflict_caches`] between picks to measure
-/// the cold path for `ConflictState` policies (for `Static` policies a
-/// valid entry is definitionally never stale, so there is no cold case
-/// to measure).
-pub struct PickHarness<'p> {
-    st: EngineState<'p>,
-}
-
-impl<'p> PickHarness<'p> {
-    /// Assemble a harness over `txns`, which must carry dense ids
-    /// `0..n` in order. Transactions with non-empty `accessed` sets are
-    /// registered as P-list members, exactly as if they had grown their
-    /// sets inside a run.
-    ///
-    /// # Panics
-    /// Panics if ids are not dense or a transaction is not active.
-    pub fn new(
-        cfg: &'p SimConfig,
-        policy: &'p dyn Policy,
-        txns: Vec<Transaction>,
-        mode: CacheMode,
-    ) -> Self {
-        let mut st = EngineState::new(cfg, policy);
-        st.mode = mode;
-        for txn in txns {
-            let id = txn.id;
-            assert_eq!(
-                id.0 as usize,
-                st.txns.len(),
-                "transaction ids must be dense"
-            );
-            assert!(txn.is_active(), "harness transactions must be active");
-            st.accel.register(id);
-            st.index.borrow_mut().register();
-            let partial = txn.is_partially_executed();
-            if txn.state == TxnState::Ready {
-                st.ready_count += 1;
-            }
-            st.state_tags.push(txn.state);
-            st.txns.push(txn);
-            st.secondary.push(false);
-            st.active.push(id);
-            st.accel.reindex(&st.txns[id.0 as usize]);
-            if partial {
-                st.accel.note_access_growth(id, false);
-            }
-        }
-        // Seed every cache entry and index key, as arrivals do in a run.
-        if st.heap_in_use() {
-            for i in 0..st.active.len() {
-                st.priority_exact(st.active[i]);
-            }
-        }
-        for i in 0..st.active.len() {
-            st.slack_upsert(st.active[i]);
-        }
-        PickHarness { st }
-    }
-
-    /// One scheduling decision over the frozen system (see
-    /// `pick_next`): the best runnable transaction, or the best
-    /// IOwait-compatible one when the policy restricts. Counted in
-    /// [`Self::stats`] like any in-run pick.
-    pub fn pick(&self) -> Option<(TxnId, bool)> {
-        self.st.pick_next()
-    }
-
-    /// Invalidate every cached `ConflictState` priority by bumping each
-    /// transaction's pair stamp — the cold-cache case. Index keys keep
-    /// their (still-correct) values, so the next pick pays exact
-    /// revalidation of the entries it actually inspects rather than a
-    /// full-system recompute: that asymmetry against the scan oracle is
-    /// precisely what the cold benchmark now measures.
-    pub fn invalidate_conflict_caches(&mut self) {
-        for i in 0..self.st.active.len() {
-            let id = self.st.active[i];
-            self.st.accel.bump_pair_stamp(id);
-        }
-    }
-
-    /// The scheduler counters accumulated by this harness's picks
-    /// (wall time stays 0: harness runs are never profiled).
-    pub fn stats(&self) -> SchedStats {
-        SchedStats {
-            pick_next_calls: self.st.pick_next_calls.get(),
-            priority_evals: self.st.priority_evals.get(),
-            priority_cache_hits: self.st.priority_cache_hits.get(),
-            pair_checks: self.st.accel.pair_checks(),
-            pair_cache_hits: 0,
-            heap_pushes: self.st.heap_pushes.get(),
-            heap_stale_pops: self.st.heap_stale_pops.get(),
-            heap_validated_picks: self.st.heap_validated_picks.get(),
-            pair_invalidations: self.st.accel.pair_invalidations(),
-            pair_cache_evictions: 0,
-            clear_repair_clears: self.st.clear_repair_clears.get(),
-            clear_repair_visits: self.st.clear_repair_visits.get(),
-            index_migrations: self.st.index_migrations.get(),
-            migrations_batched: self.st.migrations_batched.get(),
-            frozen_compactions: self.st.frozen_compactions.get(),
-            verify_checks: self.st.verify_checks.get(),
-            sched_wall_ns: self.st.sched_wall_ns.get(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::{Policy, Priority, SystemView};
+    use proptest::prelude::*;
+    use std::collections::btree_map::{BTreeMap, Entry};
 
     /// Earliest Deadline First with HP conflict resolution: the paper's
     /// baseline, used here to exercise the engine.
@@ -4174,6 +3265,87 @@ mod tests {
         assert_eq!(s.restarts_total, 0);
         assert_eq!(s.miss_percent, 0.0, "an isolated txn meets any deadline");
         assert_eq!(s.mean_lateness_ms, 0.0);
+    }
+
+    /// One step against a [`PriorityIndex`]. Ids are sparse (multiples
+    /// of 13), so the position lane grows in jumps; keys come from a
+    /// small range, so raises, lowers and priority ties all occur.
+    #[derive(Debug, Clone, Copy)]
+    enum HeapOp {
+        Insert(u32, f64),
+        Remove(u32),
+        SetKey(u32, f64),
+    }
+
+    fn heap_op() -> impl Strategy<Value = HeapOp> {
+        (0u8..3, 0u32..48, -20i64..20).prop_map(|(kind, id, key)| {
+            let (id, key) = (id * 13, key as f64 * 0.5);
+            match kind {
+                0 => HeapOp::Insert(id, key),
+                1 => HeapOp::Remove(id),
+                _ => HeapOp::SetKey(id, key),
+            }
+        })
+    }
+
+    /// A fixed arrival per id with ties across ids, so the id tie-break
+    /// of [`HeapEntry`]'s order is exercised too.
+    fn arrival_of(id: u32) -> SimTime {
+        SimTime::from_micros(u64::from(id % 5))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random insert / remove / set_key histories against a model
+        /// map: after every step the heap's top is the model's maximum
+        /// under [`HeapEntry`] order, `key_of` and `contains` answer for
+        /// every id, and both the heap invariant and the position lane
+        /// (`pos[id] = slot + 1` for exactly the indexed ids) hold.
+        #[test]
+        fn priority_index_matches_sorted_model(
+            ops in proptest::collection::vec(heap_op(), 1..300),
+        ) {
+            let mut index = PriorityIndex::default();
+            let mut model: BTreeMap<u32, HeapEntry> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    HeapOp::Insert(id, key) => {
+                        if let Entry::Vacant(slot) = model.entry(id) {
+                            let e = HeapEntry {
+                                pri: Priority(key),
+                                arrival: arrival_of(id),
+                                id: TxnId(id),
+                            };
+                            index.insert(e);
+                            slot.insert(e);
+                        }
+                    }
+                    HeapOp::Remove(id) => {
+                        prop_assert_eq!(index.remove(TxnId(id)), model.remove(&id).is_some());
+                    }
+                    HeapOp::SetKey(id, key) => {
+                        let present = model.get_mut(&id).map(|e| e.pri = Priority(key)).is_some();
+                        prop_assert_eq!(index.set_key(TxnId(id), Priority(key)), present);
+                    }
+                }
+                prop_assert!(index.peek() == model.values().max().copied(), "{:?}", op);
+                for id in 0..48 * 13 {
+                    let want = model.get(&id).map(|e| e.pri);
+                    prop_assert!(index.key_of(TxnId(id)) == want, "key_of({})", id);
+                    prop_assert_eq!(index.contains(TxnId(id)), want.is_some());
+                }
+                let slots = index.entries();
+                prop_assert_eq!(slots.len(), model.len());
+                for i in 1..slots.len() {
+                    prop_assert!(slots[(i - 1) / 2] >= slots[i], "heap order at slot {}", i);
+                }
+                for (i, e) in slots.iter().enumerate() {
+                    prop_assert_eq!(index.pos[e.id.0 as usize], i as u32 + 1);
+                }
+                prop_assert_eq!(index.pos.iter().filter(|&&p| p != 0).count(), slots.len());
+            }
+        }
     }
 
     #[test]

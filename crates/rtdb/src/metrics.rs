@@ -60,18 +60,9 @@ pub struct SchedStats {
     /// Victims those walks took from the slot rows: the transactions the
     /// cleared one was unsafe with respect to.
     pub clear_repair_visits: u64,
-    /// Entries moved between the split priority index's halves (runner
-    /// anchor changes and cross-half cache writes).
+    /// Always 0: the split priority index whose half-to-half moves it
+    /// counted is gone. Kept because the repository benchmark reads it.
     pub index_migrations: u64,
-    /// Compute bursts whose anchor migration walks were skipped entirely
-    /// because the same runner re-anchored while its walked timed-half
-    /// membership was still valid (0 when `eager_migrations` forces the
-    /// per-burst walks).
-    pub migrations_batched: u64,
-    /// Timed-half compactions: frozen entries drained back to the free
-    /// half and the shared fall offset re-zeroed, bounding stale-offset
-    /// accumulation in long mostly-idle runs.
-    pub frozen_compactions: u64,
     /// Verify-mode divergence checks performed (cache-vs-fresh
     /// assertions that ran and passed; 0 outside `CacheMode::Verify`).
     pub verify_checks: u64,

@@ -73,34 +73,7 @@ pub enum PriorityDeps {
     /// pick path revalidates at the top. A policy whose priority can
     /// *rise* on growth or with time must declare
     /// [`PriorityDeps::Volatile`] instead.
-    ///
-    /// `runner_fall_rate` declares, in priority units per millisecond of
-    /// the *running* transaction's uninterrupted compute time, the exact
-    /// rate at which the priority of every transaction unsafe w.r.t. that
-    /// runner falls while the runner's effective service accrues (zero
-    /// for policies whose penalty ignores service, e.g. EDF-Wait). The
-    /// engine uses it to place runner-conflicting index keys in a
-    /// *timed* half whose keys share a global fall offset: the keys then
-    /// stay put between structural events instead of being demoted pick
-    /// by pick. Declaring the rate only affects which half a key lives
-    /// in and how its stored bound is folded — a wrong rate loses the
-    /// upper-bound property and is caught by `Verify` mode.
-    ///
-    /// The engine additionally *batches* the timed-half membership walk:
-    /// consecutive compute bursts by the same runner reuse the membership
-    /// the first burst's walk established, re-walking only after an event
-    /// that can shrink an unsafe set (a partial's clear, a might-access
-    /// narrowing). Reuse is sound because between walks a runner's sets
-    /// only grow: a conflicting key the reused membership misses either
-    /// enrolls into the timed half at its next cache write (if the
-    /// falling band can still reach it) or stays in the free half,
-    /// stale-high by exactly the fall the walk would have tracked —
-    /// still an upper bound either way (falls only lower the exact
-    /// value, see part 2), so validated picks are unaffected.
-    ConflictState {
-        /// Per-ms fall rate of runner-unsafe priorities (≥ 0, finite).
-        runner_fall_rate: f64,
-    },
+    ConflictState,
     /// No cacheable structure declared; recompute at every use. The
     /// conservative default for policies written before this hint
     /// existed.

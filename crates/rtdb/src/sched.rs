@@ -291,13 +291,6 @@ impl ConflictAccel {
             .sum()
     }
 
-    /// Is `id` in `set`?
-    #[inline]
-    pub(crate) fn holds(&self, set: &[u64], id: TxnId) -> bool {
-        let (w, m) = bit(self.slot_idx(id));
-        set[w] & m != 0
-    }
-
     /// The transactions in `set`, ascending by id. Slots are recycled
     /// last-in first-out, so slot order is not id order.
     pub(crate) fn ids(&self, set: &[u64], out: &mut Vec<TxnId>) {
