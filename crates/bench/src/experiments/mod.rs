@@ -87,46 +87,6 @@ impl GroupReport {
     }
 }
 
-/// Run one experiment by id, serially. Returns the tables it produces
-/// (several ids share one underlying sweep; each id returns only its own
-/// tables).
-pub fn run(id: &str, scale: Scale) -> Option<Vec<Table>> {
-    run_with(id, scale, &ReplicationOptions::serial())
-}
-
-/// Run one experiment by id under the given replication options.
-pub fn run_with(id: &str, scale: Scale, opts: &ReplicationOptions) -> Option<Vec<Table>> {
-    match id {
-        "table1" => Some(vec![mm::table1()]),
-        "fig4a" => Some(vec![mm::base_sweep(scale, opts).remove(0)]),
-        "fig4b" => Some(vec![mm::base_sweep(scale, opts).remove(1)]),
-        "fig4c" => Some(vec![mm::base_sweep(scale, opts).remove(2)]),
-        "fig4d" => Some(vec![mm::high_variance_sweep(scale, opts).remove(0)]),
-        "fig4e" => Some(vec![mm::high_variance_sweep(scale, opts).remove(1)]),
-        "fig4f" => Some(vec![mm::db_size_sweep(scale, opts)]),
-        "fig5a" => Some(vec![mm::penalty_weight_sweep(scale, opts)]),
-        "table2" => Some(vec![disk::table2()]),
-        "fig5b" => Some(vec![disk::base_sweep(scale, opts).remove(0)]),
-        "fig5c" => Some(vec![disk::base_sweep(scale, opts).remove(2)]),
-        "fig5d" => Some(vec![disk::base_sweep(scale, opts).remove(1)]),
-        "fig5e" => Some(vec![disk::db_size_sweep(scale, opts)]),
-        "fig5f" => Some(vec![disk::penalty_weight_sweep(scale, opts)]),
-        "ablate-recovery" => Some(vec![ablate::recovery_cost(scale, opts)]),
-        "ablate-iowait" => Some(vec![ablate::iowait_mechanism(scale, opts)]),
-        "ablate-policies" => Some(vec![ablate::policy_zoo(scale, opts)]),
-        "ablate-disk-sched" => Some(vec![ablate::disk_scheduling(scale, opts)]),
-        "ext-shared-locks" => Some(vec![ablate::shared_locks(scale, opts)]),
-        "ext-criticality" => Some(vec![ablate::criticality_classes(scale, opts)]),
-        "ext-branching" => Some(vec![ablate::branching_workload(scale, opts)]),
-        "faults" => Some(vec![faults::severity_sweep(scale, opts)]),
-        "faults-admission" => Some(vec![faults::admission_sweep(scale, opts)]),
-        "serve-vt" => Some(vec![serve::vt_sweep(scale, opts)]),
-        "chaos" => Some(vec![chaos::overload_sweep(scale, opts)]),
-        "chaos-crash" => Some(vec![chaos::crash_supervision(scale, opts)]),
-        _ => None,
-    }
-}
-
 /// Run the requested ids group by group, delivering each group's tables
 /// and timing to `emit` as soon as the group completes. Ids that share a
 /// sweep are computed once.
@@ -202,16 +162,6 @@ pub fn run_group_with(
     group(&["chaos-crash"], &|o| {
         vec![chaos::crash_supervision(scale, o)]
     });
-}
-
-/// Collect all tables of the requested ids, serially (convenience over
-/// [`run_group_with`]).
-pub fn run_group(ids: &[&str], scale: Scale) -> Vec<Table> {
-    let mut out = Vec::new();
-    run_group_with(ids, scale, &ReplicationOptions::serial(), |report| {
-        out.extend(report.tables)
-    });
-    out
 }
 
 /// One (EDF-HP, CCA) comparison at a single configuration.

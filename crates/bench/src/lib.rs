@@ -25,7 +25,7 @@ pub mod profile;
 pub mod table;
 
 pub use plot::render_chart;
-pub use profile::{bench_profile_docs, bench_profile_json, ScenarioSummary};
+pub use profile::{bench_profile_docs, ScenarioSummary};
 pub use table::Table;
 
 /// Controls experiment size: full paper scale or a fast smoke pass.

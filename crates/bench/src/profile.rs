@@ -179,7 +179,6 @@ fn run_cell(
         cell.sched.heap_pushes += s.sched.heap_pushes;
         cell.sched.heap_stale_pops += s.sched.heap_stale_pops;
         cell.sched.heap_validated_picks += s.sched.heap_validated_picks;
-        cell.sched.pair_invalidations += s.sched.pair_invalidations;
         cell.sched.pair_cache_evictions += s.sched.pair_cache_evictions;
         cell.sched.clear_repair_clears += s.sched.clear_repair_clears;
         cell.sched.clear_repair_visits += s.sched.clear_repair_visits;
@@ -201,8 +200,8 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
          {indent}  \"priority_evals\": {},\n{indent}  \"priority_cache_hits\": {},\n\
          {indent}  \"pair_checks\": {},\n{indent}  \"pair_cache_hits\": {},\n\
          {indent}  \"heap_pushes\": {},\n{indent}  \"heap_stale_pops\": {},\n\
-         {indent}  \"heap_validated_picks\": {},\n{indent}  \"pair_invalidations\": {},\n\
-         {indent}  \"pair_cache_evictions\": {},\n{indent}  \"clear_repair_clears\": {},\n\
+         {indent}  \"heap_validated_picks\": {},\n{indent}  \"pair_cache_evictions\": {},\n\
+         {indent}  \"clear_repair_clears\": {},\n\
          {indent}  \"clear_repair_visits\": {},\n{indent}  \"index_migrations\": {},\n\
          {indent}  \"committed\": {}\n{indent}}}",
         cell.sched.sched_wall_ns,
@@ -215,7 +214,6 @@ fn cell_json(cell: &Cell, indent: &str) -> String {
         cell.sched.heap_pushes,
         cell.sched.heap_stale_pops,
         cell.sched.heap_validated_picks,
-        cell.sched.pair_invalidations,
         cell.sched.pair_cache_evictions,
         cell.sched.clear_repair_clears,
         cell.sched.clear_repair_visits,
@@ -337,9 +335,4 @@ pub fn bench_profile_docs(quick: bool, commit: &str) -> (String, String, Vec<Sce
         summaries.join(",\n")
     );
     (full, summary, rows)
-}
-
-/// The full profile document alone — see [`bench_profile_docs`].
-pub fn bench_profile_json(quick: bool, commit: &str) -> String {
-    bench_profile_docs(quick, commit).0
 }

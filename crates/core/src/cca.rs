@@ -90,12 +90,12 @@ impl Policy for Cca {
         // The penalty term reads the P-list membership, the victims'
         // access sets and their effective service: time, own state and
         // conflict state all matter. It satisfies both halves of the
-        // `ConflictState` invalidation contract: other transactions
-        // enter only through `is_unsafe_with` (which partials would be
-        // destroyed) and those partials' effective service (shape), and
-        // since every penalty term is nonnegative and grows with access
-        // growth and the clock, only a partial's clear can *raise* the
-        // priority (fall-monotonicity, w >= 0).
+        // `ConflictState` key contract: other transactions enter only
+        // through `is_unsafe_with` (which partials would be destroyed)
+        // and those partials' effective service (shape), and since every
+        // penalty term is nonnegative and grows with access growth and
+        // the clock, only a partial's clear can *raise* the priority
+        // (fall-monotonicity, w >= 0).
         PriorityDeps::ConflictState
     }
 }

@@ -63,10 +63,9 @@ impl<P: Policy> Policy for Criticality<P> {
     fn depends_on(&self) -> PriorityDeps {
         // The class offset is static; the base policy's dependencies are
         // the wrapper's dependencies. Adding a per-transaction constant
-        // preserves the base policy's `ConflictState` invalidation
-        // contract (constants drop out of any difference), so the
-        // delegated hint stays valid under targeted (per-pair)
-        // invalidation too.
+        // preserves the base policy's `ConflictState` key contract
+        // (constants drop out of any difference), so the delegated hint
+        // stays valid under the clear-repair walk too.
         self.inner.depends_on()
     }
 

@@ -25,7 +25,8 @@ impl Policy for EdfHp {
     }
 
     fn depends_on(&self) -> PriorityDeps {
-        // The deadline is fixed at arrival: compute once, cache forever.
+        // The deadline is fixed at arrival: the heap key seeded then
+        // stays exact forever.
         PriorityDeps::Static
     }
 }

@@ -49,12 +49,12 @@ impl Policy for EdfWait {
     fn depends_on(&self) -> PriorityDeps {
         // The victim count reads P-list membership and access sets, and
         // nothing else about other transactions — exactly the set of
-        // unsafe partials that per-transaction conflict stamps track, so
-        // targeted invalidation is sufficient. Fall-monotonicity holds
-        // trivially: growth can only add victims (priority falls, which
-        // the lazy heap tolerates), a clear removes them (eager walk),
-        // and there is no dependence on the victims' service at all — a
-        // cached value survives clock advances bit-exactly.
+        // unsafe partials a clear's repair walk enumerates.
+        // Fall-monotonicity holds trivially: growth can only add victims
+        // (priority falls, which the lazy heap tolerates), a clear
+        // removes them (eager walk), and there is no dependence on the
+        // victims' service at all — a key survives clock advances
+        // bit-exactly.
         PriorityDeps::ConflictState
     }
 }

@@ -20,7 +20,8 @@ impl Policy for Fcfs {
     }
 
     fn depends_on(&self) -> PriorityDeps {
-        // The arrival time never changes: compute once, cache forever.
+        // The arrival time never changes: the heap key seeded at arrival
+        // stays exact forever.
         PriorityDeps::Static
     }
 }

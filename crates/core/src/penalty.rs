@@ -32,15 +32,15 @@ pub use rtx_rtdb::txn::is_unsafe_with;
 /// exact integer durations, so its value is independent of evaluation
 /// order.
 ///
-/// Invalidation contract (see `PriorityDeps::ConflictState`): other
+/// Key contract (see `PriorityDeps::ConflictState`): other
 /// transactions influence this sum only through (a) which partials test
 /// unsafe against `candidate` and (b) each such partial's effective
 /// service — `candidate`'s own `might_access` is an input to the unsafe
 /// test, but the partial's is not. Every term is nonnegative and grows
 /// monotonically under access growth and clock advance, so those events
 /// only *raise* the penalty (lower the priority); only a partial's
-/// clear shrinks it. The engine exploits exactly this shape: eager
-/// per-transaction stamp bumps on clears, lazy stale-high tolerance for
+/// clear shrinks it. The engine exploits exactly this shape: an eager
+/// key raise for each victim of a clear, lazy stale-high tolerance for
 /// everything else.
 pub fn penalty_of_conflict(candidate: &Transaction, view: &SystemView<'_>) -> SimDuration {
     let mut total = SimDuration::ZERO;

@@ -114,11 +114,11 @@ impl PartialOrd for HeapEntry {
 /// priority heap (`Static` and `ConflictState` policies) and the heap
 /// under each deadline band of the LSF slack index ([`SlackBands`]).
 ///
-/// Position tracking (`pos`) is what makes conflict-epoch invalidation
-/// O(log n) *in place*: a clear repairs each affected transaction's key
-/// with [`PriorityIndex::set_key`] (a sift, no duplicate entry, no
-/// rebuild), and a lazy-fall demotion during pick validation is the same
-/// operation downwards.
+/// Position tracking (`pos`) is what makes key moves O(log n) *in
+/// place*: a clear raises each affected transaction's key with
+/// [`PriorityIndex::set_key`] (a sift, no duplicate entry, no rebuild),
+/// and a lazy-fall demotion during pick validation is the same operation
+/// downwards.
 #[derive(Default)]
 struct PriorityIndex {
     /// The heap slots (max-heap by [`HeapEntry::cmp`]).
@@ -387,13 +387,13 @@ struct EngineState<'p> {
     /// Deadline misses tallied in the current controller window.
     adm_win_missed: u64,
     /// How priorities and conflict relations are evaluated (incremental
-    /// caches, always-recompute oracle, or verify-both).
+    /// indexes, always-recompute oracle, or verify-both).
     mode: CacheMode,
     /// Measure wall time in `pick_next`? Off in normal runs so summaries
     /// stay comparable across machines.
     profile: bool,
-    /// Incrementally maintained conflict state: the P-list, the per-txn
-    /// stamps and the per-item slot rows. Kept up to date in every mode
+    /// Incrementally maintained conflict state: the P-list and the
+    /// per-item slot rows. Kept up to date in every mode
     /// (it is the ground truth `Verify` checks the scans against); only
     /// *consulted* outside `AlwaysRecompute`.
     accel: ConflictAccel,
@@ -408,15 +408,16 @@ struct EngineState<'p> {
     /// while the transaction structs span megabytes.
     state_tags: Vec<TxnState>,
     /// The lazy priority index over active transactions (used for
-    /// `Static` and `ConflictState` policies outside `AlwaysRecompute`):
-    /// exactly one entry per active transaction — seeded at arrival,
-    /// repositioned in place whenever the cache is written, and removed
-    /// at commit. Invariant: an active transaction's key is
-    /// bit-identical to its cached priority in the accelerator's slot
-    /// arena. Both are upper bounds on the exact priority: a
-    /// `ConflictState` priority falls without any write as the runner's
-    /// service accrues and as partials grow their sets, and the pick's
-    /// validated argmax ([`Self::heap_best`]) pops the stale-high tops.
+    /// `Static` and `ConflictState` policies outside `AlwaysRecompute`),
+    /// and the one place a priority is stored: exactly one entry per
+    /// active transaction — seeded at arrival, moved in place by the
+    /// clear-repair walk, the narrowing refresh, wound/wait comparisons
+    /// and pick validation, and removed at commit. Invariant: every key
+    /// is an upper bound on its transaction's exact priority (exact under
+    /// `Static`): a `ConflictState` priority falls without any write as
+    /// the runner's service accrues and as partials grow their sets, and
+    /// the pick's validated argmax ([`Self::heap_best`]) pops the
+    /// stale-high tops.
     index: RefCell<PriorityIndex>,
     /// Slack-ordered pick index for `TimeAndSelf` policies exposing a
     /// time-invariant key (`Policy::time_invariant_key`; LSF): keys hold
@@ -432,14 +433,13 @@ struct EngineState<'p> {
     /// Scratch for slack-band picks: popped entries tagged with their
     /// band, re-inserted after the argmax settles.
     slack_scratch: RefCell<Vec<(HeapEntry, usize)>>,
-    /// Scratch buffer for the targeted pair-stamp walks.
+    /// Scratch buffer for the clear-repair walk's victims.
     walk_buf: Vec<TxnId>,
     /// Scratch slot set for the set-at-a-time conflict relations.
     row_buf: RefCell<Vec<u64>>,
     // Scheduler-overhead tallies (Cells: bumped from &self paths).
     pick_next_calls: Cell<u64>,
     priority_evals: Cell<u64>,
-    priority_cache_hits: Cell<u64>,
     sched_wall_ns: Cell<u64>,
     heap_pushes: Cell<u64>,
     heap_stale_pops: Cell<u64>,
@@ -451,7 +451,7 @@ struct EngineState<'p> {
     clear_repair_visits: Cell<u64>,
 }
 
-/// `v` plus a floating-point safety margin: used when repairing a cached
+/// `v` plus a floating-point safety margin: used when repairing a stored
 /// upper bound by an exact real-arithmetic delta, so the repaired key
 /// stays an upper bound even after the roundings the fresh evaluation and
 /// the repair perform differently.
@@ -532,7 +532,6 @@ impl<'p> EngineState<'p> {
             row_buf: RefCell::new(Vec::new()),
             pick_next_calls: Cell::new(0),
             priority_evals: Cell::new(0),
-            priority_cache_hits: Cell::new(0),
             sched_wall_ns: Cell::new(0),
             heap_pushes: Cell::new(0),
             heap_stale_pops: Cell::new(0),
@@ -544,8 +543,8 @@ impl<'p> EngineState<'p> {
     }
 
     /// Is the lazy priority heap the pick path for this run? True for
-    /// policies whose cached priorities survive across scheduling points
-    /// (`Static`, and `ConflictState` under per-pair stamps).
+    /// policies whose stored keys stay upper bounds across scheduling
+    /// points (`Static`, and `ConflictState` under the clear-repair walk).
     /// `TimeAndSelf` and `Volatile` priorities move with every clock
     /// advance, so a heap over them would be rebuilt per pick — the scan
     /// is strictly cheaper. `AlwaysRecompute` keeps the verbatim pre-heap
@@ -561,7 +560,7 @@ impl<'p> EngineState<'p> {
     /// Is the slack-ordered index the pick path for this run? True for
     /// `TimeAndSelf` policies that expose a time-invariant key
     /// ([`Policy::time_invariant_key`]): their priorities all advance
-    /// with the clock at the same unit rate, so the *order* of cached
+    /// with the clock at the same unit rate, so the *order* of stored
     /// keys survives clock advances even though the values don't. The
     /// index is maintained per transaction (a policy returning `None`
     /// simply never populates it), so requiring full coverage of the
@@ -654,10 +653,10 @@ impl<'p> EngineState<'p> {
         r
     }
 
-    /// Do conflict events perform targeted per-pair invalidation? Only
-    /// worth the walk when a `ConflictState` policy actually reads the
-    /// stamps; the `AlwaysRecompute` oracle never consults any cache.
-    fn targeted_invalidation_active(&self) -> bool {
+    /// Do clears walk their victims? Only a `ConflictState` heap has keys
+    /// a clear can leave below the exact priority; the `AlwaysRecompute`
+    /// oracle keeps no keys at all.
+    fn repair_walk_active(&self) -> bool {
         self.mode != CacheMode::AlwaysRecompute
             && matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
     }
@@ -669,17 +668,17 @@ impl<'p> EngineState<'p> {
     /// maintenance: growth can only *add* nonnegative penalty terms, i.e.
     /// only *lower* other `ConflictState` priorities (see
     /// `PriorityDeps::ConflictState`'s fall-monotonicity clause), and
-    /// `id`'s own priority never reads its own access sets. Cached values
-    /// and index keys become stale-high upper bounds, which the
-    /// peek-and-revalidate pick tolerates — the O(active) per-grant walk
-    /// is traded for an occasional demotion at the next pick.
+    /// `id`'s own priority never reads its own access sets. Index keys
+    /// become stale-high upper bounds, which the peek-and-revalidate pick
+    /// tolerates — the O(active) per-grant walk is traded for an
+    /// occasional demotion at the next pick.
     fn conflict_grew(&mut self, id: TxnId, was_partial: bool) {
         self.accel.note_access_growth(id, was_partial);
     }
 
     /// `id`'s access sets are about to be cleared (abort/restart or
-    /// commit): repair the cached priorities of the transactions whose
-    /// penalty currently includes `id` — the walk runs *before* the
+    /// commit): raise the index keys of the transactions whose penalty
+    /// currently includes `id` — the walk runs *before* the
     /// clearing, while `id`'s sets still describe the contribution being
     /// removed — then record the clearing.
     ///
@@ -689,34 +688,33 @@ impl<'p> EngineState<'p> {
     /// low index key would make a peek-ordered pick unsound. Falls
     /// (growth, clock advance) need no walk — see [`Self::conflict_grew`].
     fn conflict_cleared(&mut self, id: TxnId) {
-        if self.targeted_invalidation_active() {
+        if self.repair_walk_active() {
             self.repair_unsafe_against(id);
         }
         self.accel.note_sets_cleared(id);
     }
 
-    /// The targeted per-pair walk on a clear: for every active
-    /// transaction `X` with `is_unsafe(c, X)` — exactly those whose
-    /// penalty is about to lose `c`'s term — bump `X`'s pair stamp (its
-    /// conflict epoch moved) and *repair* its cached priority and index
-    /// key in place, in O(1) per victim, with no exact recomputation:
+    /// The repair walk on a clear: for every active transaction `X` with
+    /// `is_unsafe(c, X)` — exactly those whose penalty is about to lose
+    /// `c`'s term — *raise* `X`'s index key in place, with no exact
+    /// recomputation:
     ///
     /// Removing `c`'s term raises a victim's priority by at most the
     /// policy-supplied [`Policy::conflict_clear_raise`] bound (for CCA,
     /// `w · (effective_service(c) + abort_cost)` — the exact term every
     /// victim loses). Adding that bound (plus a few ULPs of rounding
-    /// slack) to the victim's cached value, itself an upper bound,
-    /// yields a new upper bound on the post-clear priority; the pick
-    /// path's revalidation tightens it exactly when (and only when) the
-    /// victim surfaces at the top. The old design recomputed and
-    /// re-pushed every victim here — O(victims) full evaluations per
-    /// clear, which dominated high-contention runs.
+    /// slack) to the victim's key, itself an upper bound, yields a new
+    /// upper bound on the post-clear priority; the pick path's
+    /// revalidation tightens it exactly when (and only when) the victim
+    /// surfaces at the top. Recomputing and re-pushing every victim here
+    /// instead costs O(victims) full evaluations per clear, which
+    /// dominates high-contention runs.
     ///
     /// The victims come set-at-a-time from the slot rows
     /// ([`ConflictAccel::unsafe_set`]): the OR of one row per item of
     /// `c.accessed`, MPL/64 words each, paid only on clears (the rare,
     /// priority-raising event). The other active transactions keep their
-    /// cached priorities untouched.
+    /// keys untouched.
     fn repair_unsafe_against(&mut self, c: TxnId) {
         let raise = self.policy.conflict_clear_raise(self.txn(c), &self.view());
         let mut affected = std::mem::take(&mut self.walk_buf);
@@ -746,20 +744,14 @@ impl<'p> EngineState<'p> {
                 self.verify_checks.set(self.verify_checks.get() + 1);
             }
         }
+        debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
         for &x in &affected {
-            self.accel.bump_pair_stamp(x);
-            let bound = {
-                let s = self.accel.slot(x);
-                debug_assert!(
-                    s.pri_valid() && s.pri_value.0.is_finite(),
-                    "{x}: active ConflictState transaction without a seeded cache entry"
-                );
-                debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
-                let value = s.pri_value;
-                Priority(nudge_up(value.0 + raise, value.0.abs().max(raise)))
-            };
-            self.accel.write_pri(x, bound, self.now());
-            self.index_upsert(x, bound);
+            let key = self
+                .index
+                .borrow()
+                .key_of(x)
+                .expect("active but not indexed");
+            self.index_upsert(x, Priority(nudge_up(key.0 + raise, key.0.abs().max(raise))));
         }
         affected.clear();
         self.walk_buf = affected;
@@ -781,155 +773,20 @@ impl<'p> EngineState<'p> {
         SystemView::new(self.now(), &self.txns, self.cfg.system.abort_cost())
     }
 
-    /// The cached priority of `id` under the active cache mode.
-    ///
-    /// Cache validity is what the policy's [`PriorityDeps`] declares:
-    /// `Static` entries never expire, `TimeAndSelf` entries expire when
-    /// time advances or the transaction's own state changes,
-    /// `ConflictState` entries expire when the transaction's own state or
-    /// its per-pair conflict stamp moves. `Volatile` (and the
-    /// `AlwaysRecompute` oracle) bypass the cache entirely.
-    ///
-    /// **Exactness.** For every dependency class but `ConflictState` a
-    /// hit is bit-exact. A surviving `ConflictState` entry is only an
-    /// **upper bound** on the fresh value: the engine deliberately does
-    /// not bump stamps on priority *falls* (another transaction's access
-    /// growth, effective service accruing with the clock) — only on
-    /// *raises* (clears; see [`Self::conflict_cleared`]). Decision points
-    /// that need the exact value go through [`Self::priority_exact`];
-    /// this path feeds the heap keys and the non-`ConflictState` scans.
-    /// In `Verify` mode the returned value is asserted against a fresh
-    /// scan-based recomputation — bit-identical where the path claims
-    /// exactness, `>=` where it claims an upper bound.
-    ///
-    /// When the priority index is in use, every cache *write* also moves
-    /// the transaction's index key to the new value in place — the
-    /// paired-writes invariant (an active transaction's index key is
-    /// bit-identical to its cached value at all times).
+    /// The exact priority of `id`: one [`Policy::priority`] evaluation
+    /// against [`Self::view`]. In `Verify` mode it is asserted
+    /// bit-identical to an evaluation against the scan-based
+    /// [`Self::fresh_view`].
     fn priority_of(&self, id: TxnId) -> Priority {
-        let mut upper_bound_hit = false;
-        let result = if self.mode == CacheMode::AlwaysRecompute {
-            self.priority_evals.set(self.priority_evals.get() + 1);
-            self.policy.priority(self.txn(id), &self.view())
-        } else {
-            let deps = self.policy.depends_on();
-            if deps == PriorityDeps::Volatile {
-                self.priority_evals.set(self.priority_evals.get() + 1);
-                self.policy.priority(self.txn(id), &self.view())
-            } else {
-                let now = self.now();
-                // One cache-line read covers both the cached priority
-                // and the live versions it is keyed against.
-                let s = self.accel.slot(id);
-                let hit = s.pri_valid()
-                    && match deps {
-                        PriorityDeps::Static => true,
-                        PriorityDeps::TimeAndSelf => s.pri_at == now && s.pri_own == s.own_version,
-                        PriorityDeps::ConflictState => {
-                            s.pri_stamp == s.pair_stamp && s.pri_own == s.own_version
-                        }
-                        PriorityDeps::Volatile => unreachable!("handled above"),
-                    };
-                if hit {
-                    upper_bound_hit = matches!(deps, PriorityDeps::ConflictState);
-                    self.priority_cache_hits
-                        .set(self.priority_cache_hits.get() + 1);
-                    s.pri_value
-                } else {
-                    self.priority_evals.set(self.priority_evals.get() + 1);
-                    let value = self.policy.priority(self.txn(id), &self.view());
-                    self.accel.write_pri(id, value, now);
-                    if self.heap_in_use() {
-                        self.index_upsert(id, value);
-                    }
-                    value
-                }
-            }
-        };
-        if self.mode == CacheMode::Verify {
-            let fresh = self.policy.priority(self.txn(id), &self.fresh_view());
-            self.verify_checks.set(self.verify_checks.get() + 1);
-            if upper_bound_hit {
-                assert!(
-                    result >= fresh,
-                    "{id}: surviving ConflictState entry {} < fresh {} \
-                     (a priority rise escaped the clear walk)",
-                    result.0,
-                    fresh.0
-                );
-            } else {
-                assert_eq!(
-                    result.0.to_bits(),
-                    fresh.0.to_bits(),
-                    "{id}: cached priority {} != fresh {} (stale invalidation?)",
-                    result.0,
-                    fresh.0
-                );
-            }
-        }
-        result
-    }
-
-    /// The **exact** priority of `id` — what scheduling decisions (heap
-    /// pick validation, wound/HP lock-conflict comparisons) consume.
-    ///
-    /// For every dependency class but `ConflictState` the cached path is
-    /// already exact and this delegates to [`Self::priority_of`]. For
-    /// `ConflictState` under lazy falls a surviving entry may be
-    /// stale-high, so the value is recomputed against the accel-backed
-    /// view (the maintained P-list keeps this O(P-list) pair tests, and
-    /// the P-list stays near-empty in exactly the high-contention
-    /// regimes that made the old per-event walks explode). A recompute
-    /// that *confirms* the surviving entry counts as a cache hit and
-    /// leaves cache and index untouched; a fall rewrites the entry and
-    /// demotes the index key in place — which is exactly how the pick
-    /// loop retires a stale top.
-    fn priority_exact(&self, id: TxnId) -> Priority {
-        self.priority_exact_impl(id, true)
-    }
-
-    /// [`Self::priority_exact`] minus the index write: for pick loops
-    /// that have lifted `id`'s entry out of the index and will reinsert
-    /// it themselves (an upsert here would create a duplicate). Cache
-    /// write, counters and `Verify` assertions are identical.
-    fn priority_exact_detached(&self, id: TxnId) -> Priority {
-        self.priority_exact_impl(id, false)
-    }
-
-    fn priority_exact_impl(&self, id: TxnId, write_index: bool) -> Priority {
-        if self.mode == CacheMode::AlwaysRecompute
-            || !matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
-        {
-            // The delegate is exact for these classes. It only touches
-            // the index on a `ConflictState` miss, so a detached caller
-            // (`Static`: hits after the arrival seed; `TimeAndSelf`/
-            // `Volatile`: no index at all) is never double-inserted.
-            return self.priority_of(id);
-        }
+        self.priority_evals.set(self.priority_evals.get() + 1);
         let value = self.policy.priority(self.txn(id), &self.view());
-        let now = self.now();
-        let s = self.accel.slot(id);
-        let confirmed = s.pri_valid()
-            && s.pri_stamp == s.pair_stamp
-            && s.pri_own == s.own_version
-            && s.pri_value.0.to_bits() == value.0.to_bits();
-        if confirmed {
-            self.priority_cache_hits
-                .set(self.priority_cache_hits.get() + 1);
-        } else {
-            self.priority_evals.set(self.priority_evals.get() + 1);
-            self.accel.write_pri(id, value, now);
-            if write_index && self.heap_in_use() {
-                self.index_upsert(id, value);
-            }
-        }
         if self.mode == CacheMode::Verify {
             let fresh = self.policy.priority(self.txn(id), &self.fresh_view());
             self.verify_checks.set(self.verify_checks.get() + 1);
             assert_eq!(
                 value.0.to_bits(),
                 fresh.0.to_bits(),
-                "{id}: exact priority {} != fresh {} (accel view diverged)",
+                "{id}: priority {} != fresh {} (accel view diverged)",
                 value.0,
                 fresh.0
             );
@@ -937,9 +794,25 @@ impl<'p> EngineState<'p> {
         value
     }
 
+    /// The exact priority of `id`, with its heap key moved to it when the
+    /// two differ (or inserted when `id` has none yet). Three events need
+    /// a key set to the exact value: the arrival seed, the refresh after
+    /// a decision-point narrowing (the one own-state event that can
+    /// *raise* a `ConflictState` priority), and a wound/wait comparison,
+    /// which demotes the stale-high key it has already paid to evaluate.
+    fn priority_rekeyed(&self, id: TxnId) -> Priority {
+        let value = self.priority_of(id);
+        if self.heap_in_use() {
+            let key = self.index.borrow().key_of(id);
+            if key.map(|k| k.0.to_bits()) != Some(value.0.to_bits()) {
+                self.index_upsert(id, value);
+            }
+        }
+        value
+    }
+
     /// Move `id`'s index key to `value` in place (or insert it if `id`
-    /// has no entry yet) — the index half of every priority-cache write.
-    /// O(log n) sift; never creates a duplicate entry.
+    /// has no entry yet). O(log n) sift; never creates a duplicate entry.
     fn index_upsert(&self, id: TxnId, value: Priority) {
         let mut index = self.index.borrow_mut();
         if !index.set_key(id, value) {
@@ -959,9 +832,9 @@ impl<'p> EngineState<'p> {
         let id = txn.id;
         let deadline = txn.deadline;
         // Register with the acceleration layer before anything can look at
-        // the new id — rejected transactions too, so the id-indexed
-        // version/cache vectors stay dense. Arrival changes no conflict
-        // state (a fresh transaction holds nothing), so no epoch bump.
+        // the new id — rejected transactions too, so the id-indexed slot
+        // map stays dense. Arrival changes no conflict state (a fresh
+        // transaction holds nothing), so nothing else is walked.
         self.accel.register(id);
         if self.cfg.system.admission.is_some() {
             self.adm_maybe_roll();
@@ -974,7 +847,7 @@ impl<'p> EngineState<'p> {
                 self.secondary.push(false);
                 self.state_tags.push(TxnState::Rejected);
                 // A rejected transaction never becomes active, so its
-                // arena slot goes straight back to the free list.
+                // slot goes straight back to the free list.
                 self.accel.release(id);
                 self.metrics.record_rejection();
                 self.emit(|| TraceEvent::Rejected { txn: id, deadline });
@@ -999,13 +872,13 @@ impl<'p> EngineState<'p> {
         self.ready_count += 1;
         // Enter the slot rows under the admitted footprint (only
         // admitted transactions are ever indexed — repairs must not
-        // touch rejected slots' unseeded caches).
+        // touch rejected slots, which have no heap entry).
         self.accel.reindex(&self.txns[id.0 as usize]);
-        // Seed the newcomer's cache entry and index key eagerly: the
-        // index must hold exactly one entry per active transaction before
-        // the next pick can trust its peek.
+        // Seed the newcomer's index key eagerly: the index must hold
+        // exactly one entry per active transaction before the next pick
+        // can trust its peek.
         if self.heap_in_use() {
-            self.priority_exact(id);
+            self.priority_rekeyed(id);
         }
         self.slack_upsert(id);
         self.emit(|| TraceEvent::Arrival { txn: id, deadline });
@@ -1118,7 +991,7 @@ impl<'p> EngineState<'p> {
                     // (possibly inflated) length and its result is
                     // discarded. The effective service still banks — it
                     // accrued continuously while the burst ran, and
-                    // cached priority keys must stay upper bounds —
+                    // priority keys must stay upper bounds —
                     // but no progress is made; the work is
                     // counted wasted instead, and the update's burst will
                     // be re-run from scratch (or the transaction
@@ -1129,7 +1002,6 @@ impl<'p> EngineState<'p> {
                         t.cpu_left = SimDuration::ZERO;
                     }
                     self.metrics.add_wasted_cpu(burst);
-                    self.accel.bump_own(id);
                     self.slack_upsert(id);
                     self.running = None;
                     self.handle_cpu_stall(id);
@@ -1147,20 +1019,18 @@ impl<'p> EngineState<'p> {
                     // its update, narrowing the analytic mightaccess.
                     t.maybe_execute_decision()
                 };
-                // Progress/service moved: own-state-dependent priorities
-                // (LSF) must recompute — lazily; under `ConflictState`
-                // deps own service never raises the owner's priority, so
-                // the stale index key stays an upper bound. A narrowing
-                // additionally changes how the partials relate to *this*
-                // transaction — and only this one (`is_unsafe` never
-                // reads a partial's `might_access`) — and can *raise* its
-                // priority, so refresh its key eagerly and exactly.
-                self.accel.bump_own(id);
+                // Progress/service moved: the slack key (LSF) follows;
+                // under `ConflictState` deps own service never raises the
+                // owner's priority, so the stale index key stays an upper
+                // bound. A narrowing additionally changes how the
+                // partials relate to *this* transaction — and only this
+                // one (`is_unsafe` never reads a partial's
+                // `might_access`) — and can *raise* its priority, so
+                // refresh its key eagerly and exactly.
                 if narrowed {
-                    self.accel.note_narrowed(id);
                     self.accel.reindex(&self.txns[id.0 as usize]);
                     if self.heap_in_use() {
-                        self.priority_exact(id);
+                        self.priority_rekeyed(id);
                     }
                 }
                 self.slack_upsert(id);
@@ -1577,11 +1447,11 @@ impl<'p> EngineState<'p> {
     /// order (priority, then earlier arrival, then smaller id)?
     ///
     /// A wound/wait decision is a scheduling decision: it must see
-    /// **exact** priorities, not the stale-high upper bounds a surviving
-    /// `ConflictState` cache entry may hold under lazy falls.
+    /// **exact** priorities, not the stale-high upper bounds a
+    /// `ConflictState` index key may hold under lazy falls.
     fn outranks(&self, requester: TxnId, holder: TxnId) -> bool {
-        let pr = self.priority_exact(requester);
-        let ph = self.priority_exact(holder);
+        let pr = self.priority_rekeyed(requester);
+        let ph = self.priority_rekeyed(holder);
         let (r, h) = (self.txn(requester), self.txn(holder));
         (pr, std::cmp::Reverse(r.arrival), std::cmp::Reverse(r.id))
             > (ph, std::cmp::Reverse(h.arrival), std::cmp::Reverse(h.id))
@@ -1739,8 +1609,7 @@ impl<'p> EngineState<'p> {
         }
         let band = SlackBands::band_of(self.txn(id).deadline);
         self.slack.borrow_mut().remove(band, id);
-        // Departed for good: recycle the committed transaction's arena
-        // slot (its id-keyed cache entries die of unreachability).
+        // Departed for good: recycle the committed transaction's slot.
         self.accel.release(id);
         self.update_queue_metrics();
         self.reschedule(); // tr-finish-schedule
@@ -1756,20 +1625,11 @@ impl<'p> EngineState<'p> {
             return self.reschedule_inner();
         }
         let evals0 = self.priority_evals.get();
-        let hits0 = self.priority_cache_hits.get();
         let pairs0 = self.accel.pair_checks();
-        let invalidations0 = self.accel.pair_invalidations();
         self.reschedule_inner();
         let evals = self.priority_evals.get() - evals0;
-        let cache_hits = self.priority_cache_hits.get() - hits0;
         let pair_checks = self.accel.pair_checks() - pairs0;
-        let invalidations = self.accel.pair_invalidations() - invalidations0;
-        self.emit(|| TraceEvent::SchedulerPass {
-            evals,
-            cache_hits,
-            pair_checks,
-            invalidations,
-        });
+        self.emit(|| TraceEvent::SchedulerPass { evals, pair_checks });
     }
 
     fn reschedule_inner(&mut self) {
@@ -1819,7 +1679,7 @@ impl<'p> EngineState<'p> {
 
     fn pick_next_inner(&self) -> Option<(TxnId, bool)> {
         if self.mode == CacheMode::Verify {
-            self.verify_surviving_entries();
+            self.verify_index_bounds();
         }
         if self.heap_in_use() {
             return self.pick_next_heap();
@@ -1892,14 +1752,14 @@ impl<'p> EngineState<'p> {
     /// The validated argmax over the priority heap.
     ///
     /// Every key is an **upper bound** on its transaction's exact
-    /// priority: it is bit-identical to the cached value, and the exact
-    /// priority only falls between cache writes (a clear, the one rise,
-    /// repairs the cache first). Each round pops the top and validates it by
-    /// exact recomputation ([`Self::priority_exact_detached`] — the entry
-    /// is out of the index, so the loop re-parks it itself under its
-    /// exact key). The moment the best validated exact entry beats the
-    /// top key, no un-popped entry can win (its exact sits at or below its
-    /// own key, which sits at or below the top's), and the argmax is
+    /// priority: the exact priority only falls between key writes (a
+    /// clear or a narrowing, the only rises, raise the key first). Each
+    /// round pops the top and validates it by exact recomputation
+    /// ([`Self::priority_of`] — the entry is out of the index, so the
+    /// loop re-parks it itself under its exact key). The moment the best
+    /// validated exact entry beats the top key, no un-popped entry can
+    /// win (its exact sits at or below its own key, which sits at or
+    /// below the top's), and the argmax is
     /// settled; the composite `(Priority, Reverse(arrival), Reverse(id))`
     /// order ends in the id, so cross-transaction ties cannot occur.
     /// Entries `accept` rejects are parked unchanged — acceptability does
@@ -1916,17 +1776,14 @@ impl<'p> EngineState<'p> {
         // per pick).
         let top = self.index.borrow().peek();
         if let Some(top) = top.filter(|t| accept(t.id)) {
-            let exact = self.priority_exact_detached(top.id);
+            let exact = self.priority_of(top.id);
             if exact.0.to_bits() == top.pri.0.to_bits() {
                 self.heap_validated_picks
                     .set(self.heap_validated_picks.get() + 1);
                 return Some(top.id);
             }
-            // Stale: the cache now holds the exact value while the key
-            // still holds the old bound — the loop below re-pops this same
-            // top (a cache-confirmed revalidation) and re-parks it under
-            // its exact key, restoring the paired-writes invariant before
-            // the pick returns.
+            // Stale: the loop below re-pops this same top, revalidates
+            // it and re-parks it under its exact key.
         }
         let mut scratch = self.scratch.borrow_mut();
         debug_assert!(scratch.is_empty());
@@ -1945,7 +1802,7 @@ impl<'p> EngineState<'p> {
                 scratch.push(entry);
                 continue;
             }
-            let exact = self.priority_exact_detached(id);
+            let exact = self.priority_of(id);
             validations += 1;
             debug_assert!(
                 exact <= entry.pri,
@@ -2034,8 +1891,7 @@ impl<'p> EngineState<'p> {
     /// that band's scale — pops it, and validates it by exact
     /// recomputation. Validated entries re-park under their *unchanged*
     /// key — `K` moves only on own-state events, never inside a pick —
-    /// and validation itself is a [`Self::priority_of`] call, which is
-    /// exact (and cached at this instant) for `TimeAndSelf` policies.
+    /// and validation itself is an exact [`Self::priority_of`] call.
     fn slack_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
         use std::cmp::Reverse;
         let now_ms = self.now().as_ms();
@@ -2150,71 +2006,45 @@ impl<'p> EngineState<'p> {
             .all(|p| !candidate.conflicts_with(p))
     }
 
-    /// `Verify`: every cache entry that *survived* invalidation (would be
-    /// a hit under the policy's declared deps) must still satisfy what the
-    /// cache claims for it — bit-identity for `Static`/`TimeAndSelf`, the
-    /// upper-bound invariant for `ConflictState` (lazy falls leave
-    /// stale-high survivors by design; a survivor *below* the fresh value
-    /// means a priority rise escaped the clear walk, which would make the
-    /// heap's pop order unsound). Checked at every pick rather than at
-    /// the entry's next (possibly much later) use.
-    fn verify_surviving_entries(&self) {
-        let deps = self.policy.depends_on();
-        if deps == PriorityDeps::Volatile {
-            return;
-        }
+    /// `Verify`: every index key must bound its transaction's fresh
+    /// priority — exactly what the validated-argmax picks rely on. A
+    /// `Static` key is bit-identical to it (nothing moves a static
+    /// priority); a `ConflictState` key is `>=` it (lazy falls leave
+    /// stale-high keys by design, while a key *below* the fresh value
+    /// means a rise escaped the clear walk or the narrowing refresh,
+    /// which would make the heap's pop order unsound); every slack-index
+    /// effective bound dominates it. Checked at every pick rather than
+    /// when the entry next surfaces.
+    fn verify_index_bounds(&self) {
         let view = self.fresh_view();
-        let now = self.now();
-        for &id in &self.active {
-            let s = self.accel.slot(id);
-            let hit = s.pri_valid()
-                && match deps {
-                    PriorityDeps::Static => true,
-                    PriorityDeps::TimeAndSelf => s.pri_at == now && s.pri_own == s.own_version,
-                    PriorityDeps::ConflictState => {
-                        s.pri_stamp == s.pair_stamp && s.pri_own == s.own_version
-                    }
-                    PriorityDeps::Volatile => unreachable!("handled above"),
-                };
-            if hit {
-                let fresh = self.policy.priority(self.txn(id), &view);
+        if self.heap_in_use() {
+            let exact = self.policy.depends_on() == PriorityDeps::Static;
+            for e in self.index.borrow().entries() {
+                let fresh = self.policy.priority(self.txn(e.id), &view);
                 self.verify_checks.set(self.verify_checks.get() + 1);
-                if matches!(deps, PriorityDeps::ConflictState) {
-                    assert!(
-                        s.pri_value >= fresh,
-                        "{id}: surviving cache entry {} < fresh {} \
-                         (a priority rise escaped the clear walk)",
-                        s.pri_value.0,
+                if exact {
+                    assert_eq!(
+                        e.pri.0.to_bits(),
+                        fresh.0.to_bits(),
+                        "{}: Static index key {} != fresh {}",
+                        e.id,
+                        e.pri.0,
                         fresh.0
                     );
                 } else {
-                    assert_eq!(
-                        s.pri_value.0.to_bits(),
-                        fresh.0.to_bits(),
-                        "{id}: surviving cache entry {} != fresh {} (invalidation too narrow)",
-                        s.pri_value.0,
+                    assert!(
+                        e.pri >= fresh,
+                        "{}: index key {} < fresh {} (a priority rise escaped \
+                         the clear walk or the narrowing refresh)",
+                        e.id,
+                        e.pri.0,
                         fresh.0
                     );
                 }
             }
         }
-        // Index-soundness oracles. Heap keys must be bit-identical to
-        // their cache entries (whose upper-bound property the loop above
-        // checked); every slack-index effective bound must dominate the
-        // fresh priority — exactly what the validated-argmax picks rely on.
-        if self.heap_in_use() {
-            for e in self.index.borrow().entries() {
-                self.verify_checks.set(self.verify_checks.get() + 1);
-                assert_eq!(
-                    e.pri.0.to_bits(),
-                    self.accel.slot(e.id).pri_value.0.to_bits(),
-                    "{}: index key and cached priority disagree",
-                    e.id
-                );
-            }
-        }
         if self.slack_in_use() {
-            let now_ms = now.as_ms();
+            let now_ms = self.now().as_ms();
             let slack = self.slack.borrow();
             for (b, band) in slack.bands.iter().enumerate() {
                 let scale = band.eff_scale(now_ms);
@@ -2250,8 +2080,8 @@ impl<'p> EngineState<'p> {
         }
     }
 
-    /// Highest-priority transaction among `ids` (priorities via the
-    /// cache-mode-aware [`Self::priority_of`]); ties broken by earlier
+    /// Highest-priority transaction among `ids` (priorities via
+    /// [`Self::priority_of`]); ties broken by earlier
     /// arrival, then smaller id (deterministic).
     fn best_by_priority(&self, ids: impl Iterator<Item = TxnId>) -> Option<TxnId> {
         let mut best: Option<(Priority, SimTime, TxnId)> = None;
@@ -2315,13 +2145,12 @@ impl<'p> EngineState<'p> {
             let consumed = now.since(t.burst_start);
             t.cpu_left = t.cpu_left.saturating_sub(consumed);
             if t.stage == Stage::Compute {
-                // No own-version bump: at this fixed instant the
-                // transaction's *effective* service is unchanged — the
-                // in-flight part of the burst was already accruing
-                // continuously (see `Transaction::effective_service`), it
-                // merely moves from implicit to banked. Priorities that
-                // read effective service (CCA's penalty term) see the
-                // same value, so cached entries stay bit-valid.
+                // No key moves: at this fixed instant the transaction's
+                // *effective* service is unchanged — the in-flight part
+                // of the burst was already accruing continuously (see
+                // `Transaction::effective_service`), it merely moves from
+                // implicit to banked. Priorities that read effective
+                // service (CCA's penalty term) see the same value.
                 t.service += consumed;
             }
             self.set_state(r, TxnState::Ready);
@@ -2499,7 +2328,7 @@ impl<'p> EngineState<'p> {
             assert_eq!(self.state_tags[i], t.state, "state tag diverged at txn {i}");
         }
         // The priority index holds exactly one entry per active
-        // transaction, keyed bit-identically to its cached value.
+        // transaction.
         if self.heap_in_use() {
             let index = self.index.borrow();
             assert_eq!(
@@ -2508,12 +2337,7 @@ impl<'p> EngineState<'p> {
                 "index size diverged"
             );
             for &id in &self.active {
-                let key = index.key_of(id).expect("active but not indexed");
-                assert_eq!(
-                    key.0.to_bits(),
-                    self.accel.slot(id).pri_value.0.to_bits(),
-                    "{id}: index key and cached priority disagree"
-                );
+                assert!(index.contains(id), "{id}: active but not indexed");
             }
         }
         // The slack index, when it is the pick path, covers the active
@@ -2680,7 +2504,7 @@ fn run_simulation_opts(
     drive(&mut st, &mut generator, expected, inspect).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// The shared event loop: pump events until all `expected` transactions
+/// The batch event loop: step until all `expected` transactions
 /// terminate (commit, or are rejected at admission). The configured
 /// watchdog limits, if any, are enforced here.
 fn drive(
@@ -2689,11 +2513,7 @@ fn drive(
     expected: usize,
     mut inspect: impl FnMut(&EngineState<'_>),
 ) -> Result<RunSummary, RunError> {
-    if let Some(first) = source.next_transaction() {
-        st.calendar
-            .schedule(first.arrival, Event::Arrival(Box::new(first)));
-    }
-
+    st.pull_arrival(source);
     let watchdog = st.cfg.run.watchdog;
     let mut events: u64 = 0;
     while st.metrics.committed() + st.metrics.rejected() < expected as u64 {
@@ -2712,35 +2532,8 @@ fn drive(
             }
         }
         events += 1;
-        let fired = match st.calendar.pop() {
-            Some(f) => f,
-            None => {
-                // No future events but uncommitted transactions remain:
-                // the system is wedged in a lock-wait cycle (possible
-                // under dynamic continuously-evaluated priorities like
-                // LSF — §2's "they still have deadlock problems"; never
-                // under CCA, Theorem 1). Resolve it and continue.
-                st.resolve_deadlock();
-                continue;
-            }
-        };
-        // Popping an event advances the simulation clock. A partially
-        // executed Compute-stage runner accrues effective service, which
-        // can only *lower* ConflictState priorities computed against it —
-        // stale-high cache entries and heap keys the pick path's
-        // pop-and-revalidate already tolerates, so no invalidation here.
-        match fired.payload {
-            Event::Arrival(txn) => {
-                if let Some(next) = source.next_transaction() {
-                    st.calendar
-                        .schedule(next.arrival, Event::Arrival(Box::new(next)));
-                }
-                st.on_arrival(*txn);
-            }
-            Event::CpuDone(id) => st.on_cpu_done(id),
-            Event::IoDone(id) => st.on_io_done(id),
-            Event::IoRetry(id, token) => st.on_io_retry(id, token),
-            Event::CpuRetry(id, token) => st.on_cpu_retry(id, token),
+        if !st.step(source) {
+            panic!("the source ran dry before {expected} transactions terminated");
         }
         inspect(st);
     }
@@ -2749,6 +2542,51 @@ fn drive(
 }
 
 impl EngineState<'_> {
+    /// Schedule the next arrival `source` yields, if any. At most one
+    /// arrival is ever pending in the calendar: the next one is pulled
+    /// when the previous one fires, so a batch source and a serving
+    /// queue schedule arrivals at the same point of the event order.
+    fn pull_arrival(&mut self, source: &mut dyn TxnSource) {
+        if let Some(next) = source.next_transaction() {
+            self.calendar
+                .schedule(next.arrival, Event::Arrival(Box::new(next)));
+        }
+    }
+
+    /// Process one event, pulling the following arrival from `source`
+    /// when an arrival fires. Returns `false` iff there was nothing to do
+    /// — no pending events and no active transactions. When the calendar
+    /// drains while admitted transactions remain, they are wedged in a
+    /// lock-wait cycle (possible under dynamic continuously-evaluated
+    /// priorities like LSF — §2's "they still have deadlock problems";
+    /// never under CCA, Theorem 1): the step resolves it.
+    ///
+    /// Popping an event advances the simulation clock. A partially
+    /// executed Compute-stage runner accrues effective service, which can
+    /// only *lower* ConflictState priorities computed against it —
+    /// stale-high heap keys the pick path's pop-and-revalidate already
+    /// tolerates, so nothing is walked here.
+    fn step(&mut self, source: &mut dyn TxnSource) -> bool {
+        let Some(fired) = self.calendar.pop() else {
+            if self.active.is_empty() {
+                return false;
+            }
+            self.resolve_deadlock();
+            return true;
+        };
+        match fired.payload {
+            Event::Arrival(txn) => {
+                self.pull_arrival(source);
+                self.on_arrival(*txn);
+            }
+            Event::CpuDone(id) => self.on_cpu_done(id),
+            Event::IoDone(id) => self.on_io_done(id),
+            Event::IoRetry(id, token) => self.on_io_retry(id, token),
+            Event::CpuRetry(id, token) => self.on_cpu_retry(id, token),
+        }
+        true
+    }
+
     /// Finalize the run: install the scheduler-overhead tallies and fold
     /// the metrics into a [`RunSummary`] at the current simulation time.
     /// Shared by the batch `drive` loop and [`StepEngine::finish`].
@@ -2762,13 +2600,12 @@ impl EngineState<'_> {
         self.metrics.set_sched_stats(SchedStats {
             pick_next_calls: self.pick_next_calls.get(),
             priority_evals: self.priority_evals.get(),
-            priority_cache_hits: self.priority_cache_hits.get(),
+            priority_cache_hits: 0,
             pair_checks: self.accel.pair_checks(),
             pair_cache_hits: 0,
             heap_pushes: self.heap_pushes.get(),
             heap_stale_pops: self.heap_stale_pops.get(),
             heap_validated_picks: self.heap_validated_picks.get(),
-            pair_invalidations: self.accel.pair_invalidations(),
             pair_cache_evictions: 0,
             clear_repair_clears: self.clear_repair_clears.get(),
             clear_repair_visits: self.clear_repair_visits.get(),
@@ -2827,13 +2664,11 @@ impl Completion {
 /// interleave event processing with externally submitted arrivals and
 /// pace both against a wall clock.
 ///
-/// The stepping discipline reproduces the batch loop **exactly**: at
-/// most one `Arrival` event is in the calendar at a time, and the next
-/// queued arrival is scheduled at the moment the previous one fires —
-/// the same point in the event-sequence order at which the batch loop
-/// pulls its `TxnSource`. Feeding a recorded trace through a
-/// `StepEngine` therefore replays the identical event sequence (and
-/// produces a bit-identical [`RunSummary`]) as
+/// Stepping *is* the batch loop's step: the submission queue is the
+/// `TxnSource` it pulls the next arrival from when one fires, with at
+/// most one `Arrival` event in the calendar at a time. Feeding a recorded
+/// trace through a `StepEngine` therefore replays the identical event
+/// sequence (and produces a bit-identical [`RunSummary`]) as
 /// [`run_simulation_from`] over the same transactions; the serving
 /// bit-identity test in `tests/serving.rs` pins this.
 ///
@@ -2843,16 +2678,10 @@ impl Completion {
 pub struct StepEngine<'p> {
     st: EngineState<'p>,
     /// Submitted transactions not yet scheduled into the calendar (the
-    /// batch loop's "source", materialized).
+    /// batch loop's source, materialized).
     queue: VecDeque<Transaction>,
-    /// True while an `Arrival` event sits in the calendar.
-    arrival_pending: bool,
     /// Total transactions ever submitted.
     submitted: u64,
-    /// Total `Arrival` events processed (≤ `submitted`). A deterministic
-    /// position in the event sequence: fault-injection harnesses key
-    /// "crash after the Nth arrival" off this counter.
-    fired: u64,
     /// Arrival stamp of the last submission (stamps are non-decreasing).
     last_arrival: SimTime,
 }
@@ -2866,28 +2695,13 @@ impl<'p> StepEngine<'p> {
     /// # Errors
     /// Returns the configuration's validation error, if any.
     pub fn new(cfg: &'p SimConfig, policy: &'p dyn Policy) -> Result<Self, RunError> {
-        Self::with_mode(cfg, policy, CacheMode::Incremental)
-    }
-
-    /// As [`StepEngine::new`] under an explicit [`CacheMode`].
-    ///
-    /// # Errors
-    /// Returns the configuration's validation error, if any.
-    pub fn with_mode(
-        cfg: &'p SimConfig,
-        policy: &'p dyn Policy,
-        mode: CacheMode,
-    ) -> Result<Self, RunError> {
         cfg.validate()?;
         let mut st = EngineState::new(cfg, policy);
-        st.mode = mode;
         st.completions = Some(Vec::new());
         Ok(StepEngine {
             st,
             queue: VecDeque::new(),
-            arrival_pending: false,
             submitted: 0,
-            fired: 0,
             last_arrival: SimTime::ZERO,
         })
     }
@@ -2925,22 +2739,15 @@ impl<'p> StepEngine<'p> {
             self.st.now()
         );
         self.last_arrival = txn.arrival;
-        self.submitted += 1;
         self.queue.push_back(txn);
-        self.pump_arrival();
-    }
-
-    /// Schedule the next queued arrival if none is pending — the
-    /// stepping analogue of the batch loop pulling its source.
-    fn pump_arrival(&mut self) {
-        if !self.arrival_pending {
-            if let Some(next) = self.queue.pop_front() {
-                self.st
-                    .calendar
-                    .schedule(next.arrival, Event::Arrival(Box::new(next)));
-                self.arrival_pending = true;
-            }
+        if self.submitted == self.arrivals_fired() {
+            // Every earlier submission has fired, so none is pending in
+            // the calendar: schedule this one now, as the batch loop
+            // schedules its first arrival. Otherwise it waits in the
+            // queue until its predecessor fires.
+            self.st.pull_arrival(&mut self.queue);
         }
+        self.submitted += 1;
     }
 
     /// The firing time of the next pending event, if any.
@@ -2963,7 +2770,8 @@ impl<'p> StepEngine<'p> {
     /// a chaos harness can cut the engine at "the Nth arrival" and land
     /// at the same event-sequence position every run.
     pub fn arrivals_fired(&self) -> u64 {
-        self.fired
+        // Every fired arrival, admitted or rejected, appends its record.
+        self.st.txns.len() as u64
     }
 
     /// Process one event. Returns `false` iff there was nothing to do —
@@ -2972,31 +2780,7 @@ impl<'p> StepEngine<'p> {
     /// breaks the lock-wait cycle exactly as the batch loop does and
     /// returns `true`.)
     pub fn step(&mut self) -> bool {
-        let fired = match self.st.calendar.pop() {
-            Some(f) => f,
-            None => {
-                if self.st.active.is_empty() {
-                    return false;
-                }
-                // Wedged lock-wait cycle (possible under LSF, never
-                // under CCA — Theorem 1): same resolution as `drive`.
-                self.st.resolve_deadlock();
-                return true;
-            }
-        };
-        match fired.payload {
-            Event::Arrival(txn) => {
-                self.arrival_pending = false;
-                self.fired += 1;
-                self.pump_arrival();
-                self.st.on_arrival(*txn);
-            }
-            Event::CpuDone(id) => self.st.on_cpu_done(id),
-            Event::IoDone(id) => self.st.on_io_done(id),
-            Event::IoRetry(id, token) => self.st.on_io_retry(id, token),
-            Event::CpuRetry(id, token) => self.st.on_cpu_retry(id, token),
-        }
-        true
+        self.st.step(&mut self.queue)
     }
 
     /// Take the completions recorded since the last drain, in

@@ -48,7 +48,6 @@
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod arena;
 pub mod config;
 pub mod disk;
 pub mod engine;

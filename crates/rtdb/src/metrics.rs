@@ -14,7 +14,7 @@ use rtx_sim::stats::{Accumulator, TimeWeighted};
 use rtx_sim::time::{SimDuration, SimTime};
 
 /// Scheduler-overhead counters: how much work the continuous-evaluation
-/// dispatcher did, and how much of it the incremental caches absorbed.
+/// dispatcher did, and how much of it the incremental indexes absorbed.
 ///
 /// All counters are deterministic functions of the event sequence —
 /// except `sched_wall_ns`, which is only measured in profiled runs
@@ -26,9 +26,9 @@ pub struct SchedStats {
     pub pick_next_calls: u64,
     /// Actual `Policy::priority` evaluations performed.
     pub priority_evals: u64,
-    /// Priority evaluations answered from the stamp-gated cache,
-    /// including pick-loop recomputations that confirmed the cached
-    /// value bit-for-bit.
+    /// Always 0: the priority cache it counted is gone (the heap key is
+    /// the only stored priority). Kept because the repository benchmark
+    /// reads it.
     pub priority_cache_hits: u64,
     /// Pairwise conflict tests requested (static `conflicts_with` plus
     /// dynamic `is_unsafe_with`, e.g. from `penalty_of_conflict`). The
@@ -38,8 +38,8 @@ pub struct SchedStats {
     /// the repository benchmark reads it.
     pub pair_cache_hits: u64,
     /// Priority-index key writes: inserts plus in-place repositions
-    /// (clear repairs and eval-driven cache writes) while the
-    /// heap-indexed pick path is active.
+    /// (clear repairs, narrowing refreshes, wound/wait demotions and
+    /// pick re-parks) while an indexed pick path is active.
     pub heap_pushes: u64,
     /// Stale-high index tops demoted in place by the pick loop's
     /// validation (the cost of tolerating priority falls lazily).
@@ -47,15 +47,12 @@ pub struct SchedStats {
     /// Picks answered by the index (top confirmed by an exact
     /// recomputation) instead of a full scan.
     pub heap_validated_picks: u64,
-    /// Per-transaction conflict-stamp bumps: how many cached
-    /// ConflictState priorities targeted invalidation actually flushed
-    /// (the global epoch flushed *all* of them on every change).
-    pub pair_invalidations: u64,
     /// Always 0: the pair-verdict memo it counted is gone. Kept because
     /// the repository benchmark reads it.
     pub pair_cache_evictions: u64,
     /// Conflict-clear repair walks performed (one per clear of a
-    /// partially executed transaction under targeted invalidation).
+    /// partially executed transaction while the `ConflictState` heap is
+    /// the pick path).
     pub clear_repair_clears: u64,
     /// Victims those walks took from the slot rows: the transactions the
     /// cleared one was unsafe with respect to.
@@ -63,7 +60,7 @@ pub struct SchedStats {
     /// Always 0: the split priority index whose half-to-half moves it
     /// counted is gone. Kept because the repository benchmark reads it.
     pub index_migrations: u64,
-    /// Verify-mode divergence checks performed (cache-vs-fresh
+    /// Verify-mode divergence checks performed (maintained-vs-fresh
     /// assertions that ran and passed; 0 outside `CacheMode::Verify`).
     pub verify_checks: u64,
     /// Wall-clock nanoseconds spent inside `pick_next` (profiled runs

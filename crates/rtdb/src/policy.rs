@@ -40,10 +40,14 @@ impl Ord for Priority {
 }
 
 /// Which inputs a policy's [`Policy::priority`] is a function of — the
-/// engine's priority-cache invalidation hint.
+/// engine's pick-path selector. `Static` and `ConflictState` policies
+/// pick through the lazy priority heap, `TimeAndSelf` policies through
+/// the slack index when they expose a time-invariant key, and the rest
+/// through a full scan; only `ConflictState` heaps walk victims on a
+/// clear.
 ///
 /// Declaring a *wider* dependency than the policy actually has is always
-/// safe (it only costs recomputations); declaring a narrower one breaks
+/// safe (it only costs evaluations); declaring a narrower one breaks
 /// bit-identity and is caught by the engine's `Verify` cache mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PriorityDeps {
@@ -65,16 +69,15 @@ pub enum PriorityDeps {
     /// part 3 (own state): of `T`'s own mutable state, only a narrowing
     /// of `T`'s `might_access` may *raise* `T`'s priority; its own
     /// service and progress must not enter its own priority at all. The
-    /// engine leans on all three: a partial's clear repairs the affected
-    /// cached values in place by the policy's
+    /// engine leans on all three: a partial's clear raises the affected
+    /// index keys in place by the policy's
     /// [`Policy::conflict_clear_raise`] bound, a narrowing eagerly
-    /// refreshes `T`'s own entry, and every other event leaves cached
-    /// values and index keys as stale-high upper bounds that the lazy
-    /// pick path revalidates at the top. A policy whose priority can
-    /// *rise* on growth or with time must declare
-    /// [`PriorityDeps::Volatile`] instead.
+    /// refreshes `T`'s own key, and every other event leaves index keys
+    /// as stale-high upper bounds that the lazy pick path revalidates at
+    /// the top. A policy whose priority can *rise* on growth or with time
+    /// must declare [`PriorityDeps::Volatile`] instead.
     ConflictState,
-    /// No cacheable structure declared; recompute at every use. The
+    /// No indexable structure declared; every pick scans. The
     /// conservative default for policies written before this hint
     /// existed.
     Volatile,
@@ -94,7 +97,8 @@ pub struct SystemView<'a> {
     /// CPU time required to roll back one transaction (the `rollback_t`
     /// term of the penalty of conflict).
     pub abort_cost: SimDuration,
-    /// The engine's incremental conflict state, when running cached.
+    /// The engine's incremental conflict state, when running
+    /// incrementally.
     accel: Option<&'a ConflictAccel>,
 }
 
@@ -131,8 +135,8 @@ impl<'a> SystemView<'a> {
     ///
     /// Yields in ascending id order either way: the maintained P-list is
     /// kept id-sorted, and a scan of `txns` (slots are in id = arrival
-    /// order) visits the same transactions in the same order, so cached
-    /// and fresh evaluations are bit-identical.
+    /// order) visits the same transactions in the same order, so
+    /// accel-backed and fresh evaluations are bit-identical.
     pub fn partially_executed(&self, of: TxnId) -> PartiallyExecuted<'a> {
         let inner = match self.accel {
             Some(a) => PlistIter::Ids {
@@ -244,10 +248,10 @@ pub trait Policy: Sync {
         false
     }
 
-    /// What [`Policy::priority`] depends on — the engine's cache
-    /// invalidation hint. The default, [`PriorityDeps::Volatile`],
-    /// disables caching for this policy and is always correct; policies
-    /// should override it with the narrowest honest answer.
+    /// What [`Policy::priority`] depends on — the engine's pick-path
+    /// selector. The default, [`PriorityDeps::Volatile`], scans at every
+    /// pick and is always correct; policies should override it with the
+    /// narrowest honest answer.
     fn depends_on(&self) -> PriorityDeps {
         PriorityDeps::Volatile
     }

@@ -10,19 +10,13 @@
 //!   executed transactions) replaces the per-event scan of all slots;
 //! * **per-item slot rows** evaluate the unsafe and conflict relations a
 //!   whole set at a time. Every database item `i` owns two bit rows over
-//!   arena slots: `might[i]` (the slot's `might_access` holds `i`) and
-//!   `write[i]` (the slot might write `i`). The transactions a partial
-//!   `c` is unsafe with respect to are then the OR of `might[i]` over
-//!   `c.written` and `write[i]` over `c.accessed` — one row per item,
-//!   MPL/64 words each — instead of one pair test per candidate;
-//! * a **per-transaction pair stamp** records, for every transaction,
-//!   the last time the set of partially executed transactions unsafe with
-//!   respect to *it* changed. A conflict event at transaction `C`
-//!   (lock-grant growth, abort/commit set clearing, decision narrowing)
-//!   bumps only the stamps of the transactions whose relation to `C`
-//!   actually moved, so the engine's priority cache invalidates exactly
-//!   those [`crate::policy::PriorityDeps::ConflictState`] entries instead
-//!   of epoch-flushing every one of them.
+//!   transaction slots: `might[i]` (the slot's `might_access` holds `i`)
+//!   and `write[i]` (the slot might write `i`). The transactions a
+//!   partial `c` is unsafe with respect to are then the OR of `might[i]`
+//!   over `c.written` and `write[i]` over `c.accessed` — one row per
+//!   item, MPL/64 words each — instead of one pair test per candidate.
+//!   The engine's clear-repair walk takes its victims from exactly this
+//!   set.
 //!
 //! Correctness contract: every maintained answer is **bit-identical** to
 //! a fresh recomputation. The engine's [`CacheMode::Verify`] mode asserts
@@ -32,27 +26,41 @@
 use std::cell::Cell;
 
 use rtx_preanalysis::sets::{DataSet, ItemId};
-use rtx_sim::time::SimTime;
 
-use crate::arena::{SchedArena, SlotState, TxnSlot};
 use crate::locks::LockMode;
-use crate::policy::Priority;
 use crate::txn::{is_unsafe_with, Transaction, TxnId};
 
 /// How the engine evaluates priorities and conflict relations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// Use the maintained P-list, the per-item slot rows and the
-    /// stamp-gated priority cache (the default; production path).
+    /// Use the maintained P-list, the per-item slot rows and the lazy
+    /// priority indexes (the default; production path).
     #[default]
     Incremental,
     /// Recompute everything from scratch at every scheduling point — the
     /// pre-incremental reference engine. Used as the oracle in
     /// equivalence tests and as the "cold" side of benchmarks.
     AlwaysRecompute,
-    /// Run incrementally but recompute fresh alongside every cache read
-    /// and assert bit-identity. Slow; tests only.
+    /// Run incrementally but recompute fresh alongside every maintained
+    /// answer and assert it: bit-identity for the P-list, the slot-row
+    /// relations and every priority, the upper-bound contract for every
+    /// index key. Slow; tests only.
     Verify,
+}
+
+/// Compact index of a live transaction's slot in the slot rows. Slots are
+/// *recycled*: a departed transaction's slot is handed to a later
+/// arrival, so the rows stay sized by the peak concurrent population
+/// rather than the run's total transaction count. Holders map ids to
+/// slots through [`ConflictAccel`]'s slot map, never by arithmetic on the
+/// id.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct TxnSlot(pub(crate) u32);
+
+impl TxnSlot {
+    /// Sentinel for "this transaction's slot was released" in the slot
+    /// map (no run ever reaches 2^32 - 1 live slots).
+    pub(crate) const RELEASED: TxnSlot = TxnSlot(u32::MAX);
 }
 
 /// Offset of `might[i]` within item `i`'s pair of rows.
@@ -93,42 +101,36 @@ fn each_write(t: &Transaction, mut f: impl FnMut(ItemId)) {
 ///
 /// Owned by the engine; policies reach it read-only through
 /// [`crate::policy::SystemView`]. All mutation goes through the engine's
-/// state-transition bookkeeping, which is what makes the stamps and the
+/// state-transition bookkeeping, which is what makes the P-list and the
 /// slot rows trustworthy.
 pub struct ConflictAccel {
     /// Partially executed transactions, sorted by id (ascending). Because
     /// the engine's `active` list is always in arrival = id order, this
     /// reproduces the exact iteration order of the full-scan P-list.
     plist: Vec<TxnId>,
-    /// Dense per-transaction hot state: the own-state version, the
-    /// per-transaction conflict stamp (`pair_stamp` — bumped by the
-    /// engine's targeted walks via [`Self::bump_pair_stamp`] for exactly
-    /// the transactions whose unsafe-partial set changed), and the
-    /// engine's cached priority with its validity stamps — one 64-byte
-    /// [`SlotState`] line per transaction.
-    arena: SchedArena,
-    /// Total pair-stamp bumps (targeted invalidations) performed.
-    pair_invalidations: Cell<u64>,
     pair_checks: Cell<u64>,
-    /// Two bit rows per database item over arena slots, `words` words
+    /// Two bit rows per database item over slots, `words` words
     /// each: row `2i` is `might[i]`, row `2i + 1` is `write[i]` (see
     /// [`each_write`]). Only admitted transactions are indexed, so a set
     /// bit always names a live, admitted transaction.
     rows: Vec<u64>,
-    /// Words per row: the arena's high-water mark over 64, rounded up —
-    /// the peak concurrent population, not the run's transaction count.
+    /// Words per row: the slot high-water mark over 64, rounded up — the
+    /// peak concurrent population, not the run's transaction count.
     words: usize,
     /// One row over slots: the P-list members.
     partial: Vec<u64>,
     /// Per slot: the `might_access` its bits in `rows` were set from
     /// (empty while unindexed), so a reindex clears exactly those bits.
     footprint: Vec<DataSet>,
-    /// Per slot: the transaction holding it.
+    /// Per slot: the transaction holding it. Its length is the slot
+    /// high-water mark.
     owner: Vec<TxnId>,
-    /// Transaction id → arena slot. Ids are dense and never reused, so
-    /// this is a push-only vector; slots of departed transactions are
-    /// recycled through the arena's free list and marked
-    /// [`TxnSlot::RELEASED`] here.
+    /// Released slots awaiting reuse (last in, first out: the most
+    /// recently touched slot is handed out first).
+    free: Vec<u32>,
+    /// Transaction id → slot. Ids are dense and never reused, so this is
+    /// a push-only vector; slots of departed transactions are recycled
+    /// through `free` and marked [`TxnSlot::RELEASED`] here.
     slot_map: Vec<TxnSlot>,
 }
 
@@ -136,24 +138,24 @@ impl ConflictAccel {
     pub(crate) fn new(capacity: usize, db_size: usize) -> Self {
         ConflictAccel {
             plist: Vec::new(),
-            arena: SchedArena::with_capacity(capacity),
-            pair_invalidations: Cell::new(0),
             pair_checks: Cell::new(0),
             rows: vec![0; 2 * db_size],
             words: 1,
             partial: vec![0],
             footprint: Vec::new(),
             owner: Vec::new(),
+            free: Vec::new(),
             slot_map: Vec::with_capacity(capacity),
         }
     }
 
     /// Register a newly arrived transaction (ids are dense and arrive in
-    /// order, so the slot-map entry is a push; the arena slot itself may
-    /// be a recycled one). The slot starts out unindexed.
+    /// order, so the slot-map entry is a push; the slot itself is a
+    /// released one if any is free, else a new one past the high-water
+    /// mark). The slot starts out unindexed.
     pub(crate) fn register(&mut self, id: TxnId) {
         debug_assert_eq!(id.0 as usize, self.slot_map.len());
-        let slot = self.arena.register();
+        let slot = TxnSlot(self.free.pop().unwrap_or(self.owner.len() as u32));
         self.slot_map.push(slot);
         let s = slot.0 as usize;
         if s < self.owner.len() {
@@ -167,8 +169,8 @@ impl ConflictAccel {
         }
     }
 
-    /// Grow every slot row by one word: the arena outgrew `words × 64`
-    /// slots.
+    /// Grow every slot row by one word: the high-water mark outgrew
+    /// `words × 64` slots.
     fn widen(&mut self) {
         let (old, new) = (self.words, self.words + 1);
         let mut rows = vec![0; self.rows.len() / old * new];
@@ -181,7 +183,7 @@ impl ConflictAccel {
     }
 
     /// `id` departed for good (commit or admission rejection): return its
-    /// arena slot to the free list. Its bits must already be gone
+    /// slot to the free list. Its bits must already be gone
     /// ([`Self::drop_index`]), or the slot's next owner would inherit
     /// them.
     pub(crate) fn release(&mut self, id: TxnId) {
@@ -193,17 +195,17 @@ impl ConflictAccel {
             "{id}: released while indexed"
         );
         debug_assert_eq!(self.partial[w] & m, 0, "{id}: released on the P-list");
-        self.arena.release(slot);
+        self.free.push(slot.0);
     }
 
-    /// Arena occupancy: (live slots, high-water mark). The mark tracks
-    /// the peak concurrent population, not the run's transaction count.
+    /// Slot occupancy: (live slots, high-water mark). The mark tracks the
+    /// peak concurrent population, not the run's transaction count.
     #[cfg(test)]
-    pub(crate) fn arena_occupancy(&self) -> (usize, usize) {
-        (self.arena.live(), self.arena.len())
+    pub(crate) fn slot_occupancy(&self) -> (usize, usize) {
+        (self.owner.len() - self.free.len(), self.owner.len())
     }
 
-    /// `id`'s arena slot; panics in debug builds if the slot was
+    /// `id`'s slot; panics in debug builds if the slot was
     /// released (no scheduler path may touch a departed transaction).
     #[inline]
     fn slot_idx(&self, id: TxnId) -> TxnSlot {
@@ -305,59 +307,18 @@ impl ConflictAccel {
         out.sort_unstable();
     }
 
-    /// One cache-line copy of `id`'s hot scheduler state (own version,
-    /// conflict stamp, cached priority).
-    #[inline]
-    pub(crate) fn slot(&self, id: TxnId) -> SlotState {
-        self.arena.get(self.slot_idx(id))
-    }
-
-    /// Cache `value` as `id`'s priority, stamped with the slot's
-    /// *current* versions (callers evaluate the policy and write in the
-    /// same event, with no version bump in between).
-    #[inline]
-    pub(crate) fn write_pri(&self, id: TxnId, value: Priority, at: SimTime) {
-        self.arena.update(self.slot_idx(id), |s| {
-            s.pri_value = value;
-            s.pri_at = at;
-            s.pri_stamp = s.pair_stamp;
-            s.pri_own = s.own_version;
-        });
-    }
-
-    /// The conflict stamp of `id` — the per-transaction replacement for
-    /// the old global conflict epoch. Part of the priority-cache key for
-    /// `ConflictState` policies.
-    #[cfg(test)]
-    pub(crate) fn pair_stamp(&self, id: TxnId) -> u64 {
-        self.arena.get(self.slot_idx(id)).pair_stamp
-    }
-
-    /// The unsafe-partial set of `id` changed: invalidate its cached
-    /// `ConflictState` priority (and only its).
-    pub(crate) fn bump_pair_stamp(&mut self, id: TxnId) {
-        self.arena.update(self.slot_idx(id), |s| s.pair_stamp += 1);
-        self.pair_invalidations
-            .set(self.pair_invalidations.get() + 1);
-    }
-
-    pub(crate) fn bump_own(&mut self, id: TxnId) {
-        self.arena.update(self.slot_idx(id), |s| s.own_version += 1);
-    }
-
     /// A lock grant grew `id`'s `accessed`/`written` sets. Joins the
     /// P-list on the first grant since (re)start.
     ///
     /// The growth may flip `is_unsafe(id, X)` for other transactions `X`,
     /// but that can only *lower* their `ConflictState` priorities (the
-    /// penalty gains nonnegative terms), so no stamps are bumped for
-    /// them: the engine's lazy heap tolerates stale-high cached values
-    /// and revalidates on pop. Only clears — which *raise* priorities —
-    /// get an eager walk (see [`Self::note_sets_cleared`]).
+    /// penalty gains nonnegative terms), so nothing is walked for them:
+    /// the engine's lazy heap tolerates stale-high keys and revalidates
+    /// on pop. Only clears — which *raise* priorities — get an eager walk
+    /// (see [`Self::note_sets_cleared`]).
     pub(crate) fn note_access_growth(&mut self, id: TxnId, was_partial: bool) {
-        let slot = self.slot_idx(id);
-        self.arena.update(slot, |s| s.own_version += 1);
         if !was_partial {
+            let slot = self.slot_idx(id);
             let pos = self.plist.binary_search(&id).unwrap_err();
             self.plist.insert(pos, id);
             let (w, m) = bit(slot);
@@ -369,12 +330,10 @@ impl ConflictAccel {
     /// restart with a decision point — `might_access` was re-widened. The
     /// transaction leaves the P-list.
     ///
-    /// The engine performs the targeted pair-stamp walk *before* this
-    /// call, while `id`'s sets still describe the contribution being
-    /// removed.
+    /// The engine performs its clear-repair walk *before* this call,
+    /// while `id`'s sets still describe the contribution being removed.
     pub(crate) fn note_sets_cleared(&mut self, id: TxnId) {
         let slot = self.slot_idx(id);
-        self.arena.update(slot, |s| s.own_version += 1);
         let pos = self
             .plist
             .binary_search(&id)
@@ -382,17 +341,6 @@ impl ConflictAccel {
         self.plist.remove(pos);
         let (w, m) = bit(slot);
         self.partial[w] &= !m;
-    }
-
-    /// `id` executed its decision point, narrowing `might_access`.
-    ///
-    /// A narrowing changes only how *other* partials relate to `id` as a
-    /// candidate (`is_unsafe` reads the partial's `accessed`/`written`
-    /// against the candidate's `might_access`), so the only
-    /// `ConflictState` priority it can move is `id`'s own: one stamp
-    /// bump, no walk. The engine reindexes `id`'s rows alongside.
-    pub(crate) fn note_narrowed(&mut self, id: TxnId) {
-        self.bump_pair_stamp(id);
     }
 
     /// The maintained P-list, ascending by id.
@@ -419,10 +367,6 @@ impl ConflictAccel {
 
     pub(crate) fn pair_checks(&self) -> u64 {
         self.pair_checks.get()
-    }
-
-    pub(crate) fn pair_invalidations(&self) -> u64 {
-        self.pair_invalidations.get()
     }
 }
 
@@ -549,7 +493,6 @@ mod tests {
         assert_eq!(a.partial_conflicts(&mk(2, &[2]), &mut probe), 1);
         // The candidate narrows away from the overlap: out of the set.
         candidate.might_access = DataSet::from_items([ItemId(3)]);
-        a.note_narrowed(candidate.id);
         a.reindex(&candidate);
         assert!(unsafe_ids(&a, &partial).is_empty());
         // A restart re-widens it: back in.
@@ -566,50 +509,40 @@ mod tests {
     }
 
     #[test]
-    fn pair_stamps_are_per_transaction() {
-        let mut a = ConflictAccel::new(3, 64);
-        for i in 0..3 {
-            a.register(TxnId(i));
-        }
-        let s1 = a.pair_stamp(TxnId(1));
-        let s2 = a.pair_stamp(TxnId(2));
-        // Narrowing invalidates only the narrowed transaction itself.
-        a.note_narrowed(TxnId(1));
-        assert!(a.pair_stamp(TxnId(1)) > s1);
-        assert_eq!(a.pair_stamp(TxnId(2)), s2);
-        // Targeted bumps touch exactly the named transaction and tally.
-        let inv = a.pair_invalidations();
-        a.bump_pair_stamp(TxnId(2));
-        assert!(a.pair_stamp(TxnId(2)) > s2);
-        assert_eq!(a.pair_stamp(TxnId(0)), 0);
-        assert_eq!(a.pair_invalidations(), inv + 1);
-        // Growth and clearing leave the cross-transaction stamping to the
-        // engine's walk.
-        a.note_access_growth(TxnId(0), false);
-        a.note_sets_cleared(TxnId(0));
-        assert_eq!(a.pair_stamp(TxnId(0)), 0);
-    }
-
-    #[test]
     fn released_slots_recycle_through_the_accel() {
         let mut a = ConflictAccel::new(4, 64);
-        // A departing wave of transactions keeps the arena at the peak
+        // A departing wave of transactions keeps the slots at the peak
         // *concurrent* population, not the total registered count.
         for i in 0..100u32 {
             a.register(TxnId(i));
             a.note_access_growth(TxnId(i), false);
-            let (live, high) = a.arena_occupancy();
+            let (live, high) = a.slot_occupancy();
             assert_eq!(live, 2.min(i as usize + 1));
-            assert!(high <= 2, "arena grew past the concurrent peak: {high}");
+            assert!(high <= 2, "slots grew past the concurrent peak: {high}");
             if i > 0 {
                 a.note_sets_cleared(TxnId(i - 1));
                 a.release(TxnId(i - 1));
             }
         }
-        // Recycled slots read as fresh for their new owner.
-        assert_eq!(a.pair_stamp(TxnId(99)), 0);
-        a.bump_pair_stamp(TxnId(99));
-        assert_eq!(a.pair_stamp(TxnId(99)), 1);
+        // Released slots are reused last in, first out, and the high-water
+        // mark grows only once the free list is empty.
+        let mut a = ConflictAccel::new(4, 64);
+        for i in 0..3 {
+            a.register(TxnId(i));
+        }
+        assert_eq!(a.slot_occupancy(), (3, 3));
+        a.release(TxnId(0));
+        a.release(TxnId(1));
+        assert_eq!(a.slot_occupancy(), (1, 3));
+        a.register(TxnId(3));
+        a.register(TxnId(4));
+        assert_eq!(a.slot_idx(TxnId(3)), TxnSlot(1));
+        assert_eq!(a.slot_idx(TxnId(4)), TxnSlot(0));
+        assert_eq!(a.slot_idx(TxnId(2)), TxnSlot(2));
+        assert_eq!(a.slot_occupancy(), (3, 3));
+        a.register(TxnId(5));
+        assert_eq!(a.slot_idx(TxnId(5)), TxnSlot(3));
+        assert_eq!(a.slot_occupancy(), (4, 4));
     }
 
     #[test]
@@ -619,7 +552,7 @@ mod tests {
         let mut a = ConflictAccel::new(2, 64);
         a.register(TxnId(0));
         a.release(TxnId(0));
-        a.bump_pair_stamp(TxnId(0));
+        a.drop_index(TxnId(0));
     }
 
     #[test]
@@ -781,7 +714,6 @@ mod tests {
                         let t = &mut txns[id.0 as usize];
                         if let Some(d) = &t.decision {
                             t.might_access = d.narrowed.union(&t.accessed);
-                            a.note_narrowed(id);
                             a.reindex(t);
                         }
                     },

@@ -7,6 +7,8 @@
 //! implement [`TxnSource`] and use
 //! [`run_simulation_from`](crate::engine::run_simulation_from).
 
+use std::collections::VecDeque;
+
 use crate::txn::Transaction;
 use crate::workload::ArrivalGenerator;
 
@@ -53,6 +55,15 @@ impl ReplaySource {
 impl TxnSource for ReplaySource {
     fn next_transaction(&mut self) -> Option<Transaction> {
         self.txns.next()
+    }
+}
+
+/// A queue of submitted transactions, drained front first: the source a
+/// [`StepEngine`](crate::engine::StepEngine) steps over. Submitters push
+/// to the back in arrival order.
+impl TxnSource for VecDeque<Transaction> {
+    fn next_transaction(&mut self) -> Option<Transaction> {
+        self.pop_front()
     }
 }
 

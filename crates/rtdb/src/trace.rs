@@ -102,13 +102,8 @@ pub enum TraceEvent {
     SchedulerPass {
         /// `Policy::priority` evaluations this pass performed.
         evals: u64,
-        /// Priority lookups this pass answered from the cache.
-        cache_hits: u64,
         /// Pairwise conflict tests this pass requested.
         pair_checks: u64,
-        /// Cached priorities this pass invalidated via per-pair
-        /// conflict stamps.
-        invalidations: u64,
     },
 }
 
@@ -241,16 +236,10 @@ impl fmt::Display for TraceRecord {
             TraceEvent::DeadlockResolved { victim } => {
                 write!(f, "deadlock resolved by aborting {victim}")
             }
-            TraceEvent::SchedulerPass {
-                evals,
-                cache_hits,
-                pair_checks,
-                invalidations,
-            } => {
+            TraceEvent::SchedulerPass { evals, pair_checks } => {
                 write!(
                     f,
-                    "scheduler pass: {evals} evals, {cache_hits} cache hits, \
-                     {pair_checks} pair checks, {invalidations} invalidations"
+                    "scheduler pass: {evals} evals, {pair_checks} pair checks"
                 )
             }
         }

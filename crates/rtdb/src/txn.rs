@@ -260,8 +260,9 @@ impl Transaction {
 
     /// Called by the engine when an update completes: execute the decision
     /// point, narrowing `might_access`, if this was the decision update.
-    /// Returns `true` iff a narrowing happened (the caller must invalidate
-    /// conflict-state caches keyed on `might_access`).
+    /// Returns `true` iff a narrowing happened (the caller must reindex
+    /// the slot rows and refresh the heap key, both of which read
+    /// `might_access`).
     pub fn maybe_execute_decision(&mut self) -> bool {
         if let Some(d) = &self.decision {
             if self.progress == d.after_update {

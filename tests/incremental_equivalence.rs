@@ -2,10 +2,11 @@
 //!
 //! [`CacheMode::AlwaysRecompute`] preserves the pre-incremental engine
 //! verbatim — full rescans of `active` for the P-list, ready counts, and
-//! feasibility, with no priority or conflict memoization. `Incremental`
-//! is the production path. `Verify` runs the incremental path while
-//! asserting at every use that each cached priority is **bit-identical**
-//! to a freshly computed one and that the maintained P-list and ready
+//! feasibility, with no priority index or conflict acceleration.
+//! `Incremental` is the production path. `Verify` runs the incremental
+//! path while asserting at every use that each priority is
+//! **bit-identical** to a freshly computed one, that every index key
+//! bounds its fresh priority, and that the maintained P-list and ready
 //! counters equal full scans — i.e. the per-decision winner is checked
 //! against the recompute oracle inside the engine itself.
 //!
@@ -98,10 +99,14 @@ fn build(specs: &[TxnSpec], cfg: &SimConfig, with_modes: bool) -> Vec<Transactio
             } else {
                 Vec::new()
             };
+            // Before its decision point a branching transaction might touch
+            // any item (the untaken branch), so executing the decision
+            // narrows `might_access` to the items it locks and can raise its
+            // priority — the rise the engine's narrowing refresh must catch.
             let decision = spec.branch_at.and_then(|at| {
                 (at + 1 < items.len()).then(|| DecisionSpec {
                     after_update: at + 1,
-                    full: might.clone(),
+                    full: (0..DB as u32).map(ItemId).collect(),
                     narrowed: might.clone(),
                 })
             });
@@ -115,7 +120,7 @@ fn build(specs: &[TxnSpec], cfg: &SimConfig, with_modes: bool) -> Vec<Transactio
                 io_pattern,
                 modes,
                 update_time,
-                might_access: might,
+                might_access: decision.as_ref().map_or(might, |d| d.full.clone()),
                 state: TxnState::Ready,
                 progress: 0,
                 stage: Stage::Lock,
@@ -392,11 +397,11 @@ fn modes_agree_on_generated_workloads() {
     }
 }
 
-/// The caches actually engage: on a contended run the incremental engine
-/// resolves most priority lookups from cache and strictly fewer full
-/// evaluations than the oracle, while the oracle records zero hits.
+/// The indexes actually engage: on a contended run the incremental
+/// engine's validated picks perform strictly fewer priority evaluations
+/// than the oracle's full scans, over the same scheduling points.
 #[test]
-fn caches_engage_and_reduce_evaluations() {
+fn indexed_picks_reduce_evaluations() {
     let mut cfg = SimConfig::mm_base();
     cfg.run.num_transactions = 300;
     cfg.run.arrival_rate_tps = 10.0;
@@ -405,8 +410,6 @@ fn caches_engage_and_reduce_evaluations() {
         let oracle = run_simulation_with_mode(&cfg, p, CacheMode::AlwaysRecompute);
         let inc = run_simulation_with_mode(&cfg, p, CacheMode::Incremental);
         assert_eq!(inc.sans_sched_stats(), oracle.sans_sched_stats());
-        assert_eq!(oracle.sched.priority_cache_hits, 0, "{}", p.name());
-        assert!(inc.sched.priority_cache_hits > 0, "{}", p.name());
         assert!(
             inc.sched.priority_evals < oracle.sched.priority_evals,
             "{}: {} evals incremental vs {} oracle",
@@ -416,13 +419,6 @@ fn caches_engage_and_reduce_evaluations() {
         );
         assert_eq!(inc.sched.pick_next_calls, oracle.sched.pick_next_calls);
     }
-
-    // A Static policy collapses to exactly one evaluation per transaction.
-    let inc = run_simulation_with_mode(&cfg, &EdfHp, CacheMode::Incremental);
-    assert_eq!(
-        inc.sched.priority_evals, cfg.run.num_transactions as u64,
-        "EDF-HP evaluates each deadline exactly once"
-    );
 }
 
 /// MPL-256 burst determinism: at the sweep's highest contention point
@@ -430,7 +426,7 @@ fn caches_engage_and_reduce_evaluations() {
 /// at once) the heap-indexed pick must equal the oracle scan on every
 /// decision, rerun bit-identically, and actually exercise its laziness:
 /// validated picks, stale pops (keys demoted in place when validation
-/// surfaces them), and targeted per-pair invalidations all engage.
+/// surfaces them), and clear-repair walks over victims all engage.
 #[test]
 fn mpl256_burst_heap_determinism() {
     let mut cfg = SimConfig::mm_base();
@@ -462,7 +458,7 @@ fn mpl256_burst_heap_determinism() {
         assert_eq!(inc.sched.pick_next_calls, oracle.sched.pick_next_calls);
         assert!(inc.sched.heap_validated_picks > 0, "{}", p.name());
         assert!(inc.sched.heap_stale_pops > 0, "{}", p.name());
-        assert!(inc.sched.pair_invalidations > 0, "{}", p.name());
+        assert!(inc.sched.clear_repair_visits > 0, "{}", p.name());
         assert_eq!(oracle.sched.heap_pushes, 0, "{}", p.name());
     }
 
@@ -470,7 +466,7 @@ fn mpl256_burst_heap_determinism() {
     // effective-priority validation) rather than the conflict heap; pin
     // the same burst to the oracle scan and to rerun bit-identity. The
     // conflict-counter assertions above don't apply — slack keys never
-    // see pair invalidations — but the index must actually serve picks.
+    // see clear repairs — but the index must actually serve picks.
     let oracle = run_simulation_with_mode(&cfg, &Lsf, CacheMode::AlwaysRecompute);
     let inc = run_simulation_with_mode(&cfg, &Lsf, CacheMode::Incremental);
     let verified = run_simulation_with_mode(&cfg, &Lsf, CacheMode::Verify);
@@ -512,12 +508,13 @@ fn mpl64_cca_burst_matches_oracle() {
     );
 }
 
-/// MPL-1024 burst under `CacheMode::Verify`: every cached priority the
-/// pick path consults is bit-checked against a fresh evaluation, and the
-/// maintained P-list and ready counts are checked against full scans, at
-/// the contention level where the stale-top validations and the slot-row
-/// repair walks work hardest. Slow in debug builds — run explicitly in CI
-/// (release) via `--ignored`.
+/// MPL-1024 burst under `CacheMode::Verify`: every priority the pick
+/// path consults is bit-checked against a fresh evaluation, every index
+/// key is checked to bound its fresh priority, and the maintained P-list
+/// and ready counts are checked against full scans, at the contention
+/// level where the stale-top validations and the slot-row repair walks
+/// work hardest. Slow in debug builds — run explicitly in CI (release)
+/// via `--ignored`.
 #[test]
 #[ignore = "verify-mode smoke at MPL 1024 is slow; CI runs it explicitly"]
 fn mpl1024_verify_smoke() {
