@@ -1,14 +1,15 @@
 //! Scheduler-overhead profiling: the `--bench-profile` mode.
 //!
 //! Runs matched pairs of simulations — the production incremental engine
-//! ([`CacheMode::Incremental`], whose ConflictState/Static policies pick
-//! through the lazy priority heap) against the always-recompute oracle
-//! ([`CacheMode::AlwaysRecompute`], the pre-incremental hot loop kept
-//! verbatim) — with wall-clock timing of `pick_next` enabled, checks the
-//! two trajectories agree bit-for-bit, and renders the counters plus the
-//! measured speedup as `BENCH_scheduling.json`. Scenarios cover both
-//! ConflictState policies (CCA and EDF-Wait) across MPL so the JSON
-//! shows the heap-vs-scan ratio per policy and per MPL.
+//! ([`CacheMode::Incremental`], whose Static, ConflictState and keyed
+//! TimeAndSelf policies pick through the one priority index) against the
+//! always-recompute oracle ([`CacheMode::AlwaysRecompute`], the
+//! pre-incremental hot loop kept verbatim) — with wall-clock timing of
+//! `pick_next` enabled, checks the two trajectories agree bit-for-bit,
+//! and renders the counters plus the measured speedup as
+//! `BENCH_scheduling.json`. Scenarios cover both
+//! ConflictState policies (CCA and EDF-Wait) and LSF across MPL so the
+//! JSON shows the index-vs-scan ratio per policy and per MPL.
 //!
 //! The scheduler wall time is a *profiling artifact*: it varies by
 //! machine and run, unlike every other field the simulator emits. The
@@ -58,10 +59,11 @@ fn burst(mpl: usize) -> SimConfig {
 
 fn scenarios(quick: bool) -> Vec<Scenario> {
     if quick {
-        // CI smoke: small, mid-size and deep bursts — enough to catch a
-        // pick-path regression (cached slower than the oracle, stale-pop
-        // blowup) in seconds. The MPL-256 and MPL-1024 cells are what the CI
-        // regression gate compares against its checked-in baselines.
+        // CI smoke: small, mid-size and deep CCA bursts plus an LSF burst
+        // — enough to catch a pick-path regression (cached slower than the
+        // oracle, stale-pop blowup) in seconds, for priority keys and for
+        // time-invariant `K` keys alike. Every cell but MPL 64 is what the
+        // CI regression gate compares against its checked-in baselines.
         return vec![
             Scenario {
                 name: "mm_cca_burst_mpl64",
@@ -81,10 +83,16 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
                 cfg: burst(1024),
                 reps: 1,
             },
+            Scenario {
+                name: "mm_lsf_burst_mpl256",
+                policy: Box::new(Lsf),
+                cfg: burst(256),
+                reps: 2,
+            },
         ];
     }
-    // Heap-vs-scan across MPL for both ConflictState policies,
-    // plus the slack-ordered index for LSF (TimeAndSelf).
+    // Index-vs-scan across MPL for both ConflictState policies, plus LSF
+    // (TimeAndSelf), whose index keys are its time-invariant `K`.
     let mut out = vec![
         Scenario {
             name: "mm_cca_burst_mpl64",

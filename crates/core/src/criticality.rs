@@ -71,10 +71,13 @@ impl<P: Policy> Policy for Criticality<P> {
 
     fn time_invariant_key(&self, txn: &Transaction) -> Option<f64> {
         // base ≈ now + K_inner  ⇒  wrapped ≈ now + (K_inner + class·band).
-        // The extra addition re-rounds, but the slack index only needs
+        // The extra addition re-rounds, but the engine's index only needs
         // `K` to order candidates and bound the exact value to within a
-        // few ulp of the largest magnitude involved — the engine's
-        // validation slack covers the band term's rounding.
+        // few ulp of the largest magnitude involved. Its validation nudge
+        // is 32 ulp of the run's largest |K|, so it covers the band term's
+        // rounding. With a critical class present that scale is ~1e15 and
+        // every bound loosens by ~7 ms, which costs extra validations,
+        // never soundness.
         self.inner
             .time_invariant_key(txn)
             .map(|k| k + txn.criticality as f64 * CLASS_BAND)

@@ -71,9 +71,10 @@ enum Started {
 
 /// One lazy priority-index entry. Ordered exactly like the scan's
 /// tie-break — `(Priority, Reverse(arrival), Reverse(id))` — so the index
-/// maximum is the scan winner bit-for-bit. The key (`pri`) is an **upper
-/// bound** on the transaction's exact priority; the pick path revalidates
-/// the top against an exact recomputation before dispatching.
+/// maximum is the scan winner bit-for-bit. The key (`pri`) stands for an
+/// **upper bound** on the transaction's exact priority (see
+/// [`EngineState::key_bound`]); the pick path revalidates the top against
+/// an exact recomputation before dispatching.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct HeapEntry {
     pri: Priority,
@@ -111,8 +112,8 @@ impl PartialOrd for HeapEntry {
 
 /// The lazy max-heap priority index: a position-tracked binary heap with
 /// exactly one entry per indexed transaction. It is the engine's one
-/// priority heap (`Static` and `ConflictState` policies) and the heap
-/// under each deadline band of the LSF slack index ([`SlackBands`]).
+/// priority index, for `Static`, `ConflictState` and keyed `TimeAndSelf`
+/// policies alike.
 ///
 /// Position tracking (`pos`) is what makes key moves O(log n) *in
 /// place*: a clear raises each affected transaction's key with
@@ -125,7 +126,7 @@ struct PriorityIndex {
     slots: Vec<HeapEntry>,
     /// Transaction id → slot position + 1; 0 = not in the index. Grown
     /// on demand at insert, so it is only as long as the largest id the
-    /// index has held (bands see a subset of the ids).
+    /// index has held.
     pos: Vec<u32>,
 }
 
@@ -248,95 +249,6 @@ impl PriorityIndex {
     }
 }
 
-/// One deadline band of the slack index (see [`SlackBands`]).
-#[derive(Default)]
-struct SlackBand {
-    index: PriorityIndex,
-    /// Largest |K| ever stored in this band and largest member deadline
-    /// (ms): together with the clock, every magnitude its members'
-    /// priority-rounding chains touch. Never shrinks — the scale backs
-    /// soundness, not tightness.
-    key_scale: Cell<f64>,
-}
-
-impl SlackBand {
-    /// The nudge scale for this band's effective bounds at clock
-    /// `now_ms`: 32 ulp of it dominates the few-ulp difference between
-    /// `now_ms + K` and the policy's actually-rounded priority for any
-    /// member — all of a member's own magnitudes (its deadline, its key,
-    /// the clock) are covered.
-    fn eff_scale(&self, now_ms: f64) -> f64 {
-        self.key_scale.get().max(now_ms).max(1.0)
-    }
-}
-
-/// The slack index, partitioned by deadline band: each band is a heap
-/// over time-invariant keys `K` with its *own* magnitude scale for the
-/// validation nudge, so one far-future deadline (a huge `|K|`) no longer
-/// loosens the effective bound of every entry in the run — only of its
-/// own band. Entries never migrate: a transaction's band is a pure
-/// function of its (immutable) deadline.
-#[derive(Default)]
-struct SlackBands {
-    /// Lazily materialized; a band is created the first time an entry
-    /// lands in it.
-    bands: Vec<SlackBand>,
-    /// Total entries across bands (O(1) coverage check for
-    /// `slack_in_use`).
-    len: usize,
-}
-
-impl SlackBands {
-    /// The band for a transaction: the log2 bucket of its absolute
-    /// deadline in ms. Integer bit-ops only — no libm calls — so band
-    /// assignment is bit-deterministic across platforms. (Banding never
-    /// affects *results* either way — picks validate exact priorities —
-    /// only which band's scale a bound is nudged by.)
-    fn band_of(deadline: SimTime) -> usize {
-        let ms = (deadline.as_ms() as u64).max(1);
-        (63 - ms.leading_zeros()) as usize
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// The band, materializing it (and any gap below) on first use.
-    fn band_mut(&mut self, b: usize) -> &mut SlackBand {
-        if self.bands.len() <= b {
-            self.bands.resize_with(b + 1, SlackBand::default);
-        }
-        &mut self.bands[b]
-    }
-
-    /// (Re)key `e.id` in band `b`; inserts if absent.
-    fn upsert(&mut self, b: usize, e: HeapEntry) {
-        let band = self.band_mut(b);
-        if !band.index.set_key(e.id, e.pri) {
-            band.index.insert(e);
-            self.len += 1;
-        }
-    }
-
-    /// Remove `id` from band `b` (a departed transaction). Returns
-    /// whether it was present.
-    fn remove(&mut self, b: usize, id: TxnId) -> bool {
-        let Some(band) = self.bands.get_mut(b) else {
-            return false;
-        };
-        let removed = band.index.remove(id);
-        if removed {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    /// `id`'s current key in band `b`, if indexed.
-    fn key_of(&self, b: usize, id: TxnId) -> Option<Priority> {
-        self.bands.get(b)?.index.key_of(id)
-    }
-}
-
 struct EngineState<'p> {
     cfg: &'p SimConfig,
     policy: &'p dyn Policy,
@@ -407,32 +319,29 @@ struct EngineState<'p> {
     /// at MPL ≥ 1024 the tag vector stays resident in a few cache lines
     /// while the transaction structs span megabytes.
     state_tags: Vec<TxnState>,
-    /// The lazy priority index over active transactions (used for
-    /// `Static` and `ConflictState` policies outside `AlwaysRecompute`),
-    /// and the one place a priority is stored: exactly one entry per
-    /// active transaction — seeded at arrival, moved in place by the
-    /// clear-repair walk, the narrowing refresh, wound/wait comparisons
-    /// and pick validation, and removed at commit. Invariant: every key
-    /// is an upper bound on its transaction's exact priority (exact under
-    /// `Static`): a `ConflictState` priority falls without any write as
-    /// the runner's service accrues and as partials grow their sets, and
-    /// the pick's validated argmax ([`Self::heap_best`]) pops the
-    /// stale-high tops.
+    /// The priority index over active transactions (outside
+    /// `AlwaysRecompute`, for every policy but a `Volatile` one), and the
+    /// one place a priority is stored: exactly one entry per active
+    /// transaction — seeded at arrival, moved in place by the clear-repair
+    /// walk, the narrowing refresh, wound/wait comparisons, own-state
+    /// re-keys and pick validation, and removed at commit. The policy's
+    /// [`PriorityDeps`] fixes what a key means for the whole run. Under
+    /// `Static` and `ConflictState` it is an upper bound on the exact
+    /// priority (exact under `Static`): a `ConflictState` priority falls
+    /// without any write as the runner's service accrues and as partials
+    /// grow their sets. Under a keyed `TimeAndSelf` policy it is the
+    /// time-invariant `K` ([`Policy::time_invariant_key`]), whose order
+    /// is the priority order at every instant. Either way the pick's
+    /// validated argmax ([`Self::heap_best`]) pops the stale-high tops.
     index: RefCell<PriorityIndex>,
-    /// Slack-ordered pick index for `TimeAndSelf` policies exposing a
-    /// time-invariant key (`Policy::time_invariant_key`; LSF): keys hold
-    /// `K` with `priority ≈ now + K`, so the order is the priority order
-    /// at every instant and picks validate the top instead of rescanning
-    /// the active set. Partitioned into per-deadline bands, each with
-    /// its own validation-nudge scale ([`SlackBands`]).
-    slack: RefCell<SlackBands>,
-    /// Scratch buffer for filtered picks (IOwait-schedule): entries of
-    /// unacceptable transactions are lifted out while scanning and
-    /// re-inserted afterwards; reused to avoid per-pick allocation.
+    /// The nudge scale of the `K` keys' bounds ([`Self::key_bound`]): the
+    /// largest |K| and deadline (ms) keyed in this run. It never shrinks —
+    /// it backs soundness, not tightness.
+    key_scale: Cell<f64>,
+    /// Scratch buffer for picks: entries popped while validating are
+    /// lifted out and re-inserted afterwards; reused to avoid per-pick
+    /// allocation.
     scratch: RefCell<Vec<HeapEntry>>,
-    /// Scratch for slack-band picks: popped entries tagged with their
-    /// band, re-inserted after the argmax settles.
-    slack_scratch: RefCell<Vec<(HeapEntry, usize)>>,
     /// Scratch buffer for the clear-repair walk's victims.
     walk_buf: Vec<TxnId>,
     /// Scratch slot set for the set-at-a-time conflict relations.
@@ -525,9 +434,8 @@ impl<'p> EngineState<'p> {
             ready_count: 0,
             state_tags: Vec::with_capacity(cfg.run.num_transactions),
             index: RefCell::new(PriorityIndex::default()),
-            slack: RefCell::new(SlackBands::default()),
+            key_scale: Cell::new(0.0),
             scratch: RefCell::new(Vec::new()),
-            slack_scratch: RefCell::new(Vec::new()),
             walk_buf: Vec::new(),
             row_buf: RefCell::new(Vec::new()),
             pick_next_calls: Cell::new(0),
@@ -542,14 +450,12 @@ impl<'p> EngineState<'p> {
         }
     }
 
-    /// Is the lazy priority heap the pick path for this run? True for
-    /// policies whose stored keys stay upper bounds across scheduling
-    /// points (`Static`, and `ConflictState` under the clear-repair walk).
-    /// `TimeAndSelf` and `Volatile` priorities move with every clock
-    /// advance, so a heap over them would be rebuilt per pick — the scan
-    /// is strictly cheaper. `AlwaysRecompute` keeps the verbatim pre-heap
-    /// scan as the oracle.
-    fn heap_in_use(&self) -> bool {
+    /// Are the index keys priorities — exact under `Static`, upper bounds
+    /// under `ConflictState` (kept so by the clear-repair walk and the
+    /// narrowing refresh)? Only such keys are ever re-keyed to an exact
+    /// priority. `AlwaysRecompute` keeps no keys: it is the verbatim scan
+    /// oracle.
+    fn priority_keyed(&self) -> bool {
         self.mode != CacheMode::AlwaysRecompute
             && matches!(
                 self.policy.depends_on(),
@@ -557,48 +463,58 @@ impl<'p> EngineState<'p> {
             )
     }
 
-    /// Is the slack-ordered index the pick path for this run? True for
-    /// `TimeAndSelf` policies that expose a time-invariant key
-    /// ([`Policy::time_invariant_key`]): their priorities all advance
-    /// with the clock at the same unit rate, so the *order* of stored
-    /// keys survives clock advances even though the values don't. The
-    /// index is maintained per transaction (a policy returning `None`
-    /// simply never populates it), so requiring full coverage of the
-    /// active set makes the gate safe for any policy; the
-    /// `AlwaysRecompute` oracle keeps the verbatim scan.
-    fn slack_in_use(&self) -> bool {
+    /// Are the index keys a `TimeAndSelf` policy's time-invariant `K`
+    /// ([`Policy::time_invariant_key`])? Such priorities all advance with
+    /// the clock at the same unit rate, so the *order* of the stored keys
+    /// survives clock advances even though the values don't.
+    fn time_keyed(&self) -> bool {
         self.mode != CacheMode::AlwaysRecompute
             && self.policy.depends_on() == PriorityDeps::TimeAndSelf
-            && self.slack.borrow().len() == self.active.len()
     }
 
-    /// (Re)key `id` in the slack index after an own-state change
+    /// Is the index the pick path? Always for priority keys; for `K` keys
+    /// only while they cover the active set (a policy returning `None`
+    /// never populates the index, so the gate is safe for any policy).
+    /// `Volatile` policies and the `AlwaysRecompute` oracle scan.
+    fn index_in_use(&self) -> bool {
+        self.priority_keyed()
+            || (self.time_keyed() && self.index.borrow().entries().len() == self.active.len())
+    }
+
+    /// Re-key `id` under its time-invariant `K` after an own-state change
     /// (admission, progress, restart). No-op unless a `TimeAndSelf`
-    /// policy exposes a time-invariant key for it.
-    fn slack_upsert(&self, id: TxnId) {
-        if self.mode == CacheMode::AlwaysRecompute
-            || self.policy.depends_on() != PriorityDeps::TimeAndSelf
-        {
+    /// policy exposes a key for it.
+    fn own_state_rekey(&self, id: TxnId) {
+        if !self.time_keyed() {
             return;
         }
         let t = self.txn(id);
         let Some(k) = self.policy.time_invariant_key(t) else {
             return;
         };
-        let b = SlackBands::band_of(t.deadline);
-        let mut slack = self.slack.borrow_mut();
-        let band = slack.band_mut(b);
-        band.key_scale
-            .set(band.key_scale.get().max(k.abs()).max(t.deadline.as_ms()));
-        slack.upsert(
-            b,
-            HeapEntry {
-                pri: Priority(k),
-                arrival: t.arrival,
-                id,
-            },
-        );
-        self.heap_pushes.set(self.heap_pushes.get() + 1);
+        self.key_scale
+            .set(self.key_scale.get().max(k.abs()).max(t.deadline.as_ms()));
+        self.index_upsert(id, Priority(k));
+    }
+
+    /// The bound an index key stands for at the current instant: the key
+    /// itself when it is a priority, and `nudge_up(now_ms + K, scale)` for
+    /// a time-invariant `K`. One scale serves every entry — the largest
+    /// |K|, deadline and clock of the run — so the bound is monotone in
+    /// `K` and the heap's order is the bounds' order; 32 ulp of it dominate
+    /// the few-ulp gap between `now_ms + K` and the policy's actually
+    /// rounded priority for any entry.
+    fn key_bound(&self) -> impl Fn(Priority) -> Priority {
+        let time_keyed = self.time_keyed();
+        let now_ms = self.now().as_ms();
+        let scale = self.key_scale.get().max(now_ms).max(1.0);
+        move |key| {
+            if time_keyed {
+                Priority(nudge_up(now_ms + key.0, scale))
+            } else {
+                key
+            }
+        }
     }
 
     /// Record a trace event if tracing is enabled.
@@ -794,15 +710,17 @@ impl<'p> EngineState<'p> {
         value
     }
 
-    /// The exact priority of `id`, with its heap key moved to it when the
+    /// The exact priority of `id`, with its index key moved to it when the
     /// two differ (or inserted when `id` has none yet). Three events need
     /// a key set to the exact value: the arrival seed, the refresh after
     /// a decision-point narrowing (the one own-state event that can
     /// *raise* a `ConflictState` priority), and a wound/wait comparison,
     /// which demotes the stale-high key it has already paid to evaluate.
+    /// Wound/wait calls this under every policy; only priority keys move,
+    /// and a time-invariant `K` key is left alone.
     fn priority_rekeyed(&self, id: TxnId) -> Priority {
         let value = self.priority_of(id);
-        if self.heap_in_use() {
+        if self.priority_keyed() {
             let key = self.index.borrow().key_of(id);
             if key.map(|k| k.0.to_bits()) != Some(value.0.to_bits()) {
                 self.index_upsert(id, value);
@@ -877,10 +795,10 @@ impl<'p> EngineState<'p> {
         // Seed the newcomer's index key eagerly: the index must hold
         // exactly one entry per active transaction before the next pick
         // can trust its peek.
-        if self.heap_in_use() {
+        if self.priority_keyed() {
             self.priority_rekeyed(id);
         }
-        self.slack_upsert(id);
+        self.own_state_rekey(id);
         self.emit(|| TraceEvent::Arrival { txn: id, deadline });
         self.update_queue_metrics();
         self.reschedule(); // tr-arrival-schedule
@@ -1002,7 +920,7 @@ impl<'p> EngineState<'p> {
                         t.cpu_left = SimDuration::ZERO;
                     }
                     self.metrics.add_wasted_cpu(burst);
-                    self.slack_upsert(id);
+                    self.own_state_rekey(id);
                     self.running = None;
                     self.handle_cpu_stall(id);
                     self.update_queue_metrics();
@@ -1019,7 +937,7 @@ impl<'p> EngineState<'p> {
                     // its update, narrowing the analytic mightaccess.
                     t.maybe_execute_decision()
                 };
-                // Progress/service moved: the slack key (LSF) follows;
+                // Progress/service moved: the `K` key (LSF) follows;
                 // under `ConflictState` deps own service never raises the
                 // owner's priority, so the stale index key stays an upper
                 // bound. A narrowing additionally changes how the
@@ -1029,11 +947,11 @@ impl<'p> EngineState<'p> {
                 // refresh its key eagerly and exactly.
                 if narrowed {
                     self.accel.reindex(&self.txns[id.0 as usize]);
-                    if self.heap_in_use() {
+                    if self.priority_keyed() {
                         self.priority_rekeyed(id);
                     }
                 }
-                self.slack_upsert(id);
+                self.own_state_rekey(id);
                 if self.txn(id).progress == self.txn(id).total_updates() {
                     self.commit(id);
                 } else {
@@ -1147,7 +1065,7 @@ impl<'p> EngineState<'p> {
             self.conflict_cleared(id);
             self.txn_mut(id).reset_for_restart();
             self.accel.reindex(&self.txns[id.0 as usize]);
-            self.slack_upsert(id);
+            self.own_state_rekey(id);
             self.set_state(id, TxnState::Ready);
         } else {
             self.emit(|| TraceEvent::IoFault { txn: id, retries });
@@ -1196,7 +1114,7 @@ impl<'p> EngineState<'p> {
             self.conflict_cleared(id);
             self.txn_mut(id).reset_for_restart();
             self.accel.reindex(&self.txns[id.0 as usize]);
-            self.slack_upsert(id);
+            self.own_state_rekey(id);
             self.set_state(id, TxnState::Ready);
         } else {
             let backoff = plan.backoff_after(retries);
@@ -1547,9 +1465,9 @@ impl<'p> EngineState<'p> {
             }
         }
         // `reset_for_restart` (every arm above) re-widens `might_access`
-        // and zeroes progress: refresh the slot rows and the slack key.
+        // and zeroes progress: refresh the slot rows and the `K` key.
         self.accel.reindex(&self.txns[victim.0 as usize]);
-        self.slack_upsert(victim);
+        self.own_state_rekey(victim);
     }
 
     fn commit(&mut self, id: TxnId) {
@@ -1604,11 +1522,7 @@ impl<'p> EngineState<'p> {
         self.running = None;
         self.active.retain(|&a| a != id);
         self.accel.drop_index(id);
-        if self.heap_in_use() {
-            self.index.borrow_mut().remove(id);
-        }
-        let band = SlackBands::band_of(self.txn(id).deadline);
-        self.slack.borrow_mut().remove(band, id);
+        self.index.borrow_mut().remove(id);
         // Departed for good: recycle the committed transaction's slot.
         self.accel.release(id);
         self.update_queue_metrics();
@@ -1677,48 +1591,36 @@ impl<'p> EngineState<'p> {
         }
     }
 
+    /// `TH` and the IOwait-schedule pick both come from one argmax: the
+    /// validated index argmax ([`Self::heap_best`]) when the index is the
+    /// pick path, the scan ([`Self::scan_best`]) otherwise. `Verify`
+    /// checks every index key and asserts each indexed pick against a
+    /// fresh scan.
     fn pick_next_inner(&self) -> Option<(TxnId, bool)> {
-        if self.mode == CacheMode::Verify {
+        let indexed = self.index_in_use();
+        let verify = indexed && self.mode == CacheMode::Verify;
+        if verify {
             self.verify_index_bounds();
         }
-        if self.heap_in_use() {
-            return self.pick_next_heap();
-        }
-        if self.slack_in_use() {
-            return self.pick_next_slack();
-        }
-        let th = self.best_by_priority(self.active.iter().copied())?;
-        if self.txn(th).is_runnable() {
-            return Some((th, false));
-        }
-        // TH is blocked on IO: IOwait-schedule. With nothing Ready and
-        // nothing Running there is no candidate — skip the filtered scan
-        // (pure short-circuit; the scan below would also find nobody).
-        if self.mode != CacheMode::AlwaysRecompute
-            && self.ready_count == 0
-            && self.running.is_none()
-        {
-            return None;
-        }
-        let candidates = self
-            .active
-            .iter()
-            .copied()
-            .filter(|&id| self.txn(id).is_runnable())
-            .filter(|&id| !self.policy.iowait_restrict() || self.compatible_with_plist(id));
-        self.best_by_priority(candidates).map(|id| (id, true))
-    }
-
-    /// The indexed pick: TH from the validated argmax over the priority
-    /// heap, then the IOwait-schedule fallback through the same argmax
-    /// restricted to runnable (and, when the policy asks, P-list-
-    /// compatible) transactions.
-    fn pick_next_heap(&self) -> Option<(TxnId, bool)> {
-        let th = self.heap_best(|_| true);
-        if self.mode == CacheMode::Verify {
+        let best = |accept: &dyn Fn(TxnId) -> bool| {
+            if indexed {
+                self.heap_best(accept)
+            } else {
+                self.scan_best(|id| self.priority_of(id), accept)
+            }
+        };
+        let oracle = |accept: &dyn Fn(TxnId) -> bool| {
             self.verify_checks.set(self.verify_checks.get() + 1);
-            let oracle = self.fresh_best(|_| true);
-            assert_eq!(th, oracle, "indexed TH pick diverged from the fresh scan");
+            let view = self.fresh_view();
+            self.scan_best(|id| self.policy.priority(self.txn(id), &view), accept)
+        };
+        let th = best(&|_| true);
+        if verify {
+            assert_eq!(
+                th,
+                oracle(&|_| true),
+                "indexed TH pick diverged from the fresh scan"
+            );
         }
         let Some(th) = th else {
             debug_assert!(self.active.is_empty(), "index lost an active entry");
@@ -1727,63 +1629,72 @@ impl<'p> EngineState<'p> {
         if self.runnable_tag(th) {
             return Some((th, false));
         }
-        // TH blocked on IO: IOwait-schedule (same short-circuit as the
-        // scan path — with nothing Ready and nothing Running the filtered
-        // argmax would also find nobody).
-        if self.ready_count == 0 && self.running.is_none() {
+        // TH is blocked on IO: IOwait-schedule. With nothing Ready and
+        // nothing Running there is no candidate — skip the filtered
+        // argmax (pure short-circuit; it would also find nobody).
+        if self.mode != CacheMode::AlwaysRecompute
+            && self.ready_count == 0
+            && self.running.is_none()
+        {
             return None;
         }
         let restrict = self.policy.iowait_restrict();
-        let pick = self
-            .heap_best(|id| self.runnable_tag(id) && (!restrict || self.compatible_with_plist(id)));
-        if self.mode == CacheMode::Verify {
-            self.verify_checks.set(self.verify_checks.get() + 1);
-            let oracle = self.fresh_best(|id| {
+        let pick =
+            best(&|id| self.runnable_tag(id) && (!restrict || self.compatible_with_plist(id)));
+        if verify {
+            let fresh = oracle(&|id| {
                 self.txn(id).is_runnable() && (!restrict || self.fresh_compatible(id))
             });
             assert_eq!(
-                pick, oracle,
+                pick, fresh,
                 "indexed IOwait pick diverged from the fresh scan"
             );
         }
         pick.map(|id| (id, true))
     }
 
-    /// The validated argmax over the priority heap.
+    /// The validated argmax over the priority index.
     ///
-    /// Every key is an **upper bound** on its transaction's exact
-    /// priority: the exact priority only falls between key writes (a
-    /// clear or a narrowing, the only rises, raise the key first). Each
+    /// Every key stands for an **upper bound** on its transaction's exact
+    /// priority ([`Self::key_bound`]): an exact priority only falls
+    /// between key writes (a clear or a narrowing, the only rises, raise
+    /// the key first), and a `K` key's bound follows the clock. Each
     /// round pops the top and validates it by exact recomputation
-    /// ([`Self::priority_of`] — the entry is out of the index, so the
-    /// loop re-parks it itself under its exact key). The moment the best
-    /// validated exact entry beats the top key, no un-popped entry can
-    /// win (its exact sits at or below its own key, which sits at or
-    /// below the top's), and the argmax is
-    /// settled; the composite `(Priority, Reverse(arrival), Reverse(id))`
-    /// order ends in the id, so cross-transaction ties cannot occur.
-    /// Entries `accept` rejects are parked unchanged — acceptability does
-    /// not read priorities.
+    /// ([`Self::priority_of`] — the entry is out of the index, so the loop
+    /// re-parks it itself: a priority key under its exact value, a `K`
+    /// key unchanged, since `K` moves only on own-state events). The
+    /// moment the best validated exact entry beats the top's bound, no
+    /// un-popped entry can win (its exact sits at or below its own bound,
+    /// which sits at or below the top's), and the argmax is settled; the
+    /// composite `(Priority, Reverse(arrival), Reverse(id))` order ends in
+    /// the id, so cross-transaction ties cannot occur. Entries `accept`
+    /// rejects are parked unchanged — acceptability does not read
+    /// priorities.
     ///
     /// Each entry pops at most once per pick, so a pick costs
     /// O(validations · log n); `heap_stale_pops` counts the validations
     /// that did *not* settle the pick (validations − 1).
     fn heap_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
-        // Fast path: a top that validates bit-exactly settles the argmax
-        // with zero heap mutation — every other key sits at or below it,
-        // and the composite order already broke ties. This is the
-        // steady-state common case (fresh keys, one peek + one validation
-        // per pick).
+        let bound = self.key_bound();
+        let rekey = self.priority_keyed();
+        // Fast path: a top whose exact priority equals its bound bit for
+        // bit settles the argmax with zero heap mutation — every other
+        // bound sits at or below it, and the composite order already broke
+        // ties. This is the steady-state common case for priority keys
+        // (fresh keys, one peek + one validation per pick); a `K` bound is
+        // nudged above the exact value, so `K` keys always take the loop.
+        // A miss carries the exact value into the loop, whose first round
+        // pops this same top.
+        let mut carried = None;
         let top = self.index.borrow().peek();
         if let Some(top) = top.filter(|t| accept(t.id)) {
             let exact = self.priority_of(top.id);
-            if exact.0.to_bits() == top.pri.0.to_bits() {
+            if exact.0.to_bits() == bound(top.pri).0.to_bits() {
                 self.heap_validated_picks
                     .set(self.heap_validated_picks.get() + 1);
                 return Some(top.id);
             }
-            // Stale: the loop below re-pops this same top, revalidates
-            // it and re-parks it under its exact key.
+            carried = Some((top.id, exact));
         }
         let mut scratch = self.scratch.borrow_mut();
         debug_assert!(scratch.is_empty());
@@ -1793,7 +1704,11 @@ impl<'p> EngineState<'p> {
             let Some(entry) = self.index.borrow().peek() else {
                 break;
             };
-            if best.is_some_and(|b| b > entry) {
+            let entry_bound = HeapEntry {
+                pri: bound(entry.pri),
+                ..entry
+            };
+            if best.is_some_and(|b| b > entry_bound) {
                 break;
             }
             let id = entry.id;
@@ -1802,25 +1717,29 @@ impl<'p> EngineState<'p> {
                 scratch.push(entry);
                 continue;
             }
-            let exact = self.priority_of(id);
+            let exact = match carried.take() {
+                Some((carried_id, exact)) if carried_id == id => exact,
+                _ => self.priority_of(id),
+            };
             validations += 1;
             debug_assert!(
-                exact <= entry.pri,
-                "{id}: index key {} was not an upper bound on exact {}",
-                entry.pri.0,
+                exact <= entry_bound.pri,
+                "{id}: index bound {} was not an upper bound on exact {}",
+                entry_bound.pri.0,
                 exact.0
             );
             let validated = HeapEntry {
                 pri: exact,
                 ..entry
             };
-            scratch.push(validated);
-            self.heap_pushes.set(self.heap_pushes.get() + 1);
-            let better = match best {
-                None => true,
-                Some(b) => validated > b,
-            };
-            if better {
+            if rekey {
+                scratch.push(validated);
+                self.heap_pushes.set(self.heap_pushes.get() + 1);
+            } else {
+                scratch.push(entry);
+            }
+            // `None` orders below every `Some`.
+            if Some(validated) > best {
                 best = Some(validated);
             }
         }
@@ -1839,160 +1758,26 @@ impl<'p> EngineState<'p> {
         best.map(|b| b.id)
     }
 
-    /// The slack-index pick for `TimeAndSelf` policies: every priority
-    /// advances with the clock at the same unit rate (`priority ≈
-    /// now_ms + K`, with `K` the policy's time-invariant key), so ordering the
-    /// stored keys orders the priorities at any instant. The validated-
-    /// argmax protocol of [`Self::heap_best`] applies with the effective
-    /// bound `nudge_up(now_ms + K, S_b)` — each deadline band's scale
-    /// `S_b` is shared by all its entries, keeping the bounds monotone
-    /// in `K` *within* the band, and the pick takes the max effective
-    /// tuple across band tops, so the break condition stays sound.
-    fn pick_next_slack(&self) -> Option<(TxnId, bool)> {
-        let th = self.slack_best(|_| true);
-        if self.mode == CacheMode::Verify {
-            self.verify_checks.set(self.verify_checks.get() + 1);
-            let oracle = self.fresh_best(|_| true);
-            assert_eq!(
-                th, oracle,
-                "slack-index TH pick diverged from the fresh scan"
-            );
-        }
-        let Some(th) = th else {
-            debug_assert!(self.active.is_empty(), "slack index lost an active entry");
-            return None;
-        };
-        if self.runnable_tag(th) {
-            return Some((th, false));
-        }
-        if self.ready_count == 0 && self.running.is_none() {
-            return None;
-        }
-        let restrict = self.policy.iowait_restrict();
-        let pick = self.slack_best(|id| {
-            self.runnable_tag(id) && (!restrict || self.compatible_with_plist(id))
-        });
-        if self.mode == CacheMode::Verify {
-            self.verify_checks.set(self.verify_checks.get() + 1);
-            let oracle = self.fresh_best(|id| {
-                self.txn(id).is_runnable() && (!restrict || self.fresh_compatible(id))
-            });
-            assert_eq!(
-                pick, oracle,
-                "slack-index IOwait pick diverged from the fresh scan"
-            );
-        }
-        pick.map(|id| (id, true))
-    }
-
-    /// [`Self::heap_best`]'s protocol over the banded slack index.
-    /// Each round takes the max *effective* tuple over the band tops —
-    /// every unpopped entry is dominated by its own band's top under
-    /// that band's scale — pops it, and validates it by exact
-    /// recomputation. Validated entries re-park under their *unchanged*
-    /// key — `K` moves only on own-state events, never inside a pick —
-    /// and validation itself is an exact [`Self::priority_of`] call.
-    fn slack_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
+    /// The scan argmax: the highest `priority` among the `accept`ed
+    /// active transactions, ties broken by earlier arrival, then smaller
+    /// id (deterministic). It is the pick path wherever the index is not —
+    /// `Volatile` policies and the `AlwaysRecompute` oracle, evaluating
+    /// through [`Self::priority_of`] — and the fresh oracle `Verify`
+    /// asserts the indexed picks against.
+    fn scan_best(
+        &self,
+        priority: impl Fn(TxnId) -> Priority,
+        accept: impl Fn(TxnId) -> bool,
+    ) -> Option<TxnId> {
         use std::cmp::Reverse;
-        let now_ms = self.now().as_ms();
-        let mut scratch = self.slack_scratch.borrow_mut();
-        debug_assert!(scratch.is_empty());
-        let mut best: Option<(Priority, SimTime, TxnId)> = None;
-        let mut validations: u64 = 0;
-        loop {
-            let top = {
-                let slack = self.slack.borrow();
-                let mut top: Option<(Priority, HeapEntry, usize)> = None;
-                for (b, band) in slack.bands.iter().enumerate() {
-                    let Some(e) = band.index.peek() else {
-                        continue;
-                    };
-                    let eff = Priority(nudge_up(now_ms + e.pri.0, band.eff_scale(now_ms)));
-                    let better = match &top {
-                        None => true,
-                        Some((teff, te, _)) => {
-                            (eff, Reverse(e.arrival), Reverse(e.id))
-                                > (*teff, Reverse(te.arrival), Reverse(te.id))
-                        }
-                    };
-                    if better {
-                        top = Some((eff, e, b));
-                    }
-                }
-                top
-            };
-            let Some((eff, entry, band)) = top else {
-                break;
-            };
-            if let Some((bp, ba, bi)) = best {
-                if (bp, Reverse(ba), Reverse(bi)) > (eff, Reverse(entry.arrival), Reverse(entry.id))
-                {
-                    break;
-                }
-            }
-            let id = entry.id;
-            self.slack.borrow_mut().remove(band, id);
-            scratch.push((entry, band));
-            if !accept(id) {
-                continue;
-            }
-            let exact = self.priority_of(id);
-            validations += 1;
-            debug_assert!(
-                exact <= eff,
-                "{id}: slack key was not an upper bound (eff {} < exact {})",
-                eff.0,
-                exact.0
-            );
-            let better = match best {
-                None => true,
-                Some((bp, ba, bi)) => {
-                    (exact, Reverse(entry.arrival), Reverse(id)) > (bp, Reverse(ba), Reverse(bi))
-                }
-            };
-            if better {
-                best = Some((exact, entry.arrival, id));
+        let mut best = None;
+        for &id in self.active.iter().filter(|&&id| accept(id)) {
+            let candidate = (priority(id), Reverse(self.txn(id).arrival), Reverse(id));
+            if Some(candidate) > best {
+                best = Some(candidate);
             }
         }
-        {
-            let mut slack = self.slack.borrow_mut();
-            for (e, b) in scratch.drain(..) {
-                slack.upsert(b, e);
-            }
-        }
-        if best.is_some() {
-            self.heap_validated_picks
-                .set(self.heap_validated_picks.get() + 1);
-            self.heap_stale_pops
-                .set(self.heap_stale_pops.get() + validations.saturating_sub(1));
-        }
-        best.map(|(_, _, id)| id)
-    }
-
-    /// The scan the `Verify` heap asserts against: fresh (accel-free)
-    /// priorities over `active` with the scan tie-break, restricted by
-    /// `filter`.
-    fn fresh_best(&self, filter: impl Fn(TxnId) -> bool) -> Option<TxnId> {
-        let view = self.fresh_view();
-        let mut best: Option<(Priority, SimTime, TxnId)> = None;
-        for &id in &self.active {
-            if !filter(id) {
-                continue;
-            }
-            let t = self.txn(id);
-            let pri = self.policy.priority(t, &view);
-            let better = match &best {
-                None => true,
-                Some((bp, ba, bi)) => {
-                    (pri, std::cmp::Reverse(t.arrival), std::cmp::Reverse(t.id))
-                        > (*bp, std::cmp::Reverse(*ba), std::cmp::Reverse(*bi))
-                }
-            };
-            if better {
-                best = Some((pri, t.arrival, id));
-            }
-        }
-        best.map(|(_, _, id)| id)
+        best.map(|(_, _, Reverse(id))| id)
     }
 
     /// Accel-free IOwait compatibility (the `Verify` oracle's filter).
@@ -2006,101 +1791,57 @@ impl<'p> EngineState<'p> {
             .all(|p| !candidate.conflicts_with(p))
     }
 
-    /// `Verify`: every index key must bound its transaction's fresh
-    /// priority — exactly what the validated-argmax picks rely on. A
-    /// `Static` key is bit-identical to it (nothing moves a static
-    /// priority); a `ConflictState` key is `>=` it (lazy falls leave
-    /// stale-high keys by design, while a key *below* the fresh value
-    /// means a rise escaped the clear walk or the narrowing refresh,
-    /// which would make the heap's pop order unsound); every slack-index
-    /// effective bound dominates it. Checked at every pick rather than
-    /// when the entry next surfaces.
+    /// `Verify`: every index key must stand for a bound on its
+    /// transaction's fresh priority — exactly what the validated-argmax
+    /// picks rely on. A `Static` key is bit-identical to it (nothing moves
+    /// a static priority); a `ConflictState` key is `>=` it (lazy falls
+    /// leave stale-high keys by design, while a key *below* the fresh
+    /// value means a rise escaped the clear walk or the narrowing refresh,
+    /// which would make the heap's pop order unsound); a `K` key is
+    /// bit-identical to the policy's current key, and its bound is `>=`
+    /// the fresh value. Checked at every pick rather than when the entry
+    /// next surfaces.
     fn verify_index_bounds(&self) {
         let view = self.fresh_view();
-        if self.heap_in_use() {
-            let exact = self.policy.depends_on() == PriorityDeps::Static;
-            for e in self.index.borrow().entries() {
-                let fresh = self.policy.priority(self.txn(e.id), &view);
-                self.verify_checks.set(self.verify_checks.get() + 1);
-                if exact {
-                    assert_eq!(
-                        e.pri.0.to_bits(),
-                        fresh.0.to_bits(),
-                        "{}: Static index key {} != fresh {}",
-                        e.id,
-                        e.pri.0,
-                        fresh.0
-                    );
-                } else {
-                    assert!(
-                        e.pri >= fresh,
-                        "{}: index key {} < fresh {} (a priority rise escaped \
-                         the clear walk or the narrowing refresh)",
-                        e.id,
-                        e.pri.0,
-                        fresh.0
-                    );
-                }
-            }
-        }
-        if self.slack_in_use() {
-            let now_ms = self.now().as_ms();
-            let slack = self.slack.borrow();
-            for (b, band) in slack.bands.iter().enumerate() {
-                let scale = band.eff_scale(now_ms);
-                for e in band.index.entries() {
-                    let t = self.txn(e.id);
-                    debug_assert_eq!(
-                        b,
-                        SlackBands::band_of(t.deadline),
-                        "{}: slack entry in the wrong deadline band",
-                        e.id
-                    );
+        let deps = self.policy.depends_on();
+        let bound = self.key_bound();
+        for e in self.index.borrow().entries() {
+            let t = self.txn(e.id);
+            let fresh = self.policy.priority(t, &view);
+            self.verify_checks.set(self.verify_checks.get() + 1);
+            match deps {
+                PriorityDeps::Static => assert_eq!(
+                    e.pri.0.to_bits(),
+                    fresh.0.to_bits(),
+                    "{}: Static index key {} != fresh {}",
+                    e.id,
+                    e.pri.0,
+                    fresh.0
+                ),
+                PriorityDeps::TimeAndSelf => {
                     let k = self
                         .policy
                         .time_invariant_key(t)
-                        .expect("slack-indexed policy stopped exposing keys");
-                    let fresh = self.policy.priority(t, &view);
-                    self.verify_checks.set(self.verify_checks.get() + 2);
+                        .expect("time-keyed policy stopped exposing keys");
+                    self.verify_checks.set(self.verify_checks.get() + 1);
                     assert_eq!(
                         e.pri.0.to_bits(),
                         k.to_bits(),
-                        "{}: slack key diverged from the policy's current key",
+                        "{}: index key diverged from the policy's time-invariant key",
                         e.id
                     );
-                    assert!(
-                        Priority(nudge_up(now_ms + e.pri.0, scale)) >= fresh,
-                        "{}: slack effective bound {} < fresh {}",
-                        e.id,
-                        nudge_up(now_ms + e.pri.0, scale),
-                        fresh.0
-                    );
                 }
+                _ => {}
             }
+            assert!(
+                bound(e.pri) >= fresh,
+                "{}: index bound {} < fresh {} (a priority rise escaped \
+                 the clear walk or the narrowing refresh)",
+                e.id,
+                bound(e.pri).0,
+                fresh.0
+            );
         }
-    }
-
-    /// Highest-priority transaction among `ids` (priorities via
-    /// [`Self::priority_of`]); ties broken by earlier
-    /// arrival, then smaller id (deterministic).
-    fn best_by_priority(&self, ids: impl Iterator<Item = TxnId>) -> Option<TxnId> {
-        let mut best: Option<(Priority, SimTime, TxnId)> = None;
-        for id in ids {
-            let t = self.txn(id);
-            debug_assert!(t.is_active());
-            let pri = self.priority_of(id);
-            let better = match &best {
-                None => true,
-                Some((bp, ba, bi)) => {
-                    (pri, std::cmp::Reverse(t.arrival), std::cmp::Reverse(t.id))
-                        > (*bp, std::cmp::Reverse(*ba), std::cmp::Reverse(*bi))
-                }
-            };
-            if better {
-                best = Some((pri, t.arrival, id));
-            }
-        }
-        best.map(|(_, _, id)| id)
     }
 
     /// §3.3.3 `IOwait-schedule` filter: true iff `id` neither conflicts nor
@@ -2327,35 +2068,32 @@ impl<'p> EngineState<'p> {
         for (i, t) in self.txns.iter().enumerate() {
             assert_eq!(self.state_tags[i], t.state, "state tag diverged at txn {i}");
         }
-        // The priority index holds exactly one entry per active
-        // transaction.
-        if self.heap_in_use() {
+        // The index, when it is the pick path, holds exactly one entry per
+        // active transaction, and a `K` key matches the policy's current
+        // value.
+        if self.index_in_use() {
             let index = self.index.borrow();
             assert_eq!(
                 index.entries().len(),
                 self.active.len(),
                 "index size diverged"
             );
+            let time_keyed = self.time_keyed();
             for &id in &self.active {
-                assert!(index.contains(id), "{id}: active but not indexed");
-            }
-        }
-        // The slack index, when it is the pick path, covers the active
-        // set exactly and every key matches the policy's current value.
-        if self.slack_in_use() {
-            let slack = self.slack.borrow();
-            for &id in &self.active {
-                let b = SlackBands::band_of(self.txn(id).deadline);
-                let key = slack.key_of(b, id).expect("active but not slack-indexed");
-                let k = self
-                    .policy
-                    .time_invariant_key(self.txn(id))
-                    .expect("slack-indexed policy stopped exposing keys");
-                assert_eq!(
-                    key.0.to_bits(),
-                    k.to_bits(),
-                    "{id}: slack key diverged from the policy's current key"
-                );
+                let key = index
+                    .key_of(id)
+                    .unwrap_or_else(|| panic!("{id}: active but not indexed"));
+                if time_keyed {
+                    let k = self
+                        .policy
+                        .time_invariant_key(self.txn(id))
+                        .expect("time-keyed policy stopped exposing keys");
+                    assert_eq!(
+                        key.0.to_bits(),
+                        k.to_bits(),
+                        "{id}: index key diverged from the policy's time-invariant key"
+                    );
+                }
             }
         }
     }

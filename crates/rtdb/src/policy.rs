@@ -39,12 +39,15 @@ impl Ord for Priority {
     }
 }
 
-/// Which inputs a policy's [`Policy::priority`] is a function of — the
-/// engine's pick-path selector. `Static` and `ConflictState` policies
-/// pick through the lazy priority heap, `TimeAndSelf` policies through
-/// the slack index when they expose a time-invariant key, and the rest
-/// through a full scan; only `ConflictState` heaps walk victims on a
-/// clear.
+/// Which inputs a policy's [`Policy::priority`] is a function of. It
+/// fixes, for a whole run, what the engine's one priority index stores:
+/// an upper bound on the priority under `Static` (where it is exact) and
+/// `ConflictState`, the time-invariant key of
+/// [`Policy::time_invariant_key`] under a `TimeAndSelf` policy that
+/// exposes one. Every pick validates the index top the same way; a
+/// `TimeAndSelf` policy without keys and a `Volatile` one pick through a
+/// full scan instead. Only `ConflictState` keys are repaired by a walk
+/// over victims on a clear.
 ///
 /// Declaring a *wider* dependency than the policy actually has is always
 /// safe (it only costs evaluations); declaring a narrower one breaks
@@ -281,13 +284,15 @@ pub trait Policy: Sync {
     /// rounding in the policy's own evaluation. `K` may depend on the
     /// transaction's mutable own state (progress, restarts) but not on
     /// the clock, so it only changes at events the engine already
-    /// observes. When a policy returns `Some`, the engine keys a
-    /// slack-ordered pick index on `K` — candidates keep their relative
-    /// order as time advances, so picks validate the top instead of
-    /// rescanning — and revalidates each pick exactly (the scan remains
-    /// the `Verify`-mode oracle). `None` (the default) keeps the scan
-    /// path. LSF's slack `-(d - now - estimate)` decomposes this way;
-    /// a time/self policy with a nonlinear clock term does not and must
+    /// observes. When a policy returns `Some`, the engine's priority
+    /// index stores `K` — candidates keep their relative order as time
+    /// advances, so picks validate the top instead of rescanning. A pick
+    /// bounds each entry by `nudge_up(now_ms + K, scale)`, where one
+    /// run-wide scale (the largest |K|, deadline and clock seen) covers
+    /// the rounding, and revalidates it exactly (the scan remains the
+    /// `Verify`-mode oracle). `None` (the default) keeps the scan path.
+    /// LSF's slack `-(d - now - estimate)` decomposes this way; a
+    /// time/self policy with a nonlinear clock term does not and must
     /// return `None`.
     fn time_invariant_key(&self, txn: &Transaction) -> Option<f64> {
         let _ = txn;

@@ -17,7 +17,7 @@
 //! control.
 
 use proptest::prelude::*;
-use rtx::policies::{Cca, EdfHp, EdfWait, Lsf};
+use rtx::policies::{Cca, Criticality, EdfHp, EdfWait, Lsf};
 use rtx::preanalysis::{DataSet, ItemId, TypeId};
 use rtx::rtdb::engine::{
     run_simulation_from_mode, run_simulation_profiled_with_mode, run_simulation_with_mode,
@@ -376,8 +376,23 @@ fn modes_agree_on_generated_workloads() {
     disk_admission.system.admission = Some(AdmissionConfig::Static { safety_factor: 3.0 });
     configs.push((disk_admission, "disk admission"));
 
+    // A critical class puts |K| ≈ 1e15 keys into the one index next to
+    // ordinary ones: every `K` bound is nudged by that run-wide scale.
+    let mut mm_critical = SimConfig::mm_base();
+    mm_critical.run.num_transactions = 250;
+    mm_critical.run.arrival_rate_tps = 10.0;
+    mm_critical.workload.high_criticality_fraction = 0.2;
+    configs.push((mm_critical, "mm critical"));
+
+    let crit_lsf = Criticality::new(Lsf);
     for (cfg, label) in &configs {
-        for p in [&Cca::base() as &dyn Policy, &EdfHp, &EdfWait, &Lsf] {
+        for p in [
+            &Cca::base() as &dyn Policy,
+            &EdfHp,
+            &EdfWait,
+            &Lsf,
+            &crit_lsf,
+        ] {
             let oracle = run_simulation_with_mode(cfg, p, CacheMode::AlwaysRecompute);
             let inc = run_simulation_with_mode(cfg, p, CacheMode::Incremental);
             let verified = run_simulation_with_mode(cfg, p, CacheMode::Verify);
@@ -462,18 +477,18 @@ fn mpl256_burst_heap_determinism() {
         assert_eq!(oracle.sched.heap_pushes, 0, "{}", p.name());
     }
 
-    // LSF picks through the slack-ordered index (time-invariant keys,
-    // effective-priority validation) rather than the conflict heap; pin
-    // the same burst to the oracle scan and to rerun bit-identity. The
-    // conflict-counter assertions above don't apply — slack keys never
-    // see clear repairs — but the index must actually serve picks.
+    // LSF picks through the same index, keyed on its time-invariant `K`
+    // and validated against each key's clock-shifted bound; pin the same
+    // burst to the oracle scan and to rerun bit-identity. The
+    // conflict-counter assertions above don't apply — `K` keys never see
+    // clear repairs — but the index must actually serve picks.
     let oracle = run_simulation_with_mode(&cfg, &Lsf, CacheMode::AlwaysRecompute);
     let inc = run_simulation_with_mode(&cfg, &Lsf, CacheMode::Incremental);
     let verified = run_simulation_with_mode(&cfg, &Lsf, CacheMode::Verify);
     assert_eq!(
         inc.sans_sched_stats(),
         oracle.sans_sched_stats(),
-        "MPL-256: slack-index picks diverged from the oracle under LSF"
+        "MPL-256: time-keyed index picks diverged from the oracle under LSF"
     );
     assert_eq!(
         verified.sans_sched_stats(),
@@ -481,10 +496,10 @@ fn mpl256_burst_heap_determinism() {
         "MPL-256: verify diverged under LSF"
     );
     let again = run_simulation_with_mode(&cfg, &Lsf, CacheMode::Incremental);
-    assert_eq!(inc, again, "LSF slack-index path must be deterministic");
+    assert_eq!(inc, again, "LSF time-keyed pick path must be deterministic");
     assert!(
         inc.sched.heap_validated_picks > 0,
-        "slack index never picked"
+        "the index never served an LSF pick"
     );
     assert_eq!(oracle.sched.heap_validated_picks, 0);
 }
