@@ -23,7 +23,7 @@ use crate::penalty::penalty_of_conflict;
 /// The CCA scheduling policy.
 #[derive(Debug, Clone)]
 pub struct Cca {
-    /// The penalty-weight `w` ("will be [adjusted] accordingly to get the
+    /// The penalty-weight `w` ("will be adjusted accordingly to get the
     /// best performance"; Table 1 uses 1).
     weight: f64,
     name: String,

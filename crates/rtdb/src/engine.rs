@@ -25,8 +25,9 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 
+use rtx_preanalysis::sets::ItemId;
 use rtx_sim::calendar::{Calendar, EventHandle};
-use rtx_sim::fault::{CpuFaultInjector, FaultInjector};
+use rtx_sim::fault::{FaultInjector, Resource};
 use rtx_sim::rng::StreamSeeder;
 use rtx_sim::time::{SimDuration, SimTime};
 
@@ -50,13 +51,11 @@ enum Event {
     CpuDone(TxnId),
     /// The disk's active transfer completes.
     IoDone(TxnId),
-    /// A transaction's IO backoff expired: retry the failed transfer. The
-    /// token guards against the transaction having been aborted and
-    /// restarted while this event was in flight.
-    IoRetry(TxnId, u64),
-    /// A transaction's CPU-stall backoff expired: re-queue the stalled
-    /// compute burst. Token-guarded like [`Event::IoRetry`].
-    CpuRetry(TxnId, u64),
+    /// A transaction's backoff after a failed attempt expired: retry the
+    /// transfer or the compute burst. The token guards against the
+    /// transaction having been aborted and restarted while this event was
+    /// in flight.
+    Retry(TxnId, u64),
 }
 
 enum Started {
@@ -272,22 +271,18 @@ struct EngineState<'p> {
     /// without touching the metrics pipeline). Purely observational: it
     /// never influences scheduling, RNG draws or metrics.
     completions: Option<Vec<Completion>>,
-    /// Disk fault injector, present iff the config's
-    /// [`rtx_sim::fault::FaultPlan`] disk section can inject anything.
-    /// `None` takes the exact pre-fault code path and consumes no
-    /// randomness.
-    faults: Option<FaultInjector>,
-    /// Whether the disk's *active* transfer was drawn to fail. Taken (and
-    /// reset) when the transfer completes.
-    active_io_failed: bool,
-    /// CPU fault injector, present iff the plan's CPU section can inject
-    /// anything. Draws from its own `"cpu-faults"` stream, so disk and
-    /// CPU injection never perturb each other.
-    cpu_faults: Option<CpuFaultInjector>,
-    /// Whether the *current* compute burst was drawn to stall. Taken
-    /// when the burst completes; voided by preemption (the verdict
-    /// belonged to the full burst, and the resumed burst draws afresh).
-    active_cpu_failed: bool,
+    /// Fault injectors indexed by [`Resource`], each present iff its
+    /// section of the config's [`rtx_sim::fault::FaultPlan`] can inject
+    /// anything. `None` takes the exact pre-fault code path and consumes
+    /// no randomness; the two draw from separate streams, so disk and CPU
+    /// injection never perturb each other.
+    faults: [Option<FaultInjector>; 2],
+    /// Whether each resource's current attempt — the disk's active
+    /// transfer, the CPU's compute burst — was drawn to fail, indexed by
+    /// [`Resource`]. Taken when the attempt completes; preemption voids
+    /// the CPU's (the verdict belonged to the full burst, and the resumed
+    /// burst draws afresh).
+    attempt_failed: [bool; 2],
     /// The admission safety factor currently in force. Pinned for
     /// [`AdmissionConfig::Static`]; moved by the windowed miss-ratio
     /// feedback controller for [`AdmissionConfig::Adaptive`].
@@ -387,17 +382,14 @@ impl<'p> EngineState<'p> {
         // faults never perturbs the workload draws (and disk and CPU
         // injection never perturb each other).
         let seeder = StreamSeeder::new(cfg.run.seed);
-        let faults = if cfg.system.faults.disk_is_none() {
-            None
-        } else {
-            Some(FaultInjector::new(cfg.system.faults.clone(), &seeder))
-        };
-        let cpu_faults = if cfg.system.faults.cpu_is_none() {
-            None
-        } else {
-            let plan = cfg.system.faults.cpu.clone().expect("cpu_is_none checked");
-            Some(CpuFaultInjector::new(plan, &seeder))
-        };
+        let plan = &cfg.system.faults;
+        let faults = [
+            (!plan.disk_is_none()).then(|| FaultInjector::disk(plan, &seeder)),
+            plan.cpu
+                .as_ref()
+                .filter(|_| !plan.cpu_is_none())
+                .map(|cpu| FaultInjector::cpu(cpu, &seeder)),
+        ];
         EngineState {
             cfg,
             policy,
@@ -417,9 +409,7 @@ impl<'p> EngineState<'p> {
             trace: None,
             completions: None,
             faults,
-            active_io_failed: false,
-            cpu_faults,
-            active_cpu_failed: false,
+            attempt_failed: [false; 2],
             admission_factor: cfg
                 .system
                 .admission
@@ -577,8 +567,9 @@ impl<'p> EngineState<'p> {
             && matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
     }
 
-    /// A lock grant grew `id`'s access sets: record it with the
-    /// accelerator; nothing else.
+    /// `id` was granted `item` in `mode`: add it to the access sets and,
+    /// when they grew, record the growth with the accelerator; nothing
+    /// else.
     ///
     /// Deliberately **no** walk over the other transactions and no index
     /// maintenance: growth can only *add* nonnegative penalty terms, i.e.
@@ -588,8 +579,18 @@ impl<'p> EngineState<'p> {
     /// become stale-high upper bounds, which the peek-and-revalidate pick
     /// tolerates — the O(active) per-grant walk is traded for an
     /// occasional demotion at the next pick.
-    fn conflict_grew(&mut self, id: TxnId, was_partial: bool) {
-        self.accel.note_access_growth(id, was_partial);
+    fn lock_granted(&mut self, id: TxnId, item: ItemId, mode: LockMode) {
+        let t = self.txn_mut(id);
+        let was_partial = t.is_partially_executed();
+        // Non-short-circuiting |= — the written insert must execute even
+        // when accessed already held the item (shared→exclusive re-lock).
+        let mut grew = t.accessed.insert(item);
+        if mode == LockMode::Exclusive {
+            grew |= t.written.insert(item);
+        }
+        if grew {
+            self.accel.note_access_growth(id, was_partial);
+        }
     }
 
     /// `id`'s access sets are about to be cleared (abort/restart or
@@ -602,7 +603,7 @@ impl<'p> EngineState<'p> {
     /// clear removes penalty terms, i.e. *raises* the affected
     /// `ConflictState` priorities, and a risen priority hiding under a
     /// low index key would make a peek-ordered pick unsound. Falls
-    /// (growth, clock advance) need no walk — see [`Self::conflict_grew`].
+    /// (growth, clock advance) need no walk — see [`Self::lock_granted`].
     fn conflict_cleared(&mut self, id: TxnId) {
         if self.repair_walk_active() {
             self.repair_unsafe_against(id);
@@ -895,34 +896,27 @@ impl<'p> EngineState<'p> {
         match stage {
             Stage::Recover => {
                 // Recovery work done; the lock was already transferred.
-                let t = self.txn_mut(id);
-                t.cpu_left = SimDuration::ZERO;
+                self.txn_mut(id).cpu_left = SimDuration::ZERO;
                 self.after_lock(id);
-                match self.proceed(id) {
-                    Started::Scheduled => {}
-                    Started::WentToIo | Started::Blocked => self.reschedule(),
-                }
             }
             Stage::Compute => {
-                if std::mem::take(&mut self.active_cpu_failed) {
+                if std::mem::take(&mut self.attempt_failed[Resource::Cpu as usize]) {
                     // Injected transient CPU stall: the burst ran its full
                     // (possibly inflated) length and its result is
                     // discarded. The effective service still banks — it
                     // accrued continuously while the burst ran, and
                     // priority keys must stay upper bounds —
-                    // but no progress is made; the work is
-                    // counted wasted instead, and the update's burst will
-                    // be re-run from scratch (or the transaction
-                    // restarted) by the stall handler.
-                    {
-                        let t = self.txn_mut(id);
-                        t.service += burst;
-                        t.cpu_left = SimDuration::ZERO;
-                    }
-                    self.metrics.add_wasted_cpu(burst);
+                    // but no progress is made; the work is counted wasted
+                    // instead, and the update's burst is re-armed at its
+                    // nominal length (the retry draws a fresh attempt) or
+                    // the transaction restarts.
+                    let t = self.txn_mut(id);
+                    t.service += burst;
+                    t.cpu_left = t.update_time;
+                    self.metrics.add_wasted(Resource::Cpu, burst);
                     self.own_state_rekey(id);
                     self.running = None;
-                    self.handle_cpu_stall(id);
+                    self.handle_failed_attempt(id, Resource::Cpu);
                     self.update_queue_metrics();
                     self.reschedule();
                     return;
@@ -953,18 +947,17 @@ impl<'p> EngineState<'p> {
                 }
                 self.own_state_rekey(id);
                 if self.txn(id).progress == self.txn(id).total_updates() {
-                    self.commit(id);
-                } else {
-                    self.txn_mut(id).stage = Stage::Lock;
-                    match self.proceed(id) {
-                        Started::Scheduled => {}
-                        Started::WentToIo | Started::Blocked => self.reschedule(),
-                    }
+                    return self.commit(id);
                 }
+                self.txn_mut(id).stage = Stage::Lock;
             }
             Stage::Lock | Stage::Io => {
                 unreachable!("CPU burst completed in non-CPU stage {stage:?}")
             }
+        }
+        match self.proceed(id) {
+            Started::Scheduled => {}
+            Started::WentToIo | Started::Blocked => self.reschedule(),
         }
     }
 
@@ -975,7 +968,7 @@ impl<'p> EngineState<'p> {
         assert_eq!(done, id, "disk completion out of order");
         // The failure flag belongs to the transfer that just completed;
         // take it before starting the next transfer, which re-arms it.
-        let failed = std::mem::take(&mut self.active_io_failed);
+        let failed = std::mem::take(&mut self.attempt_failed[Resource::Disk as usize]);
         if let Some(next_id) = self.disk.as_mut().expect("disk above").pop_next() {
             self.start_transfer(next_id);
         }
@@ -987,12 +980,12 @@ impl<'p> EngineState<'p> {
             self.txn_mut(id).doomed = false;
             self.set_state(id, TxnState::Ready);
             let wasted = now.since(self.txn(id).doomed_at);
-            self.metrics.add_wasted_disk_hold(wasted);
+            self.metrics.add_wasted(Resource::Disk, wasted);
             self.emit(|| TraceEvent::IoDone { txn: id });
         } else if failed {
             // The transfer occupied the disk and then failed with an
             // injected transient error: back off and retry, or give up.
-            self.handle_io_failure(id);
+            self.handle_failed_attempt(id, Resource::Disk);
         } else {
             // The IO of the current update finished; the CPU burst remains.
             self.set_state(id, TxnState::Ready);
@@ -1006,6 +999,19 @@ impl<'p> EngineState<'p> {
         self.reschedule(); // IO completion is a scheduling point
     }
 
+    /// Put `id`'s transfer to the disk: started at once on an idle disk,
+    /// queued otherwise.
+    fn enqueue_io(&mut self, id: TxnId) {
+        self.set_state(id, TxnState::IoQueued);
+        let deadline_key = self.txn(id).deadline.as_micros();
+        let disk = self.disk.as_mut().expect("IO without a disk");
+        let queued = !disk.enqueue(id, deadline_key);
+        if !queued {
+            self.start_transfer(id);
+        }
+        self.emit(|| TraceEvent::IoIssued { txn: id, queued });
+    }
+
     /// Begin a transfer on the (idle) disk for `id`, drawing the attempt's
     /// fate from the fault injector when one is configured.
     fn start_transfer(&mut self, id: TxnId) {
@@ -1015,20 +1021,7 @@ impl<'p> EngineState<'p> {
             .as_ref()
             .expect("transfer without a disk")
             .access_time();
-        let (service, failed) = match &mut self.faults {
-            Some(inj) => {
-                let a = inj.attempt(now, nominal);
-                if a.failed {
-                    self.metrics.record_injected_fault();
-                }
-                if a.spiked {
-                    self.metrics.record_latency_spike();
-                }
-                (a.service, a.failed)
-            }
-            None => (nominal, false),
-        };
-        self.active_io_failed = failed;
+        let service = self.draw_attempt(Resource::Disk, nominal);
         let at = self
             .disk
             .as_mut()
@@ -1038,140 +1031,71 @@ impl<'p> EngineState<'p> {
         self.calendar.schedule(at, Event::IoDone(id));
     }
 
-    /// The active transfer of `id` failed with an injected error. Within
-    /// the retry budget: arm an exponential backoff and re-queue when it
-    /// expires. Budget exhausted: abort-and-restart like an HP victim
-    /// (locks released, waiters woken, restart counted).
-    fn handle_io_failure(&mut self, id: TxnId) {
-        let plan = self
-            .faults
-            .as_ref()
-            .expect("injected failure without an injector")
-            .plan()
-            .clone();
-        let retries = self.txn(id).io_retries;
-        if retries >= plan.retry_budget {
-            self.emit(|| TraceEvent::IoGaveUp { txn: id });
-            self.metrics.record_io_exhausted_abort();
-            let held = self.locks.held_by(id);
-            let released = self.locks.release_all(id);
-            debug_assert!(released > 0, "an IO-stage transaction holds its lock");
-            self.wake_waiters(&held);
-            let was_secondary = self.secondary[id.0 as usize];
-            self.metrics.record_restart(was_secondary);
-            self.secondary[id.0 as usize] = false;
-            // The restart clears the access sets (and re-widens a
-            // narrowed mightaccess): leave the P-list, invalidate pairs.
-            self.conflict_cleared(id);
-            self.txn_mut(id).reset_for_restart();
-            self.accel.reindex(&self.txns[id.0 as usize]);
-            self.own_state_rekey(id);
-            self.set_state(id, TxnState::Ready);
-        } else {
-            self.emit(|| TraceEvent::IoFault { txn: id, retries });
-            let backoff = plan.backoff_after(retries);
-            self.metrics.record_io_retry(backoff);
-            let at = self.now() + backoff;
-            self.set_state(id, TxnState::IoBackoff);
-            let t = self.txn_mut(id);
-            t.io_retries += 1;
-            t.retry_token += 1;
-            let token = t.retry_token;
-            self.calendar.schedule(at, Event::IoRetry(id, token));
-        }
+    /// One attempt on `r` — a transfer or a compute burst — of nominal
+    /// length `nominal`: with an injector for `r`, draw and count its
+    /// verdict and arm its failure flag. Returns the attempt's length.
+    fn draw_attempt(&mut self, r: Resource, nominal: SimDuration) -> SimDuration {
+        let now = self.now();
+        let Some(inj) = &mut self.faults[r as usize] else {
+            return nominal;
+        };
+        let a = inj.attempt(now, nominal);
+        self.metrics.record_attempt(r, &a);
+        self.attempt_failed[r as usize] = a.failed;
+        a.service
     }
 
-    /// The just-finished Compute burst of `id` carried an injected CPU
-    /// stall verdict: its work was discarded. Within the retry budget:
-    /// arm an exponential backoff and re-run the full burst when it
-    /// expires. Budget exhausted: abort-and-restart like an HP victim
-    /// (locks released, waiters woken, restart counted).
+    /// The attempt of `id` that just finished on `r` was drawn to fail.
+    /// Within the retry budget: back off in [`TxnState::IoBackoff`] —
+    /// locks held — and retry when [`Event::Retry`] fires. Budget spent:
+    /// restart like an HP victim.
     ///
-    /// Mirrors [`Self::handle_io_failure`]. The retry counter and
-    /// staleness token (`io_retries` / `retry_token`) and the backoff
-    /// state ([`TxnState::IoBackoff`]) are shared with the disk path —
-    /// an update retries either its transfer or its burst, never both at
+    /// The retry counter and staleness token (`io_retries` /
+    /// `retry_token`) and the backoff state serve both resources: an
+    /// update retries either its transfer or its burst, never both at
     /// once, and `abort`'s backoff arm covers both identically.
-    fn handle_cpu_stall(&mut self, id: TxnId) {
-        let plan = self
-            .cpu_faults
-            .as_ref()
-            .expect("injected stall without an injector")
-            .plan()
-            .clone();
+    fn handle_failed_attempt(&mut self, id: TxnId, r: Resource) {
         let retries = self.txn(id).io_retries;
-        if retries >= plan.retry_budget {
-            self.metrics.record_cpu_exhausted_abort();
-            let held = self.locks.held_by(id);
-            let released = self.locks.release_all(id);
-            debug_assert!(released > 0, "a Compute-stage transaction holds its lock");
-            self.wake_waiters(&held);
-            let was_secondary = self.secondary[id.0 as usize];
-            self.metrics.record_restart(was_secondary);
-            self.secondary[id.0 as usize] = false;
-            // The restart clears the access sets (and re-widens a
-            // narrowed mightaccess): leave the P-list, invalidate pairs.
-            self.conflict_cleared(id);
-            self.txn_mut(id).reset_for_restart();
-            self.accel.reindex(&self.txns[id.0 as usize]);
-            self.own_state_rekey(id);
+        let backoff = self.faults[r as usize]
+            .as_ref()
+            .expect("a failed attempt without an injector")
+            .backoff(retries);
+        let Some(backoff) = backoff else {
+            if r == Resource::Disk {
+                self.emit(|| TraceEvent::IoGaveUp { txn: id });
+            }
+            self.metrics.record_exhausted_abort(r);
+            self.restart(id);
             self.set_state(id, TxnState::Ready);
-        } else {
-            let backoff = plan.backoff_after(retries);
-            self.metrics.record_cpu_retry(backoff);
-            let at = self.now() + backoff;
-            self.set_state(id, TxnState::IoBackoff);
-            let t = self.txn_mut(id);
-            t.io_retries += 1;
-            t.retry_token += 1;
-            // Re-arm the nominal burst; the retry draws a fresh attempt
-            // (and a fresh inflation) when it is next placed on the CPU.
-            t.cpu_left = t.update_time;
-            let token = t.retry_token;
-            self.calendar.schedule(at, Event::CpuRetry(id, token));
+            return;
+        };
+        if r == Resource::Disk {
+            self.emit(|| TraceEvent::IoFault { txn: id, retries });
         }
+        self.metrics.record_retry(r, backoff);
+        let at = self.now() + backoff;
+        self.set_state(id, TxnState::IoBackoff);
+        let t = self.txn_mut(id);
+        t.io_retries += 1;
+        t.retry_token += 1;
+        let token = t.retry_token;
+        self.calendar.schedule(at, Event::Retry(id, token));
     }
 
-    /// A CPU-stall backoff expired: make the transaction ready so the
-    /// scheduler can re-place its burst, unless the event is stale (the
+    /// A backoff expired: re-queue the failed transfer (`Stage::Io`) or
+    /// make the transaction ready so the scheduler re-places its stalled
+    /// burst (`Stage::Compute`), unless the event is stale (the
     /// transaction was aborted while the retry was in flight — the
     /// abort's backoff arm already reset it and bumped the token).
-    fn on_cpu_retry(&mut self, id: TxnId, token: u64) {
-        {
-            let t = self.txn(id);
-            if t.state != TxnState::IoBackoff || t.retry_token != token {
-                return;
-            }
+    fn on_retry(&mut self, id: TxnId, token: u64) {
+        let t = self.txn(id);
+        if t.state != TxnState::IoBackoff || t.retry_token != token {
+            return;
         }
-        self.set_state(id, TxnState::Ready);
-        self.update_queue_metrics();
-        self.reschedule();
-    }
-
-    /// A backoff expired: re-queue the failed transfer, unless the event
-    /// is stale (the transaction was aborted — and possibly already
-    /// progressed elsewhere — while the retry was in flight).
-    fn on_io_retry(&mut self, id: TxnId, token: u64) {
-        {
-            let t = self.txn(id);
-            if t.state != TxnState::IoBackoff || t.retry_token != token {
-                return;
-            }
-        }
-        let deadline_key = self.txn(id).deadline.as_micros();
-        self.set_state(id, TxnState::IoQueued);
-        let disk = self.disk.as_mut().expect("IoRetry without a disk");
-        if disk.enqueue(id, deadline_key) {
-            self.start_transfer(id);
-            self.emit(|| TraceEvent::IoIssued {
-                txn: id,
-                queued: false,
-            });
+        if t.stage == Stage::Io {
+            self.enqueue_io(id);
         } else {
-            self.emit(|| TraceEvent::IoIssued {
-                txn: id,
-                queued: true,
-            });
+            self.set_state(id, TxnState::Ready);
         }
         self.update_queue_metrics();
         self.reschedule();
@@ -1202,18 +1126,7 @@ impl<'p> EngineState<'p> {
                     let mode = self.txn(id).current_mode();
                     match self.locks.request(id, item, mode) {
                         LockOutcome::Granted => {
-                            let was_partial = self.txn(id).is_partially_executed();
-                            let t = self.txn_mut(id);
-                            // Non-short-circuiting |= — the written insert
-                            // must execute even when accessed already held
-                            // the item (shared→exclusive re-lock).
-                            let mut grew = t.accessed.insert(item);
-                            if mode == LockMode::Exclusive {
-                                grew |= t.written.insert(item);
-                            }
-                            if grew {
-                                self.conflict_grew(id, was_partial);
-                            }
+                            self.lock_granted(id, item, mode);
                             self.after_lock(id);
                         }
                         LockOutcome::HeldBy(holders) => {
@@ -1238,15 +1151,7 @@ impl<'p> EngineState<'p> {
                                     self.abort(h);
                                 }
                                 self.locks.grant_after_abort(id, item, mode);
-                                let was_partial = self.txn(id).is_partially_executed();
-                                let t = self.txn_mut(id);
-                                let mut grew = t.accessed.insert(item);
-                                if mode == LockMode::Exclusive {
-                                    grew |= t.written.insert(item);
-                                }
-                                if grew {
-                                    self.conflict_grew(id, was_partial);
-                                }
+                                self.lock_granted(id, item, mode);
                                 let t = self.txn_mut(id);
                                 t.stage = Stage::Recover;
                                 t.cpu_left = recovery;
@@ -1271,22 +1176,8 @@ impl<'p> EngineState<'p> {
                     }
                 }
                 Stage::Io => {
-                    self.set_state(id, TxnState::IoQueued);
                     self.running = None;
-                    let deadline_key = self.txn(id).deadline.as_micros();
-                    let disk = self.disk.as_mut().expect("Io stage without a disk");
-                    if disk.enqueue(id, deadline_key) {
-                        self.start_transfer(id);
-                        self.emit(|| TraceEvent::IoIssued {
-                            txn: id,
-                            queued: false,
-                        });
-                    } else {
-                        self.emit(|| TraceEvent::IoIssued {
-                            txn: id,
-                            queued: true,
-                        });
-                    }
+                    self.enqueue_io(id);
                     self.update_queue_metrics();
                     return Started::WentToIo;
                 }
@@ -1309,18 +1200,8 @@ impl<'p> EngineState<'p> {
         // disk. A burst resumed after preemption draws a fresh attempt;
         // slowdowns can compound across resumptions.
         if stage == Stage::Compute {
-            if let Some(inj) = &mut self.cpu_faults {
-                let nominal = self.txns[id.0 as usize].cpu_left;
-                let a = inj.attempt(now, nominal);
-                if a.failed {
-                    self.metrics.record_cpu_stall();
-                }
-                if a.spiked {
-                    self.metrics.record_cpu_slowdown();
-                }
-                self.txns[id.0 as usize].cpu_left = a.service;
-                self.active_cpu_failed = a.failed;
-            }
+            let service = self.draw_attempt(Resource::Cpu, self.txn(id).cpu_left);
+            self.txn_mut(id).cpu_left = service;
         }
         let t = self.txn_mut(id);
         t.burst_start = now;
@@ -1375,21 +1256,34 @@ impl<'p> EngineState<'p> {
             > (ph, std::cmp::Reverse(h.arrival), std::cmp::Reverse(h.id))
     }
 
-    /// Wake every transaction lock-waiting on one of `items` (released by a
-    /// commit or an abort): "all transactions blocked by the resources that
-    /// currently running transaction hold wake up and move to ready queue."
-    fn wake_waiters(&mut self, items: &[rtx_preanalysis::sets::ItemId]) {
-        if items.is_empty() {
-            return;
+    /// Release every lock `id` holds — exactly its `accessed` items, which
+    /// `Verify` checks against a scan of the whole table — and wake the
+    /// transactions waiting on them: "all transactions blocked by the
+    /// resources that currently running transaction hold wake up and move
+    /// to ready queue." Returns how many locks were released.
+    fn release_locks(&mut self, id: TxnId) -> usize {
+        let accessed = &self.txns[id.0 as usize].accessed;
+        if self.mode == CacheMode::Verify {
+            assert_eq!(
+                self.locks.held_by(id),
+                accessed.iter().collect::<Vec<_>>(),
+                "{id}: accessed set diverged from the lock table"
+            );
+            self.verify_checks.set(self.verify_checks.get() + 1);
         }
+        let released = self.locks.release(id, accessed);
         for idx in 0..self.active.len() {
-            let id = self.active[idx];
-            let t = self.txn(id);
-            if t.state == TxnState::LockWait && t.waiting_for.is_some_and(|w| items.contains(&w)) {
-                self.set_state(id, TxnState::Ready);
-                self.txn_mut(id).waiting_for = None;
+            let w = self.active[idx];
+            let t = self.txn(w);
+            if t.state == TxnState::LockWait
+                && t.waiting_for
+                    .is_some_and(|i| self.txn(id).accessed.contains(i))
+            {
+                self.set_state(w, TxnState::Ready);
+                self.txn_mut(w).waiting_for = None;
             }
         }
+        released
     }
 
     /// CPU time the runner spends rolling back `victim`.
@@ -1405,30 +1299,38 @@ impl<'p> EngineState<'p> {
         }
     }
 
-    /// Abort `victim`: release locks, reset execution, restart from
-    /// scratch. The victim keeps its deadline (soft real time).
+    /// The shared work of every abort — an HP wound, a deadlock victim, an
+    /// exhausted retry budget: release `id`'s locks and wake their
+    /// waiters, count the restart, and reset `id` to re-execute from
+    /// scratch. It keeps its deadline (soft real time). The caller settles
+    /// its scheduling state.
+    fn restart(&mut self, id: TxnId) {
+        let released = self.release_locks(id);
+        debug_assert!(released > 0, "a restarted transaction holds a lock");
+        let was_secondary = std::mem::take(&mut self.secondary[id.0 as usize]);
+        self.metrics.record_restart(was_secondary);
+        // It holds locks (asserted above), so it is on the P-list and
+        // leaves it now; its access sets clear and a narrowed mightaccess
+        // re-widens.
+        self.conflict_cleared(id);
+        self.txn_mut(id).reset_for_restart();
+        // `reset_for_restart` re-widens `might_access` and zeroes
+        // progress: refresh the slot rows and the `K` key.
+        self.accel.reindex(&self.txns[id.0 as usize]);
+        self.own_state_rekey(id);
+    }
+
+    /// Abort `victim` and restart it; the state it was caught in decides
+    /// how it leaves.
     fn abort(&mut self, victim: TxnId) {
         assert_ne!(self.running, Some(victim), "the runner cannot be aborted");
-        let held = self.locks.held_by(victim);
-        let released = self.locks.release_all(victim);
-        debug_assert!(released > 0, "victims always hold at least one lock");
-        self.wake_waiters(&held);
-        let was_secondary = self.secondary[victim.0 as usize];
-        self.metrics.record_restart(was_secondary);
-        self.secondary[victim.0 as usize] = false;
-        // Victims always hold locks (asserted above), so the victim is on
-        // the P-list and leaves it now; its access sets clear and a
-        // narrowed mightaccess re-widens.
-        self.conflict_cleared(victim);
+        self.restart(victim);
         let state = self.txn(victim).state;
         match state {
-            TxnState::Ready => {
-                self.txn_mut(victim).reset_for_restart();
-            }
+            TxnState::Ready => {}
             TxnState::LockWait => {
-                // The victim was itself waiting for a lock; it restarts
-                // from scratch and re-enters the ready queue.
-                self.txn_mut(victim).reset_for_restart();
+                // The victim was itself waiting for a lock; it re-enters
+                // the ready queue.
                 self.set_state(victim, TxnState::Ready);
             }
             TxnState::IoQueued => {
@@ -1439,7 +1341,6 @@ impl<'p> EngineState<'p> {
                     .expect("IoQueued without a disk")
                     .remove_queued(victim);
                 debug_assert!(removed);
-                self.txn_mut(victim).reset_for_restart();
                 self.set_state(victim, TxnState::Ready);
             }
             TxnState::IoActive => {
@@ -1447,27 +1348,20 @@ impl<'p> EngineState<'p> {
                 // from here on is wasted and attributed when it releases.
                 let now = self.now();
                 let t = self.txn_mut(victim);
-                t.reset_for_restart();
                 t.doomed = true;
                 t.doomed_at = now;
             }
             TxnState::IoBackoff => {
-                // Waiting out a retry backoff: off the disk, so it can
-                // restart immediately. Bumping the token invalidates the
-                // pending IoRetry event.
-                let t = self.txn_mut(victim);
-                t.reset_for_restart();
-                t.retry_token += 1;
+                // Waiting out a retry backoff: off the disk and the CPU,
+                // so it can restart immediately. Bumping the token
+                // invalidates the pending retry.
+                self.txn_mut(victim).retry_token += 1;
                 self.set_state(victim, TxnState::Ready);
             }
             TxnState::Running | TxnState::Committed | TxnState::Rejected => {
                 unreachable!("abort of a {state:?} transaction")
             }
         }
-        // `reset_for_restart` (every arm above) re-widens `might_access`
-        // and zeroes progress: refresh the slot rows and the `K` key.
-        self.accel.reindex(&self.txns[victim.0 as usize]);
-        self.own_state_rekey(victim);
     }
 
     fn commit(&mut self, id: TxnId) {
@@ -1480,9 +1374,7 @@ impl<'p> EngineState<'p> {
         // the `Committed` state — except the clear-repair bound below,
         // which the correction keeps tight.
         self.txn_mut(id).burst_start = now;
-        let held = self.locks.held_by(id);
-        self.locks.release_all(id);
-        self.wake_waiters(&held);
+        self.release_locks(id);
         // The committer leaves the P-list (a zero-update transaction was
         // never on it) and stops being anyone's rollback victim.
         if self.txn(id).is_partially_executed() {
@@ -1898,7 +1790,7 @@ impl<'p> EngineState<'p> {
             self.metrics.add_cpu_busy(consumed);
             // A pending stall verdict belonged to the burst as placed;
             // the resumed remainder draws its own attempt.
-            self.active_cpu_failed = false;
+            self.attempt_failed[Resource::Cpu as usize] = false;
         }
     }
 
@@ -2319,8 +2211,7 @@ impl EngineState<'_> {
             }
             Event::CpuDone(id) => self.on_cpu_done(id),
             Event::IoDone(id) => self.on_io_done(id),
-            Event::IoRetry(id, token) => self.on_io_retry(id, token),
-            Event::CpuRetry(id, token) => self.on_cpu_retry(id, token),
+            Event::Retry(id, token) => self.on_retry(id, token),
         }
         true
     }

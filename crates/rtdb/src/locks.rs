@@ -8,8 +8,13 @@
 //! conflict resolution there is still **no queueing inside the table** —
 //! a conflicting request either aborts the holders or the requester
 //! blocks, both decided by the engine.
+//!
+//! A transaction's `accessed` set is exactly the items it holds, so
+//! [`LockTable::release`] frees a commit's or an abort's locks by visiting
+//! those items only. [`LockTable::held_by`] scans the whole table: it is
+//! the oracle that checks `accessed`.
 
-use rtx_preanalysis::sets::ItemId;
+use rtx_preanalysis::sets::{DataSet, ItemId};
 
 use crate::txn::TxnId;
 
@@ -137,20 +142,22 @@ impl LockTable {
         }
     }
 
-    /// Release every lock held by `txn` (commit or abort). Returns how
-    /// many were released.
-    pub fn release_all(&mut self, txn: TxnId) -> usize {
+    /// Release `txn`'s locks on `items` (commit or abort: the engine
+    /// passes the transaction's `accessed` set, which is exactly what it
+    /// holds). Items `txn` does not hold are left alone. Returns how many
+    /// locks were released.
+    pub fn release(&mut self, txn: TxnId, items: &DataSet) -> usize {
         let mut released = 0;
-        for slot in &mut self.slots {
+        for item in items.iter() {
+            let slot = &mut self.slots[item.0 as usize];
             match slot {
                 Slot::Exclusive(h) if *h == txn => {
                     *slot = Slot::Free;
                     released += 1;
                 }
                 Slot::Shared(holders) => {
-                    let before = holders.len();
-                    holders.retain(|&h| h != txn);
-                    if holders.len() != before {
+                    if let Ok(pos) = holders.binary_search(&txn) {
+                        holders.remove(pos);
                         released += 1;
                         if holders.is_empty() {
                             *slot = Slot::Free;
@@ -164,7 +171,8 @@ impl LockTable {
         released
     }
 
-    /// Items on which `txn` holds a lock (either mode), in item order.
+    /// Items on which `txn` holds a lock (either mode), in item order: a
+    /// scan of the whole table, for checks only.
     pub fn held_by(&self, txn: TxnId) -> Vec<ItemId> {
         self.slots
             .iter()
@@ -315,17 +323,52 @@ mod tests {
         );
     }
 
+    fn items(ids: &[u32]) -> DataSet {
+        DataSet::from_items(ids.iter().map(|&i| ItemId(i)))
+    }
+
     #[test]
-    fn release_all_frees_both_modes() {
+    fn release_frees_both_modes() {
+        let mut lt = LockTable::new(10);
+        lt.request(TxnId(1), ItemId(0), Exclusive);
+        lt.request(TxnId(1), ItemId(5), Shared);
+        assert_eq!(lt.release(TxnId(1), &items(&[0, 5])), 2);
+        assert_eq!(lt.holders(ItemId(0)), (vec![], false));
+        assert_eq!(lt.holders(ItemId(5)), (vec![], false));
+        assert_eq!(lt.held_count(), 0);
+        lt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn release_keeps_shared_co_holders() {
+        let mut lt = LockTable::new(10);
+        lt.request(TxnId(1), ItemId(5), Shared);
+        lt.request(TxnId(2), ItemId(5), Shared);
+        lt.request(TxnId(3), ItemId(5), Shared);
+        assert_eq!(lt.release(TxnId(2), &items(&[5])), 1);
+        assert_eq!(lt.holders(ItemId(5)), (vec![TxnId(1), TxnId(3)], false));
+        assert_eq!(lt.held_count(), 2);
+        lt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn second_release_frees_nothing() {
         let mut lt = LockTable::new(10);
         lt.request(TxnId(1), ItemId(0), Exclusive);
         lt.request(TxnId(1), ItemId(5), Shared);
         lt.request(TxnId(2), ItemId(5), Shared);
-        assert_eq!(lt.release_all(TxnId(1)), 2);
-        assert_eq!(lt.holders(ItemId(0)), (vec![], false));
+        lt.request(TxnId(2), ItemId(7), Exclusive);
+        let held = items(&[0, 5]);
+        assert_eq!(lt.release(TxnId(1), &held), 2);
+        assert_eq!(lt.release(TxnId(1), &held), 0, "nothing left to free");
+        assert_eq!(
+            lt.release(TxnId(1), &items(&[7])),
+            0,
+            "another holder's lock stays"
+        );
         assert_eq!(lt.holders(ItemId(5)), (vec![TxnId(2)], false));
-        assert_eq!(lt.held_count(), 1);
-        assert_eq!(lt.release_all(TxnId(1)), 0, "idempotent");
+        assert_eq!(lt.holders(ItemId(7)), (vec![TxnId(2)], true));
+        assert_eq!(lt.held_count(), 2);
         lt.check_invariants().unwrap();
     }
 
@@ -350,8 +393,8 @@ mod tests {
             lt.request(TxnId(3), ItemId(4), Exclusive),
             LockOutcome::HeldBy(vec![TxnId(1), TxnId(2)])
         );
-        lt.release_all(TxnId(1));
-        lt.release_all(TxnId(2));
+        lt.release(TxnId(1), &items(&[4]));
+        lt.release(TxnId(2), &items(&[4]));
         lt.grant_after_abort(TxnId(3), ItemId(4), LockMode::Exclusive);
         assert_eq!(lt.holders(ItemId(4)), (vec![TxnId(3)], true));
         lt.check_invariants().unwrap();

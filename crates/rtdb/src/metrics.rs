@@ -9,6 +9,7 @@
 //! * auxiliary series: mean P-list length (§4.1's "1 to 2" check), CPU and
 //!   disk utilization (§5's 62.5% bound).
 
+use rtx_sim::fault::{Attempt, Resource};
 use rtx_sim::hist::Histogram;
 use rtx_sim::stats::{Accumulator, TimeWeighted};
 use rtx_sim::time::{SimDuration, SimTime};
@@ -68,6 +69,24 @@ pub struct SchedStats {
     pub sched_wall_ns: u64,
 }
 
+/// Fault-injection tallies of one [`Resource`].
+#[derive(Debug, Clone, Copy, Default)]
+struct FaultTally {
+    /// Attempts drawn to fail: IO errors, CPU stalls.
+    failed: u64,
+    /// Attempts drawn to run slowed: disk latency spikes, CPU slowdowns.
+    slowed: u64,
+    /// Retries after failed attempts.
+    retries: u64,
+    /// Restarts forced by an exhausted retry budget.
+    exhausted_aborts: u64,
+    /// Backoff delay spent before the retries.
+    backoff: SimDuration,
+    /// Resource time that produced nothing: the disk held by doomed
+    /// transfers, the CPU burned by stalled bursts.
+    wasted: SimDuration,
+}
+
 /// Collected during one run.
 #[derive(Debug, Clone)]
 pub struct MetricsCollector {
@@ -89,18 +108,8 @@ pub struct MetricsCollector {
     ready_len: TimeWeighted,
     cpu_busy: SimDuration,
     rejected: u64,
-    injected_io_faults: u64,
-    io_latency_spikes: u64,
-    io_retries: u64,
-    io_exhausted_aborts: u64,
-    total_backoff: SimDuration,
-    wasted_disk_hold: SimDuration,
-    injected_cpu_stalls: u64,
-    cpu_slowdowns: u64,
-    cpu_retries: u64,
-    cpu_exhausted_aborts: u64,
-    cpu_backoff: SimDuration,
-    wasted_cpu: SimDuration,
+    /// Indexed by [`Resource`].
+    faults: [FaultTally; 2],
     sched: SchedStats,
 }
 
@@ -125,18 +134,7 @@ impl MetricsCollector {
             ready_len: TimeWeighted::new(0.0, 0.0),
             cpu_busy: SimDuration::ZERO,
             rejected: 0,
-            injected_io_faults: 0,
-            io_latency_spikes: 0,
-            io_retries: 0,
-            io_exhausted_aborts: 0,
-            total_backoff: SimDuration::ZERO,
-            wasted_disk_hold: SimDuration::ZERO,
-            injected_cpu_stalls: 0,
-            cpu_slowdowns: 0,
-            cpu_retries: 0,
-            cpu_exhausted_aborts: 0,
-            cpu_backoff: SimDuration::ZERO,
-            wasted_cpu: SimDuration::ZERO,
+            faults: [FaultTally::default(); 2],
             sched: SchedStats::default(),
         }
     }
@@ -223,63 +221,34 @@ impl MetricsCollector {
         self.rejected += 1;
     }
 
-    /// Record an injected transient IO error (the attempt occupied the
-    /// disk and then failed).
-    pub fn record_injected_fault(&mut self) {
-        self.injected_io_faults += 1;
+    /// Record the injected verdict on one attempt of `r`: a failure (an
+    /// IO error, a CPU stall — the attempt occupied the resource and then
+    /// failed) and a slowdown (a disk latency spike, a CPU slowdown) each
+    /// count.
+    pub fn record_attempt(&mut self, r: Resource, a: &Attempt) {
+        let tally = &mut self.faults[r as usize];
+        tally.failed += a.failed as u64;
+        tally.slowed += a.spiked as u64;
     }
 
-    /// Record an injected latency spike on a disk transfer.
-    pub fn record_latency_spike(&mut self) {
-        self.io_latency_spikes += 1;
-    }
-
-    /// Record a retry of a failed transfer and the backoff delay spent
-    /// before it.
-    pub fn record_io_retry(&mut self, backoff: SimDuration) {
-        self.io_retries += 1;
-        self.total_backoff += backoff;
-    }
-
-    /// Record an abort-and-restart forced by an exhausted IO retry budget.
-    pub fn record_io_exhausted_abort(&mut self) {
-        self.io_exhausted_aborts += 1;
-    }
-
-    /// Record disk-hold time wasted by a doomed transaction (aborted
-    /// mid-transfer; the transfer ran to completion anyway).
-    pub fn add_wasted_disk_hold(&mut self, d: SimDuration) {
-        self.wasted_disk_hold += d;
-    }
-
-    /// Record an injected CPU stall (the burst occupied the CPU and then
-    /// failed to make progress).
-    pub fn record_cpu_stall(&mut self) {
-        self.injected_cpu_stalls += 1;
-    }
-
-    /// Record an injected CPU slowdown on a compute burst.
-    pub fn record_cpu_slowdown(&mut self) {
-        self.cpu_slowdowns += 1;
-    }
-
-    /// Record a retry of a stalled compute burst and the backoff delay
+    /// Record a retry of a failed attempt of `r` and the backoff delay
     /// spent before it.
-    pub fn record_cpu_retry(&mut self, backoff: SimDuration) {
-        self.cpu_retries += 1;
-        self.cpu_backoff += backoff;
+    pub fn record_retry(&mut self, r: Resource, backoff: SimDuration) {
+        let tally = &mut self.faults[r as usize];
+        tally.retries += 1;
+        tally.backoff += backoff;
     }
 
-    /// Record an abort-and-restart forced by an exhausted CPU retry
-    /// budget.
-    pub fn record_cpu_exhausted_abort(&mut self) {
-        self.cpu_exhausted_aborts += 1;
+    /// Record an abort-and-restart forced by `r`'s exhausted retry budget.
+    pub fn record_exhausted_abort(&mut self, r: Resource) {
+        self.faults[r as usize].exhausted_aborts += 1;
     }
 
-    /// Record CPU time wasted by a stalled burst (it ran to completion
-    /// but produced no progress).
-    pub fn add_wasted_cpu(&mut self, d: SimDuration) {
-        self.wasted_cpu += d;
+    /// Record time of `r` that produced nothing: disk hold by a doomed
+    /// transaction (aborted mid-transfer; the transfer ran to completion
+    /// anyway), or CPU burned by a stalled burst.
+    pub fn add_wasted(&mut self, r: Resource, d: SimDuration) {
+        self.faults[r as usize].wasted += d;
     }
 
     /// Install the scheduler-overhead counters (the engine sets these once
@@ -301,6 +270,7 @@ impl MetricsCollector {
     /// Finalize at simulation end time `end` with the disk's busy total.
     pub fn finish(&self, end: SimTime, disk_busy: SimDuration) -> RunSummary {
         let n = self.committed.max(1) as f64;
+        let [disk, cpu] = &self.faults;
         RunSummary {
             committed: self.committed,
             miss_percent: 100.0 * self.missed as f64 / n,
@@ -351,18 +321,18 @@ impl MetricsCollector {
                     100.0 * self.rejected as f64 / total as f64
                 }
             },
-            injected_io_faults: self.injected_io_faults,
-            io_latency_spikes: self.io_latency_spikes,
-            io_retries: self.io_retries,
-            io_exhausted_aborts: self.io_exhausted_aborts,
-            total_backoff_ms: self.total_backoff.as_ms(),
-            wasted_disk_hold_ms: self.wasted_disk_hold.as_ms(),
-            injected_cpu_stalls: self.injected_cpu_stalls,
-            cpu_slowdowns: self.cpu_slowdowns,
-            cpu_retries: self.cpu_retries,
-            cpu_exhausted_aborts: self.cpu_exhausted_aborts,
-            cpu_backoff_ms: self.cpu_backoff.as_ms(),
-            wasted_cpu_ms: self.wasted_cpu.as_ms(),
+            injected_io_faults: disk.failed,
+            io_latency_spikes: disk.slowed,
+            io_retries: disk.retries,
+            io_exhausted_aborts: disk.exhausted_aborts,
+            total_backoff_ms: disk.backoff.as_ms(),
+            wasted_disk_hold_ms: disk.wasted.as_ms(),
+            injected_cpu_stalls: cpu.failed,
+            cpu_slowdowns: cpu.slowed,
+            cpu_retries: cpu.retries,
+            cpu_exhausted_aborts: cpu.exhausted_aborts,
+            cpu_backoff_ms: cpu.backoff.as_ms(),
+            wasted_cpu_ms: cpu.wasted.as_ms(),
             sched: self.sched,
         }
     }
@@ -554,16 +524,25 @@ mod tests {
         assert_eq!(s.max_plist_len, 2.0);
     }
 
+    fn attempt(failed: bool, spiked: bool) -> Attempt {
+        Attempt {
+            failed,
+            spiked,
+            brownout: false,
+            service: SimDuration::ZERO,
+        }
+    }
+
     #[test]
     fn fault_and_rejection_accounting() {
         let mut m = MetricsCollector::new();
-        m.record_injected_fault();
-        m.record_injected_fault();
-        m.record_latency_spike();
-        m.record_io_retry(SimDuration::from_ms(2.0));
-        m.record_io_retry(SimDuration::from_ms(4.0));
-        m.record_io_exhausted_abort();
-        m.add_wasted_disk_hold(SimDuration::from_ms(12.5));
+        m.record_attempt(Resource::Disk, &attempt(true, false));
+        m.record_attempt(Resource::Disk, &attempt(true, true));
+        m.record_attempt(Resource::Disk, &attempt(false, false));
+        m.record_retry(Resource::Disk, SimDuration::from_ms(2.0));
+        m.record_retry(Resource::Disk, SimDuration::from_ms(4.0));
+        m.record_exhausted_abort(Resource::Disk);
+        m.add_wasted(Resource::Disk, SimDuration::from_ms(12.5));
         m.record_rejection();
         m.record_commit(ms(0.0), ms(10.0), ms(5.0));
         m.record_commit(ms(0.0), ms(10.0), ms(5.0));
@@ -578,18 +557,18 @@ mod tests {
         assert!((s.wasted_disk_hold_ms - 12.5).abs() < 1e-9);
         assert_eq!(s.rejected, 1);
         assert!((s.rejected_percent - 25.0).abs() < 1e-9, "1 of 4 outcomes");
+        assert_eq!(s.injected_cpu_stalls, 0, "disk faults leave the CPU tally");
     }
 
     #[test]
     fn cpu_fault_accounting() {
         let mut m = MetricsCollector::new();
-        m.record_cpu_stall();
-        m.record_cpu_stall();
-        m.record_cpu_slowdown();
-        m.record_cpu_retry(SimDuration::from_ms(1.0));
-        m.record_cpu_retry(SimDuration::from_ms(2.0));
-        m.record_cpu_exhausted_abort();
-        m.add_wasted_cpu(SimDuration::from_ms(8.0));
+        m.record_attempt(Resource::Cpu, &attempt(true, true));
+        m.record_attempt(Resource::Cpu, &attempt(true, false));
+        m.record_retry(Resource::Cpu, SimDuration::from_ms(1.0));
+        m.record_retry(Resource::Cpu, SimDuration::from_ms(2.0));
+        m.record_exhausted_abort(Resource::Cpu);
+        m.add_wasted(Resource::Cpu, SimDuration::from_ms(8.0));
         m.record_commit(ms(0.0), ms(10.0), ms(5.0));
         let s = m.finish(ms(100.0), SimDuration::ZERO);
         assert_eq!(s.injected_cpu_stalls, 2);
@@ -598,6 +577,7 @@ mod tests {
         assert_eq!(s.cpu_exhausted_aborts, 1);
         assert!((s.cpu_backoff_ms - 3.0).abs() < 1e-9);
         assert!((s.wasted_cpu_ms - 8.0).abs() < 1e-9);
+        assert_eq!(s.injected_io_faults, 0, "CPU faults leave the disk tally");
     }
 
     #[test]

@@ -47,9 +47,10 @@ pub enum TxnState {
     IoQueued,
     /// Its disk transfer is in progress.
     IoActive,
-    /// Its last disk transfer failed with an injected transient error; the
-    /// transaction is off the disk, holding its locks, waiting out an
-    /// exponential-backoff delay before re-queueing the transfer.
+    /// Its last attempt — a disk transfer or a compute burst — failed with
+    /// an injected transient fault; the transaction is off the disk and the
+    /// CPU, holding its locks, waiting out an exponential-backoff delay
+    /// before retrying the attempt.
     IoBackoff,
     /// Blocked waiting for a write lock held by a *higher-priority*
     /// transaction (HP wound-wait: a requester only aborts lower-priority

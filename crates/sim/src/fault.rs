@@ -1,4 +1,4 @@
-//! Deterministic disk-fault injection plans.
+//! Deterministic fault-injection plans for the disk and the CPU.
 //!
 //! The paper evaluates scheduling policies under clean overload only; a
 //! robust reproduction must also survive *misbehaving* hardware. A
@@ -13,19 +13,20 @@
 //!   during which the error probability is elevated and every transfer is
 //!   slowed by a latency factor.
 //!
-//! Faults are drawn from a dedicated RNG stream (label `"faults"`) owned
-//! by a [`FaultInjector`], so enabling injection never perturbs the
-//! workload streams — and a plan of [`FaultPlan::none()`] performs **no
-//! draws at all**, keeping fault-free runs byte-identical to runs built
-//! before this subsystem existed.
-//!
-//! The same model extends to the CPU: an optional [`CpuFaultPlan`]
-//! describes transient **stalls** (a compute burst runs to completion
+//! An optional [`CpuFaultPlan`] section gives the CPU the same three
+//! misbehaviours: transient **stalls** (a compute burst runs to completion
 //! and then must be retried with backoff), **slowdowns** (a burst takes
-//! `slow_factor ×` its nominal time) and brownout windows. CPU verdicts
-//! come from a [`CpuFaultInjector`] on its own `"cpu-faults"` stream, so
-//! disk and CPU injection never perturb each other — and a plan without
-//! a CPU section draws nothing.
+//! `slow_factor ×` its nominal time) and brownout windows.
+//!
+//! Both plans feed one model: a [`FaultInjector`] per [`Resource`], built
+//! by [`FaultInjector::disk`] or [`FaultInjector::cpu`], draws the
+//! per-attempt verdicts and owns the retry budget and the backoff formula.
+//! Each draws from a dedicated RNG stream (label `"faults"` for the disk,
+//! `"cpu-faults"` for the CPU), so enabling injection never perturbs the
+//! workload streams and disk and CPU injection never perturb each other.
+//! A plan of [`FaultPlan::none()`] performs **no draws at all**, keeping
+//! fault-free runs byte-identical to runs built before this subsystem
+//! existed.
 
 use crate::dist::uniform_unit;
 use crate::rng::{StreamSeeder, Xoshiro256};
@@ -119,14 +120,6 @@ impl FaultPlan {
         }
     }
 
-    /// The backoff delay before retry number `retries + 1`, i.e. after
-    /// `retries` prior failures: `base × 2^retries`, capped.
-    pub fn backoff_after(&self, retries: u32) -> SimDuration {
-        let exp = retries.min(20); // 2^20 × base already dwarfs any cap
-        let raw = self.backoff_base_ms * f64::powi(2.0, exp as i32);
-        SimDuration::from_ms(raw.min(self.backoff_cap_ms))
-    }
-
     /// Validate parameter sanity; returns a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -215,14 +208,6 @@ pub struct CpuFaultPlan {
 }
 
 impl CpuFaultPlan {
-    /// The backoff delay before retry number `retries + 1`, i.e. after
-    /// `retries` prior stalls: `base × 2^retries`, capped.
-    pub fn backoff_after(&self, retries: u32) -> SimDuration {
-        let exp = retries.min(20); // 2^20 × base already dwarfs any cap
-        let raw = self.backoff_base_ms * f64::powi(2.0, exp as i32);
-        SimDuration::from_ms(raw.min(self.backoff_cap_ms))
-    }
-
     /// Validate parameter sanity; returns a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -260,115 +245,102 @@ impl Default for FaultPlan {
     }
 }
 
-/// The injector's verdict on one disk-transfer attempt.
+/// A resource the fault model covers. Indexes the engine's per-resource
+/// fault state (`[T; 2]` arrays, `resource as usize`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resource {
+    /// The disk: an attempt is one transfer.
+    Disk = 0,
+    /// The CPU: an attempt is one placement of a compute burst.
+    Cpu = 1,
+}
+
+/// The injector's verdict on one attempt of a [`Resource`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Attempt {
-    /// The attempt fails with a transient error after `service` elapses.
+    /// The attempt fails (a transient IO error, a CPU stall) after
+    /// `service` elapses.
     pub failed: bool,
-    /// The attempt drew a latency spike.
+    /// The attempt runs slowed (a disk latency spike, a CPU slowdown).
     pub spiked: bool,
     /// The attempt started inside a brownout window.
     pub brownout: bool,
-    /// Time the attempt occupies the disk (spikes and brownouts applied).
+    /// Time the attempt occupies the resource (slowdowns and brownouts
+    /// applied).
     pub service: SimDuration,
 }
 
-/// Draws per-attempt fault verdicts from a [`FaultPlan`] using a dedicated
-/// deterministic RNG stream.
+/// Draws per-attempt fault verdicts for one [`Resource`] from a
+/// dedicated deterministic RNG stream, and rules on retries: the retry
+/// budget and the backoff before each retry.
 ///
 /// Exactly two uniform draws are consumed per attempt regardless of the
 /// outcome, so the stream stays aligned across plan-parameter changes that
 /// keep the attempt sequence identical.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
-    plan: FaultPlan,
+    /// Base probability that an attempt fails.
+    fail_prob: f64,
+    /// Probability that an attempt runs slowed.
+    slow_prob: f64,
+    /// Service-time multiplier of a slowed attempt.
+    slow_factor: f64,
+    /// Retries allowed after the first failed attempt.
+    retry_budget: u32,
+    /// Backoff before the first retry, ms.
+    backoff_base_ms: f64,
+    /// Upper bound on any single backoff, ms.
+    backoff_cap_ms: f64,
+    brownout: Option<Brownout>,
     rng: Xoshiro256,
 }
 
 impl FaultInjector {
-    /// A new injector drawing from the seeder's `"faults"` stream.
-    pub fn new(plan: FaultPlan, seeder: &StreamSeeder) -> Self {
+    /// The disk injector of `plan`, drawing from the seeder's `"faults"`
+    /// stream.
+    pub fn disk(plan: &FaultPlan, seeder: &StreamSeeder) -> Self {
         FaultInjector {
-            plan,
+            fail_prob: plan.error_prob,
+            slow_prob: plan.spike_prob,
+            slow_factor: plan.spike_factor,
+            retry_budget: plan.retry_budget,
+            backoff_base_ms: plan.backoff_base_ms,
+            backoff_cap_ms: plan.backoff_cap_ms,
+            brownout: plan.brownout,
             rng: seeder.stream("faults"),
         }
     }
 
-    /// The plan this injector draws from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Decide the fate of one transfer attempt starting at `now` whose
-    /// nominal service time is `nominal`.
-    pub fn attempt(&mut self, now: SimTime, nominal: SimDuration) -> Attempt {
-        let u_err = uniform_unit(&mut self.rng);
-        let u_spike = uniform_unit(&mut self.rng);
-        let brown = self.plan.brownout.filter(|b| b.active_at(now));
-        let error_prob = match &brown {
-            Some(b) => self.plan.error_prob.max(b.error_prob),
-            None => self.plan.error_prob,
-        };
-        let failed = u_err < error_prob;
-        let spiked = u_spike < self.plan.spike_prob;
-        let mut service = nominal;
-        if spiked {
-            service = service.scale(self.plan.spike_factor);
-        }
-        if let Some(b) = &brown {
-            service = service.scale(b.latency_factor);
-        }
-        Attempt {
-            failed,
-            spiked,
-            brownout: brown.is_some(),
-            service,
-        }
-    }
-}
-
-/// Draws per-burst fault verdicts from a [`CpuFaultPlan`] on the
-/// dedicated `"cpu-faults"` stream.
-///
-/// In the returned [`Attempt`], `failed` means the burst *stalls* and
-/// `spiked` means it runs slowed. Exactly two uniform draws are consumed
-/// per burst regardless of the outcome, keeping the stream aligned
-/// across plan-parameter changes that keep the burst sequence identical.
-#[derive(Debug, Clone)]
-pub struct CpuFaultInjector {
-    plan: CpuFaultPlan,
-    rng: Xoshiro256,
-}
-
-impl CpuFaultInjector {
-    /// A new injector drawing from the seeder's `"cpu-faults"` stream.
-    pub fn new(plan: CpuFaultPlan, seeder: &StreamSeeder) -> Self {
-        CpuFaultInjector {
-            plan,
+    /// The CPU injector of `plan`, drawing from the seeder's
+    /// `"cpu-faults"` stream.
+    pub fn cpu(plan: &CpuFaultPlan, seeder: &StreamSeeder) -> Self {
+        FaultInjector {
+            fail_prob: plan.stall_prob,
+            slow_prob: plan.slow_prob,
+            slow_factor: plan.slow_factor,
+            retry_budget: plan.retry_budget,
+            backoff_base_ms: plan.backoff_base_ms,
+            backoff_cap_ms: plan.backoff_cap_ms,
+            brownout: plan.brownout,
             rng: seeder.stream("cpu-faults"),
         }
     }
 
-    /// The plan this injector draws from.
-    pub fn plan(&self) -> &CpuFaultPlan {
-        &self.plan
-    }
-
-    /// Decide the fate of one compute burst starting at `now` whose
-    /// nominal service time is `nominal`.
+    /// Decide the fate of one attempt starting at `now` whose nominal
+    /// service time is `nominal`.
     pub fn attempt(&mut self, now: SimTime, nominal: SimDuration) -> Attempt {
-        let u_stall = uniform_unit(&mut self.rng);
+        let u_fail = uniform_unit(&mut self.rng);
         let u_slow = uniform_unit(&mut self.rng);
-        let brown = self.plan.brownout.filter(|b| b.active_at(now));
-        let stall_prob = match &brown {
-            Some(b) => self.plan.stall_prob.max(b.error_prob),
-            None => self.plan.stall_prob,
+        let brown = self.brownout.filter(|b| b.active_at(now));
+        let fail_prob = match &brown {
+            Some(b) => self.fail_prob.max(b.error_prob),
+            None => self.fail_prob,
         };
-        let failed = u_stall < stall_prob;
-        let spiked = u_slow < self.plan.slow_prob;
+        let failed = u_fail < fail_prob;
+        let spiked = u_slow < self.slow_prob;
         let mut service = nominal;
         if spiked {
-            service = service.scale(self.plan.slow_factor);
+            service = service.scale(self.slow_factor);
         }
         if let Some(b) = &brown {
             service = service.scale(b.latency_factor);
@@ -379,6 +351,19 @@ impl CpuFaultInjector {
             brownout: brown.is_some(),
             service,
         }
+    }
+
+    /// The backoff before retry number `retries + 1`, i.e. after `retries`
+    /// prior failures of the same attempt: `base × 2^retries`, capped.
+    /// `None` once the retry budget is spent — the transaction then
+    /// aborts and restarts like an HP victim.
+    pub fn backoff(&self, retries: u32) -> Option<SimDuration> {
+        if retries >= self.retry_budget {
+            return None;
+        }
+        let exp = retries.min(20); // 2^20 × base already dwarfs any cap
+        let raw = self.backoff_base_ms * f64::powi(2.0, exp as i32);
+        Some(SimDuration::from_ms(raw.min(self.backoff_cap_ms)))
     }
 }
 
@@ -445,17 +430,27 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = plan(0.1, 0.0);
-        assert_eq!(p.backoff_after(0), SimDuration::from_ms(2.0));
-        assert_eq!(p.backoff_after(1), SimDuration::from_ms(4.0));
-        assert_eq!(p.backoff_after(2), SimDuration::from_ms(8.0));
-        assert_eq!(p.backoff_after(3), SimDuration::from_ms(16.0));
-        assert_eq!(p.backoff_after(4), SimDuration::from_ms(16.0), "capped");
-        assert_eq!(
-            p.backoff_after(40),
-            SimDuration::from_ms(16.0),
-            "no overflow"
-        );
+        let mut p = plan(0.1, 0.0);
+        p.retry_budget = 50;
+        let inj = FaultInjector::disk(&p, &StreamSeeder::new(0));
+        let ms = |x| Some(SimDuration::from_ms(x));
+        assert_eq!(inj.backoff(0), ms(2.0));
+        assert_eq!(inj.backoff(1), ms(4.0));
+        assert_eq!(inj.backoff(2), ms(8.0));
+        assert_eq!(inj.backoff(3), ms(16.0));
+        assert_eq!(inj.backoff(4), ms(16.0), "capped");
+        assert_eq!(inj.backoff(40), ms(16.0), "no overflow");
+    }
+
+    #[test]
+    fn retry_budget_ends_the_backoffs() {
+        let seeder = StreamSeeder::new(0);
+        let disk = FaultInjector::disk(&plan(0.1, 0.0), &seeder);
+        assert!(disk.backoff(2).is_some());
+        assert_eq!(disk.backoff(3), None, "budget of 3 retries spent");
+        let cpu = FaultInjector::cpu(&cpu_plan(0.1, 0.0), &seeder);
+        assert_eq!(cpu.backoff(1), Some(SimDuration::from_ms(2.0)));
+        assert_eq!(cpu.backoff(2), None, "budget of 2 retries spent");
     }
 
     #[test]
@@ -514,8 +509,8 @@ mod tests {
     #[test]
     fn injector_is_deterministic() {
         let seeder = StreamSeeder::new(7);
-        let mut a = FaultInjector::new(plan(0.3, 0.3), &seeder);
-        let mut b = FaultInjector::new(plan(0.3, 0.3), &seeder);
+        let mut a = FaultInjector::disk(&plan(0.3, 0.3), &seeder);
+        let mut b = FaultInjector::disk(&plan(0.3, 0.3), &seeder);
         for i in 0..200 {
             let now = SimTime::from_ms(i as f64 * 13.0);
             let nominal = SimDuration::from_ms(25.0);
@@ -526,7 +521,7 @@ mod tests {
     #[test]
     fn certain_error_always_fails() {
         let seeder = StreamSeeder::new(1);
-        let mut inj = FaultInjector::new(plan(1.0, 0.0), &seeder);
+        let mut inj = FaultInjector::disk(&plan(1.0, 0.0), &seeder);
         for _ in 0..50 {
             let a = inj.attempt(SimTime::ZERO, SimDuration::from_ms(25.0));
             assert!(a.failed);
@@ -538,7 +533,7 @@ mod tests {
     #[test]
     fn spike_scales_service() {
         let seeder = StreamSeeder::new(2);
-        let mut inj = FaultInjector::new(plan(0.0, 1.0), &seeder);
+        let mut inj = FaultInjector::disk(&plan(0.0, 1.0), &seeder);
         let a = inj.attempt(SimTime::ZERO, SimDuration::from_ms(25.0));
         assert!(a.spiked && !a.failed);
         assert_eq!(a.service, SimDuration::from_ms(100.0));
@@ -554,7 +549,7 @@ mod tests {
             latency_factor: 3.0,
         });
         let seeder = StreamSeeder::new(3);
-        let mut inj = FaultInjector::new(p, &seeder);
+        let mut inj = FaultInjector::disk(&p, &seeder);
         let inside = inj.attempt(SimTime::from_ms(50.0), SimDuration::from_ms(10.0));
         assert!(inside.failed && inside.brownout);
         assert_eq!(inside.service, SimDuration::from_ms(30.0));
@@ -566,24 +561,27 @@ mod tests {
     #[test]
     fn cpu_injector_mirrors_disk_model() {
         let seeder = StreamSeeder::new(9);
-        let mut a = CpuFaultInjector::new(cpu_plan(0.3, 0.3), &seeder);
-        let mut b = CpuFaultInjector::new(cpu_plan(0.3, 0.3), &seeder);
+        let mut a = FaultInjector::cpu(&cpu_plan(0.3, 0.3), &seeder);
+        let mut b = FaultInjector::cpu(&cpu_plan(0.3, 0.3), &seeder);
         for i in 0..200 {
             let now = SimTime::from_ms(i as f64 * 7.0);
             let nominal = SimDuration::from_ms(2.0);
             assert_eq!(a.attempt(now, nominal), b.attempt(now, nominal));
         }
         // Certain stall, certain slowdown.
-        let mut inj = CpuFaultInjector::new(cpu_plan(1.0, 1.0), &seeder);
+        let mut inj = FaultInjector::cpu(&cpu_plan(1.0, 1.0), &seeder);
         let att = inj.attempt(SimTime::ZERO, SimDuration::from_ms(2.0));
         assert!(att.failed && att.spiked);
         assert_eq!(att.service, SimDuration::from_ms(6.0));
         // Backoff doubles and caps like the disk plan's.
-        let c = cpu_plan(0.1, 0.0);
-        assert_eq!(c.backoff_after(0), SimDuration::from_ms(1.0));
-        assert_eq!(c.backoff_after(1), SimDuration::from_ms(2.0));
-        assert_eq!(c.backoff_after(2), SimDuration::from_ms(4.0));
-        assert_eq!(c.backoff_after(9), SimDuration::from_ms(4.0), "capped");
+        let mut c = cpu_plan(0.1, 0.0);
+        c.retry_budget = 10;
+        let inj = FaultInjector::cpu(&c, &seeder);
+        let ms = |x| Some(SimDuration::from_ms(x));
+        assert_eq!(inj.backoff(0), ms(1.0));
+        assert_eq!(inj.backoff(1), ms(2.0));
+        assert_eq!(inj.backoff(2), ms(4.0));
+        assert_eq!(inj.backoff(9), ms(4.0), "capped");
     }
 
     #[test]
@@ -592,9 +590,9 @@ mod tests {
         // labelled streams: interleaving draws on one never changes the
         // other's verdicts.
         let seeder = StreamSeeder::new(21);
-        let mut cpu_alone = CpuFaultInjector::new(cpu_plan(0.5, 0.5), &seeder);
-        let mut cpu_mixed = CpuFaultInjector::new(cpu_plan(0.5, 0.5), &seeder);
-        let mut disk = FaultInjector::new(plan(0.5, 0.5), &seeder);
+        let mut cpu_alone = FaultInjector::cpu(&cpu_plan(0.5, 0.5), &seeder);
+        let mut cpu_mixed = FaultInjector::cpu(&cpu_plan(0.5, 0.5), &seeder);
+        let mut disk = FaultInjector::disk(&plan(0.5, 0.5), &seeder);
         for i in 0..100 {
             let now = SimTime::from_ms(i as f64);
             let d = SimDuration::from_ms(5.0);
@@ -609,8 +607,8 @@ mod tests {
         // error draws: outcome of the error coin must not depend on
         // whether spikes are enabled.
         let seeder = StreamSeeder::new(11);
-        let mut with_spikes = FaultInjector::new(plan(0.5, 0.9), &seeder);
-        let mut without = FaultInjector::new(plan(0.5, 0.0), &seeder);
+        let mut with_spikes = FaultInjector::disk(&plan(0.5, 0.9), &seeder);
+        let mut without = FaultInjector::disk(&plan(0.5, 0.0), &seeder);
         for i in 0..100 {
             let now = SimTime::from_ms(i as f64);
             let d = SimDuration::from_ms(25.0);

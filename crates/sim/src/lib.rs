@@ -12,8 +12,9 @@
 //!   independently derivable streams per simulation component;
 //! * [`dist`] — the exact variate families the workload model needs
 //!   (exponential, normal, uniform, Bernoulli, distinct sampling);
-//! * [`fault`] — deterministic disk-fault injection plans (transient IO
-//!   errors, latency spikes, brownout windows) on a dedicated RNG stream;
+//! * [`fault`] — deterministic disk- and CPU-fault injection plans
+//!   (transient errors, slowdowns, brownout windows) on dedicated RNG
+//!   streams;
 //! * [`stats`] — within-run accumulators, time-weighted state averages and
 //!   across-replication confidence intervals;
 //! * [`hist`] — log-bucketed histograms for tail quantiles.
@@ -59,7 +60,7 @@ pub mod time;
 
 pub use calendar::{Calendar, EventHandle, Fired};
 pub use clock::Clock;
-pub use fault::{Attempt, Brownout, CpuFaultInjector, CpuFaultPlan, FaultInjector, FaultPlan};
+pub use fault::{Attempt, Brownout, CpuFaultPlan, FaultInjector, FaultPlan, Resource};
 pub use hist::Histogram;
 pub use rng::{StreamSeeder, Xoshiro256};
 pub use stats::{Accumulator, Estimate, Replications, TimeWeighted};

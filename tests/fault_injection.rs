@@ -1,5 +1,5 @@
-//! Fault-injection robustness: injected disk faults are survived and
-//! accounted for, fault-free plans change nothing, admission control
+//! Fault-injection robustness: injected disk and CPU faults are survived
+//! and accounted for, fault-free plans change nothing, admission control
 //! decomposes the outcome classes, the lock table never leaks a lock
 //! across fault-driven abort/restart, and fault-laden replications stay
 //! bit-identical across thread counts.
@@ -9,7 +9,7 @@ use rtx_core::{Cca, EdfHp};
 use rtx_rtdb::engine::{run_simulation, run_simulation_validated};
 use rtx_rtdb::runner::{run_replications_with, AggregateSummary, Parallelism, ReplicationOptions};
 use rtx_rtdb::{AdmissionConfig, SimConfig};
-use rtx_sim::fault::{Brownout, FaultPlan};
+use rtx_sim::fault::{Brownout, CpuFaultPlan, FaultPlan};
 
 /// A moderately hostile plan: every knob engaged, all survivable.
 fn hostile_plan() -> FaultPlan {
@@ -65,6 +65,29 @@ fn tight_retry_budget_exhausts_and_restarts() {
     );
     // Exhaustion restarts the transaction like an HP victim.
     assert!(s.restarts_total >= s.io_exhausted_aborts);
+}
+
+#[test]
+fn tight_cpu_retry_budget_exhausts_and_restarts() {
+    let mut cfg = disk_cfg(120, 4.0);
+    cfg.system.faults.cpu = Some(CpuFaultPlan {
+        stall_prob: 0.1,
+        slow_prob: 0.0,
+        slow_factor: 1.0,
+        retry_budget: 1,
+        backoff_base_ms: 1.0,
+        backoff_cap_ms: 8.0,
+        brownout: None,
+    });
+    // Validated: the restarts the stalls force never leak a lock.
+    let s = run_simulation_validated(&cfg, &EdfHp);
+    assert_eq!(s.committed, 120);
+    assert!(
+        s.cpu_exhausted_aborts > 0,
+        "a 10% stall rate against a budget of 1 must exhaust sometimes"
+    );
+    assert_eq!(s.io_exhausted_aborts, 0, "the disk plan is empty");
+    assert!(s.restarts_total >= s.cpu_exhausted_aborts);
 }
 
 #[test]
@@ -144,7 +167,10 @@ fn fault_laden_replications_identical_across_thread_counts() {
 }
 
 /// Strategy over survivable fault plans (error probability bounded away
-/// from 1 so every run terminates).
+/// from 1 so every run terminates), with an optional CPU section. Its
+/// stall probability stays at or below 0.1: stalls restart whole
+/// transactions, and at 0.5 against a budget of 1 a 120-transaction run
+/// takes millions of stalls.
 fn fault_plan() -> impl Strategy<Value = FaultPlan> {
     (
         0.0f64..0.5,
@@ -153,9 +179,10 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
         0u32..4,
         0.5f64..5.0,
         proptest::option::of((100.0f64..2_000.0, 0.0f64..1.0, 1.0f64..3.0)),
+        proptest::option::of((0.0f64..0.1, 0.0f64..0.5, 1.0f64..3.0, 0u32..4)),
     )
         .prop_map(
-            |(error_prob, spike_prob, spike_factor, retry_budget, base, brown)| FaultPlan {
+            |(error_prob, spike_prob, spike_factor, retry_budget, base, brown, cpu)| FaultPlan {
                 error_prob,
                 spike_prob,
                 spike_factor,
@@ -168,7 +195,17 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
                     error_prob: err,
                     latency_factor,
                 }),
-                cpu: None,
+                cpu: cpu.map(
+                    |(stall_prob, slow_prob, slow_factor, retry_budget)| CpuFaultPlan {
+                        stall_prob,
+                        slow_prob,
+                        slow_factor,
+                        retry_budget,
+                        backoff_base_ms: base,
+                        backoff_cap_ms: base * 8.0,
+                        brownout: None,
+                    },
+                ),
             },
         )
 }
@@ -177,7 +214,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Under arbitrary survivable fault plans the lock table never leaks
-    /// a lock across fault-driven abort/restart: `run_simulation_validated`
+    /// a lock across fault-driven abort/restart, disk- or CPU-driven:
+    /// `run_simulation_validated`
     /// re-checks the lock/accessed-set invariants after every event and
     /// asserts committed/rejected transactions hold nothing.
     #[test]
