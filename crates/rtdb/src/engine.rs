@@ -252,8 +252,15 @@ struct EngineState<'p> {
     cfg: &'p SimConfig,
     policy: &'p dyn Policy,
     calendar: Calendar<Event>,
+    /// The record store: each live transaction's record at its
+    /// [`crate::sched::TxnSlot`] (found through
+    /// [`ConflictAccel::slot_of`]). A commit retires the record in place
+    /// and frees the slot, and the next arrival to take the slot over
+    /// overwrites it; a rejected arrival is never stored. Its length is
+    /// at most the slot high-water mark — the peak live population, not
+    /// the run's transaction count.
     txns: Vec<Transaction>,
-    /// Ids of transactions still in the system, in arrival order.
+    /// Ids of transactions still in the system, in arrival (= id) order.
     active: Vec<TxnId>,
     locks: LockTable,
     disk: Option<Disk>,
@@ -307,12 +314,17 @@ struct EngineState<'p> {
     /// Number of active transactions in `TxnState::Ready`, maintained by
     /// [`Self::set_state`] — replaces the per-event ready-queue scan.
     ready_count: usize,
+    /// Number of active transactions in `TxnState::LockWait`, maintained
+    /// by [`Self::set_state`]. While it is 0 — always, under CCA
+    /// (Theorem 1) — a lock release skips the scan for waiters.
+    lock_wait_count: usize,
     /// Dense copy of every transaction's scheduling state (indexed by
-    /// id), written wherever the authoritative `Transaction::state`
-    /// changes. The pick loops' runnability filters read this 1-byte
-    /// tag instead of dereferencing the full `Transaction` record —
-    /// at MPL ≥ 1024 the tag vector stays resident in a few cache lines
-    /// while the transaction structs span megabytes.
+    /// id, one byte per arrival, departed ones included), written
+    /// wherever the authoritative `Transaction::state` changes. The pick
+    /// loops' runnability filters read this 1-byte tag instead of
+    /// dereferencing the full `Transaction` record — at MPL ≥ 1024 the
+    /// tag vector stays resident in a few cache lines while the
+    /// transaction records span megabytes.
     state_tags: Vec<TxnState>,
     /// The priority index over active transactions (outside
     /// `AlwaysRecompute`, for every policy but a `Volatile` one), and the
@@ -394,7 +406,7 @@ impl<'p> EngineState<'p> {
             cfg,
             policy,
             calendar: Calendar::new(),
-            txns: Vec::with_capacity(cfg.run.num_transactions),
+            txns: Vec::new(),
             active: Vec::new(),
             locks: LockTable::new(cfg.workload.db_size),
             disk: cfg
@@ -422,6 +434,7 @@ impl<'p> EngineState<'p> {
             profile: false,
             accel: ConflictAccel::new(cfg.run.num_transactions, cfg.workload.db_size as usize),
             ready_count: 0,
+            lock_wait_count: 0,
             state_tags: Vec::with_capacity(cfg.run.num_transactions),
             index: RefCell::new(PriorityIndex::default()),
             key_scale: Cell::new(0.0),
@@ -519,28 +532,41 @@ impl<'p> EngineState<'p> {
         self.calendar.now()
     }
 
+    /// The live record of `id`, through the slot map. A departed `id`
+    /// has no record: debug builds panic, release builds index out of
+    /// bounds.
     fn txn(&self, id: TxnId) -> &Transaction {
-        &self.txns[id.0 as usize]
+        &self.txns[self.accel.slot_of(id).0 as usize]
     }
 
     fn txn_mut(&mut self, id: TxnId) -> &mut Transaction {
-        &mut self.txns[id.0 as usize]
+        &mut self.txns[self.accel.slot_of(id).0 as usize]
+    }
+
+    /// (Re)index `id` in the slot rows under its current `might_access`.
+    fn reindex(&mut self, id: TxnId) {
+        let slot = self.accel.slot_of(id);
+        self.accel.reindex(&self.txns[slot.0 as usize]);
     }
 
     /// The one place an *active* transaction's scheduling state changes:
-    /// maintains the ready counter that replaces the per-event ready-queue
-    /// scan. (Terminal states set on not-yet-pushed slots — admission
-    /// rejection — bypass this; they are never Ready-counted.)
+    /// maintains the ready and lock-wait counters that replace per-event
+    /// scans of `active`. (A rejected arrival never becomes active and
+    /// bypasses this.)
     fn set_state(&mut self, id: TxnId, new: TxnState) {
         let old = self.txn(id).state;
         if old == new {
             return;
         }
-        if old == TxnState::Ready {
-            self.ready_count -= 1;
+        match old {
+            TxnState::Ready => self.ready_count -= 1,
+            TxnState::LockWait => self.lock_wait_count -= 1,
+            _ => {}
         }
-        if new == TxnState::Ready {
-            self.ready_count += 1;
+        match new {
+            TxnState::Ready => self.ready_count += 1,
+            TxnState::LockWait => self.lock_wait_count += 1,
+            _ => {}
         }
         self.txn_mut(id).state = new;
         self.state_tags[id.0 as usize] = new;
@@ -746,27 +772,25 @@ impl<'p> EngineState<'p> {
 
     // ---- event handlers -------------------------------------------------
 
-    fn on_arrival(&mut self, mut txn: Transaction) {
-        debug_assert_eq!(txn.id.0 as usize, self.txns.len());
+    fn on_arrival(&mut self, txn: Transaction) {
+        debug_assert_eq!(txn.id.0 as usize, self.state_tags.len());
         let id = txn.id;
         let deadline = txn.deadline;
         // Register with the acceleration layer before anything can look at
         // the new id — rejected transactions too, so the id-indexed slot
         // map stays dense. Arrival changes no conflict state (a fresh
         // transaction holds nothing), so nothing else is walked.
-        self.accel.register(id);
+        let slot = self.accel.register(id).0 as usize;
         if self.cfg.system.admission.is_some() {
             self.adm_maybe_roll();
             if !self.feasible(&txn) {
                 // Reject at the door: the transaction never enters the
                 // active set, acquires no locks and consumes no resources.
-                txn.state = TxnState::Rejected;
+                // Its record is dropped here, never stored, and its slot
+                // goes straight back to the free list.
                 let (arrival, restarts) = (txn.arrival, txn.restarts);
-                self.txns.push(txn);
                 self.secondary.push(false);
                 self.state_tags.push(TxnState::Rejected);
-                // A rejected transaction never becomes active, so its
-                // slot goes straight back to the free list.
                 self.accel.release(id);
                 self.metrics.record_rejection();
                 self.emit(|| TraceEvent::Rejected { txn: id, deadline });
@@ -784,7 +808,15 @@ impl<'p> EngineState<'p> {
             }
         }
         debug_assert_eq!(txn.state, TxnState::Ready);
-        self.txns.push(txn);
+        // Store the record at its slot, over the retired record of the
+        // slot's last owner. Only a rejection leaves a slot unstored, and
+        // it is the free list's top, so a slot past the store's end is
+        // its next one.
+        if slot == self.txns.len() {
+            self.txns.push(txn);
+        } else {
+            self.txns[slot] = txn;
+        }
         self.secondary.push(false);
         self.state_tags.push(TxnState::Ready);
         self.active.push(id);
@@ -792,7 +824,7 @@ impl<'p> EngineState<'p> {
         // Enter the slot rows under the admitted footprint (only
         // admitted transactions are ever indexed — repairs must not
         // touch rejected slots, which have no heap entry).
-        self.accel.reindex(&self.txns[id.0 as usize]);
+        self.reindex(id);
         // Seed the newcomer's index key eagerly: the index must hold
         // exactly one entry per active transaction before the next pick
         // can trust its peek.
@@ -909,9 +941,15 @@ impl<'p> EngineState<'p> {
                     // but no progress is made; the work is counted wasted
                     // instead, and the update's burst is re-armed at its
                     // nominal length (the retry draws a fresh attempt) or
-                    // the transaction restarts.
+                    // the transaction restarts. As at commit, `burst_start`
+                    // moves to now once the burst is banked: a restart's
+                    // clear raise reads the effective service while the
+                    // transaction is still `Running`, and must not count
+                    // the burst twice.
+                    let now = self.now();
                     let t = self.txn_mut(id);
                     t.service += burst;
+                    t.burst_start = now;
                     t.cpu_left = t.update_time;
                     self.metrics.add_wasted(Resource::Cpu, burst);
                     self.own_state_rekey(id);
@@ -940,7 +978,7 @@ impl<'p> EngineState<'p> {
                 // `might_access`) — and can *raise* its priority, so
                 // refresh its key eagerly and exactly.
                 if narrowed {
-                    self.accel.reindex(&self.txns[id.0 as usize]);
+                    self.reindex(id);
                     if self.priority_keyed() {
                         self.priority_rekeyed(id);
                     }
@@ -1088,8 +1126,13 @@ impl<'p> EngineState<'p> {
     /// transaction was aborted while the retry was in flight — the
     /// abort's backoff arm already reset it and bumped the token).
     fn on_retry(&mut self, id: TxnId, token: u64) {
+        // The state tag outlives the record: a transaction that restarted
+        // and committed while the retry was in flight has no record left.
+        if self.state_tags[id.0 as usize] != TxnState::IoBackoff {
+            return;
+        }
         let t = self.txn(id);
-        if t.state != TxnState::IoBackoff || t.retry_token != token {
+        if t.retry_token != token {
             return;
         }
         if t.stage == Stage::Io {
@@ -1260,9 +1303,11 @@ impl<'p> EngineState<'p> {
     /// `Verify` checks against a scan of the whole table — and wake the
     /// transactions waiting on them: "all transactions blocked by the
     /// resources that currently running transaction hold wake up and move
-    /// to ready queue." Returns how many locks were released.
+    /// to ready queue." The scan for waiters runs only while some
+    /// transaction is lock-waiting. Returns how many locks were released.
     fn release_locks(&mut self, id: TxnId) -> usize {
-        let accessed = &self.txns[id.0 as usize].accessed;
+        let slot = self.accel.slot_of(id).0 as usize;
+        let accessed = &self.txns[slot].accessed;
         if self.mode == CacheMode::Verify {
             assert_eq!(
                 self.locks.held_by(id),
@@ -1272,12 +1317,15 @@ impl<'p> EngineState<'p> {
             self.verify_checks.set(self.verify_checks.get() + 1);
         }
         let released = self.locks.release(id, accessed);
+        if self.lock_wait_count == 0 {
+            return released;
+        }
         for idx in 0..self.active.len() {
             let w = self.active[idx];
             let t = self.txn(w);
             if t.state == TxnState::LockWait
                 && t.waiting_for
-                    .is_some_and(|i| self.txn(id).accessed.contains(i))
+                    .is_some_and(|i| self.txns[slot].accessed.contains(i))
             {
                 self.set_state(w, TxnState::Ready);
                 self.txn_mut(w).waiting_for = None;
@@ -1316,7 +1364,7 @@ impl<'p> EngineState<'p> {
         self.txn_mut(id).reset_for_restart();
         // `reset_for_restart` re-widens `might_access` and zeroes
         // progress: refresh the slot rows and the `K` key.
-        self.accel.reindex(&self.txns[id.0 as usize]);
+        self.reindex(id);
         self.own_state_rekey(id);
     }
 
@@ -1381,10 +1429,9 @@ impl<'p> EngineState<'p> {
             self.conflict_cleared(id);
         }
         self.set_state(id, TxnState::Committed);
-        let t = self.txn_mut(id);
-        t.finish = Some(now);
-        t.accessed.clear();
-        let (arrival, deadline, class) = (t.arrival, t.deadline, t.criticality);
+        let t = self.txn(id);
+        let (arrival, deadline, class, restarts) =
+            (t.arrival, t.deadline, t.criticality, t.restarts);
         self.emit(|| TraceEvent::Commit {
             txn: id,
             lateness_ms: now.signed_ms_since(deadline),
@@ -1398,7 +1445,6 @@ impl<'p> EngineState<'p> {
             }
             self.adm_maybe_roll();
         }
-        let restarts = self.txn(id).restarts;
         if let Some(sink) = &mut self.completions {
             sink.push(Completion {
                 id,
@@ -1412,10 +1458,21 @@ impl<'p> EngineState<'p> {
             });
         }
         self.running = None;
-        self.active.retain(|&a| a != id);
+        let pos = self
+            .active
+            .binary_search(&id)
+            .expect("the committer is active");
+        self.active.remove(pos);
         self.accel.drop_index(id);
         self.index.borrow_mut().remove(id);
-        // Departed for good: recycle the committed transaction's slot.
+        // Departed for good: its metrics and completion are taken, so
+        // the record retires and its slot is recycled. Nothing reads the
+        // record again: its sets and vectors are dropped now, so a
+        // drained burst does not pin their memory, and the slot's next
+        // owner overwrites the `Committed` header left behind.
+        let t = self.txn_mut(id);
+        (t.might_access, t.accessed, t.written) = Default::default();
+        (t.items, t.io_pattern, t.modes, t.decision) = Default::default();
         self.accel.release(id);
         self.update_queue_metrics();
         self.reschedule(); // tr-finish-schedule
@@ -1822,15 +1879,29 @@ impl<'p> EngineState<'p> {
                         .iter()
                         .filter(|&&id| self.txn(id).state == TxnState::Ready)
                         .count();
-                    self.verify_checks.set(self.verify_checks.get() + 2);
+                    self.verify_checks.set(self.verify_checks.get() + 3);
                     assert_eq!(self.accel.plist_len(), plist_scan, "P-list count diverged");
                     assert_eq!(self.ready_count, ready_scan, "ready count diverged");
+                    assert_eq!(
+                        self.lock_wait_count,
+                        self.lock_wait_scan(),
+                        "lock-wait count diverged"
+                    );
                 }
                 (self.accel.plist_len(), self.ready_count)
             }
         };
         self.metrics.set_plist_len(now, plist);
         self.metrics.set_ready_len(now, ready);
+    }
+
+    /// Active transactions in `TxnState::LockWait`, by a scan of
+    /// `active` — the oracle for `lock_wait_count`.
+    fn lock_wait_scan(&self) -> usize {
+        self.active
+            .iter()
+            .filter(|&&id| self.txn(id).state == TxnState::LockWait)
+            .count()
     }
 
     /// Deadlock resolution: invoked when the event calendar drains while
@@ -1907,9 +1978,15 @@ impl<'p> EngineState<'p> {
     /// Expensive cross-structure consistency check, used by tests.
     fn validate_state(&self) {
         self.locks.check_invariants().expect("lock table corrupt");
-        // Every active transaction's accessed set matches its held locks.
+        // Every active transaction's record sits at its slot, its state
+        // tag mirrors it, and its accessed set matches its held locks.
         for &id in &self.active {
             let t = self.txn(id);
+            assert_eq!(t.id, id, "{id}: its slot holds another record");
+            assert_eq!(
+                self.state_tags[id.0 as usize], t.state,
+                "{id}: state tag diverged"
+            );
             let held = self.locks.held_by(id);
             assert_eq!(
                 held.len(),
@@ -1925,12 +2002,39 @@ impl<'p> EngineState<'p> {
                 assert_eq!(self.running, Some(id));
             }
         }
-        // Committed and rejected transactions hold nothing.
-        for t in &self.txns {
-            if matches!(t.state, TxnState::Committed | TxnState::Rejected) {
-                assert!(self.locks.held_by(t.id).is_empty());
-            }
-        }
+        // Departed transactions hold nothing: the active ones account
+        // for every lock in the table.
+        let active_held: usize = self
+            .active
+            .iter()
+            .map(|&id| self.txn(id).accessed.len())
+            .sum();
+        assert_eq!(
+            self.locks.held_count(),
+            active_held,
+            "a departed transaction holds a lock"
+        );
+        // Departure retires the record: the store holds the active
+        // records plus retired ones awaiting reuse, within the slot
+        // high-water mark, and every departed id is tagged terminal.
+        let (_, high_water) = self.accel.slot_occupancy();
+        assert!(
+            self.txns.len() <= high_water,
+            "record store ({}) outgrew the slot high-water mark ({high_water})",
+            self.txns.len()
+        );
+        let live_records = self.txns.iter().filter(|t| t.is_active()).count();
+        assert_eq!(live_records, self.active.len(), "a retired record is live");
+        let departed = self
+            .state_tags
+            .iter()
+            .filter(|&&tag| matches!(tag, TxnState::Committed | TxnState::Rejected))
+            .count();
+        assert_eq!(
+            departed + self.active.len(),
+            self.state_tags.len(),
+            "a departed transaction's tag is not terminal"
+        );
         // The maintained P-list and ready counter (kept in every cache
         // mode) agree with full scans.
         let plist_scan: Vec<TxnId> = self
@@ -1954,12 +2058,11 @@ impl<'p> EngineState<'p> {
             .filter(|&&id| self.txn(id).state == TxnState::Ready)
             .count();
         assert_eq!(self.ready_count, ready_scan, "ready counter diverged");
-        // The dense state-tag vector mirrors the authoritative per-
-        // transaction state exactly (every id, not just active ones).
-        assert_eq!(self.state_tags.len(), self.txns.len(), "tag vector size");
-        for (i, t) in self.txns.iter().enumerate() {
-            assert_eq!(self.state_tags[i], t.state, "state tag diverged at txn {i}");
-        }
+        assert_eq!(
+            self.lock_wait_count,
+            self.lock_wait_scan(),
+            "lock-wait counter diverged"
+        );
         // The index, when it is the pick path, holds exactly one entry per
         // active transaction, and a `K` key matches the policy's current
         // value.
@@ -2399,8 +2502,9 @@ impl<'p> StepEngine<'p> {
     /// a chaos harness can cut the engine at "the Nth arrival" and land
     /// at the same event-sequence position every run.
     pub fn arrivals_fired(&self) -> u64 {
-        // Every fired arrival, admitted or rejected, appends its record.
-        self.st.txns.len() as u64
+        // Every fired arrival, admitted or rejected, appends its state
+        // tag; records are recycled, so they do not count arrivals.
+        self.st.state_tags.len() as u64
     }
 
     /// Process one event. Returns `false` iff there was nothing to do —
@@ -2759,6 +2863,39 @@ mod tests {
                 prop_assert_eq!(index.pos.iter().filter(|&&p| p != 0).count(), slots.len());
             }
         }
+    }
+
+    /// A commit retires its record and a rejection never stores one: over
+    /// a few thousand transactions with a small live population, the
+    /// record store never outgrows the slot high-water mark after any
+    /// event, and that mark stays near the peak live population, far
+    /// below the transaction count — a deterministic stand-in for
+    /// resident memory.
+    #[test]
+    fn departed_records_are_retired() {
+        let mut cfg = small_mm(15, 11.0, 3_000);
+        cfg.system.admission = Some(AdmissionConfig::Static { safety_factor: 1.0 });
+        let mut peak = 0;
+        let s = run_simulation_with(&cfg, &Edf, |st| {
+            let (live, high_water) = st.accel.slot_occupancy();
+            assert_eq!(
+                live,
+                st.active.len(),
+                "a departed transaction kept its slot"
+            );
+            assert!(
+                st.txns.len() <= high_water,
+                "record store ({}) outgrew the slot high-water mark ({high_water})",
+                st.txns.len()
+            );
+            peak = peak.max(high_water);
+        });
+        assert_eq!(s.committed + s.rejected, 3_000);
+        assert!(s.rejected > 0, "admission must reject some arrivals");
+        assert!(
+            peak < 64,
+            "slot high-water mark {peak} tracks the run length"
+        );
     }
 
     #[test]

@@ -95,7 +95,11 @@ pub enum PriorityDeps {
 pub struct SystemView<'a> {
     /// Current simulation time.
     pub now: SimTime,
-    /// All transaction slots (committed ones included; filter as needed).
+    /// The engine's record store, in slot order: every live transaction,
+    /// plus the emptied headers of committed ones, retired in place until
+    /// a later arrival takes their slot over (filter as needed). Slots
+    /// are recycled, so this is not id order, and a departed transaction
+    /// may have no record at all.
     pub txns: &'a [Transaction],
     /// CPU time required to roll back one transaction (the `rollback_t`
     /// term of the penalty of conflict).
@@ -108,6 +112,7 @@ pub struct SystemView<'a> {
 impl<'a> SystemView<'a> {
     /// A plain view with no acceleration state: every P-list walk scans
     /// `txns` and every pair test recomputes from the transactions' sets.
+    /// `txns` may be any list of records, in any order.
     pub fn new(now: SimTime, txns: &'a [Transaction], abort_cost: SimDuration) -> Self {
         SystemView {
             now,
@@ -136,15 +141,19 @@ impl<'a> SystemView<'a> {
     /// The paper's *P list*: transactions that have partially executed
     /// (hold locks that would be destroyed by an abort), excluding `of`.
     ///
-    /// Yields in ascending id order either way: the maintained P-list is
-    /// kept id-sorted, and a scan of `txns` (slots are in id = arrival
-    /// order) visits the same transactions in the same order, so
-    /// accel-backed and fresh evaluations are bit-identical.
+    /// The two views yield the same transactions in different orders:
+    /// the maintained P-list in ascending id order, each id looked up
+    /// through the engine's slot map, and a scan in the order of `txns`
+    /// (slot order in the engine). Every consumer must therefore be
+    /// order-independent, as sums of integer durations and counts are;
+    /// then accel-backed and fresh evaluations are bit-identical, which
+    /// the engine's `Verify` mode asserts for every priority.
     pub fn partially_executed(&self, of: TxnId) -> PartiallyExecuted<'a> {
         let inner = match self.accel {
-            Some(a) => PlistIter::Ids {
-                ids: a.plist().iter(),
+            Some(accel) => PlistIter::Ids {
+                ids: accel.plist().iter(),
                 txns: self.txns,
+                accel,
                 of,
             },
             None => PlistIter::Scan {
@@ -184,6 +193,7 @@ enum PlistIter<'a> {
     Ids {
         ids: std::slice::Iter<'a, TxnId>,
         txns: &'a [Transaction],
+        accel: &'a ConflictAccel,
         of: TxnId,
     },
 }
@@ -199,12 +209,17 @@ impl<'a> Iterator for PartiallyExecuted<'a> {
     fn next(&mut self) -> Option<&'a Transaction> {
         match &mut self.inner {
             PlistIter::Scan { iter, of } => iter.find(|t| t.id != *of && t.is_partially_executed()),
-            PlistIter::Ids { ids, txns, of } => {
+            PlistIter::Ids {
+                ids,
+                txns,
+                accel,
+                of,
+            } => {
                 for &id in ids.by_ref() {
                     if id == *of {
                         continue;
                     }
-                    let t = &txns[id.0 as usize];
+                    let t = &txns[accel.slot_of(id).0 as usize];
                     debug_assert!(
                         t.is_partially_executed(),
                         "maintained P-list out of sync for {id}"

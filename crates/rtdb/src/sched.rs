@@ -16,7 +16,11 @@
 //!   over `c.written` and `write[i]` over `c.accessed` — one row per
 //!   item, MPL/64 words each — instead of one pair test per candidate.
 //!   The engine's clear-repair walk takes its victims from exactly this
-//!   set.
+//!   set;
+//! * the **slot map** from transaction id to `TxnSlot` is the engine's
+//!   one record lookup: the engine stores each live transaction's record
+//!   at its slot, so a departed transaction's record is overwritten by
+//!   the next arrival that takes the slot over.
 //!
 //! Correctness contract: every maintained answer is **bit-identical** to
 //! a fresh recomputation. The engine's [`CacheMode::Verify`] mode asserts
@@ -25,7 +29,7 @@
 
 use std::cell::Cell;
 
-use rtx_preanalysis::sets::{DataSet, ItemId};
+use rtx_preanalysis::sets::ItemId;
 
 use crate::locks::LockMode;
 use crate::txn::{is_unsafe_with, Transaction, TxnId};
@@ -48,12 +52,12 @@ pub enum CacheMode {
     Verify,
 }
 
-/// Compact index of a live transaction's slot in the slot rows. Slots are
-/// *recycled*: a departed transaction's slot is handed to a later
-/// arrival, so the rows stay sized by the peak concurrent population
-/// rather than the run's total transaction count. Holders map ids to
-/// slots through [`ConflictAccel`]'s slot map, never by arithmetic on the
-/// id.
+/// Compact index of a live transaction's slot in the slot rows and in the
+/// engine's record store. Slots are *recycled*: a departed transaction's
+/// slot is handed to a later arrival, so the rows and the records stay
+/// sized by the peak concurrent population rather than the run's total
+/// transaction count. Holders map ids to slots through
+/// [`ConflictAccel::slot_of`], never by arithmetic on the id.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct TxnSlot(pub(crate) u32);
 
@@ -76,10 +80,10 @@ fn bit(slot: TxnSlot) -> (usize, u64) {
 }
 
 /// Position in the row store of word `w` of item `item`'s row `kind`
-/// (`MIGHT` or `WRITE`), at `words` words per row.
+/// (`MIGHT` or `WRITE`), at `stride` allocated words per row.
 #[inline]
-fn at(words: usize, item: ItemId, kind: usize, w: usize) -> usize {
-    (2 * item.0 as usize + kind) * words + w
+fn at(stride: usize, item: ItemId, kind: usize, w: usize) -> usize {
+    (2 * item.0 as usize + kind) * stride + w
 }
 
 /// Call `f` with every item `t` might write — mode-aware like
@@ -109,19 +113,27 @@ pub struct ConflictAccel {
     /// reproduces the exact iteration order of the full-scan P-list.
     plist: Vec<TxnId>,
     pair_checks: Cell<u64>,
-    /// Two bit rows per database item over slots, `words` words
-    /// each: row `2i` is `might[i]`, row `2i + 1` is `write[i]` (see
+    /// Two bit rows per database item over slots, `stride` words apart:
+    /// row `2i` is `might[i]`, row `2i + 1` is `write[i]` (see
     /// [`each_write`]). Only admitted transactions are indexed, so a set
     /// bit always names a live, admitted transaction.
     rows: Vec<u64>,
-    /// Words per row: the slot high-water mark over 64, rounded up — the
-    /// peak concurrent population, not the run's transaction count.
+    /// Words allocated per row. It doubles when `words` outgrows it, so
+    /// a burst to `n` live slots copies the rows O(log n) times, not once
+    /// per 64 slots.
+    stride: usize,
+    /// Words per row the OR loops read: the slot high-water mark over 64,
+    /// rounded up — the peak concurrent population, not the run's
+    /// transaction count. Words past it are allocated and zero.
     words: usize,
     /// One row over slots: the P-list members.
     partial: Vec<u64>,
-    /// Per slot: the `might_access` its bits in `rows` were set from
-    /// (empty while unindexed), so a reindex clears exactly those bits.
-    footprint: Vec<DataSet>,
+    /// Per slot: the items its bits in `rows` were set from — its
+    /// `might_access` at the last reindex, empty while unindexed — so a
+    /// reindex clears exactly those bits. A list, not a bitset like
+    /// `might_access`: a few dozen items against a row of words as wide
+    /// as the table.
+    footprint: Vec<Vec<ItemId>>,
     /// Per slot: the transaction holding it. Its length is the slot
     /// high-water mark.
     owner: Vec<TxnId>,
@@ -140,6 +152,7 @@ impl ConflictAccel {
             plist: Vec::new(),
             pair_checks: Cell::new(0),
             rows: vec![0; 2 * db_size],
+            stride: 1,
             words: 1,
             partial: vec![0],
             footprint: Vec::new(),
@@ -149,11 +162,11 @@ impl ConflictAccel {
         }
     }
 
-    /// Register a newly arrived transaction (ids are dense and arrive in
-    /// order, so the slot-map entry is a push; the slot itself is a
-    /// released one if any is free, else a new one past the high-water
-    /// mark). The slot starts out unindexed.
-    pub(crate) fn register(&mut self, id: TxnId) {
+    /// Register a newly arrived transaction and return its slot (ids are
+    /// dense and arrive in order, so the slot-map entry is a push; the
+    /// slot itself is a released one if any is free, else a new one past
+    /// the high-water mark). The slot starts out unindexed.
+    pub(crate) fn register(&mut self, id: TxnId) -> TxnSlot {
         debug_assert_eq!(id.0 as usize, self.slot_map.len());
         let slot = TxnSlot(self.free.pop().unwrap_or(self.owner.len() as u32));
         self.slot_map.push(slot);
@@ -162,23 +175,28 @@ impl ConflictAccel {
             self.owner[s] = id;
         } else {
             self.owner.push(id);
-            self.footprint.push(DataSet::new());
+            self.footprint.push(Vec::new());
             if s == self.words * 64 {
                 self.widen();
             }
         }
+        slot
     }
 
-    /// Grow every slot row by one word: the high-water mark outgrew
-    /// `words × 64` slots.
+    /// Widen every slot row by one word: the high-water mark outgrew
+    /// `words × 64` slots. Only when the stride is full are the rows
+    /// reallocated, at twice the stride.
     fn widen(&mut self) {
-        let (old, new) = (self.words, self.words + 1);
-        let mut rows = vec![0; self.rows.len() / old * new];
-        for (to, from) in rows.chunks_exact_mut(new).zip(self.rows.chunks_exact(old)) {
-            to[..old].copy_from_slice(from);
+        if self.words == self.stride {
+            let (old, new) = (self.stride, 2 * self.stride);
+            let mut rows = vec![0; self.rows.len() / old * new];
+            for (to, from) in rows.chunks_exact_mut(new).zip(self.rows.chunks_exact(old)) {
+                to[..old].copy_from_slice(from);
+            }
+            self.rows = rows;
+            self.stride = new;
         }
-        self.rows = rows;
-        self.words = new;
+        self.words += 1;
         self.partial.push(0);
     }
 
@@ -200,15 +218,16 @@ impl ConflictAccel {
 
     /// Slot occupancy: (live slots, high-water mark). The mark tracks the
     /// peak concurrent population, not the run's transaction count.
-    #[cfg(test)]
     pub(crate) fn slot_occupancy(&self) -> (usize, usize) {
         (self.owner.len() - self.free.len(), self.owner.len())
     }
 
-    /// `id`'s slot; panics in debug builds if the slot was
-    /// released (no scheduler path may touch a departed transaction).
+    /// `id`'s slot: where its record and its row bits live. Panics in
+    /// debug builds if the slot was released (no path may touch a
+    /// departed transaction); in release builds the sentinel indexes out
+    /// of bounds.
     #[inline]
-    fn slot_idx(&self, id: TxnId) -> TxnSlot {
+    pub(crate) fn slot_of(&self, id: TxnId) -> TxnSlot {
         let slot = self.slot_map[id.0 as usize];
         debug_assert_ne!(slot, TxnSlot::RELEASED, "{id}: slot used after release");
         slot
@@ -221,30 +240,30 @@ impl ConflictAccel {
     /// calls this on admission, decision narrowing and restart
     /// re-widening, and [`Self::drop_index`] on departure.
     pub(crate) fn reindex(&mut self, t: &Transaction) {
-        let slot = self.slot_idx(t.id);
+        let slot = self.slot_of(t.id);
         self.unindex(slot);
         let (w, m) = bit(slot);
-        let (words, rows) = (self.words, &mut self.rows);
+        let (stride, rows) = (self.stride, &mut self.rows);
         for i in t.might_access.iter() {
-            rows[at(words, i, MIGHT, w)] |= m;
+            rows[at(stride, i, MIGHT, w)] |= m;
         }
-        each_write(t, |i| rows[at(words, i, WRITE, w)] |= m);
-        self.footprint[slot.0 as usize].union_with(&t.might_access);
+        each_write(t, |i| rows[at(stride, i, WRITE, w)] |= m);
+        self.footprint[slot.0 as usize].extend(t.might_access.iter());
     }
 
     /// Remove `id` from the slot rows (commit, or any other departure
     /// from the active set). Runs before [`Self::release`] recycles the
     /// slot.
     pub(crate) fn drop_index(&mut self, id: TxnId) {
-        self.unindex(self.slot_idx(id));
+        self.unindex(self.slot_of(id));
     }
 
     fn unindex(&mut self, slot: TxnSlot) {
         let (w, m) = bit(slot);
         let footprint = &mut self.footprint[slot.0 as usize];
-        for i in footprint.iter() {
-            self.rows[at(self.words, i, MIGHT, w)] &= !m;
-            self.rows[at(self.words, i, WRITE, w)] &= !m;
+        for &i in footprint.iter() {
+            self.rows[at(self.stride, i, MIGHT, w)] &= !m;
+            self.rows[at(self.stride, i, WRITE, w)] &= !m;
         }
         footprint.clear();
     }
@@ -252,7 +271,7 @@ impl ConflictAccel {
     /// OR item `item`'s row `kind` into `set`.
     #[inline]
     fn or_row(&self, item: ItemId, kind: usize, set: &mut [u64]) {
-        let start = at(self.words, item, kind, 0);
+        let start = at(self.stride, item, kind, 0);
         for (s, r) in set.iter_mut().zip(&self.rows[start..start + self.words]) {
             *s |= r;
         }
@@ -271,7 +290,7 @@ impl ConflictAccel {
         for i in partial.accessed.iter() {
             self.or_row(i, WRITE, set);
         }
-        let (w, m) = bit(self.slot_idx(partial.id));
+        let (w, m) = bit(self.slot_of(partial.id));
         set[w] &= !m;
     }
 
@@ -318,7 +337,7 @@ impl ConflictAccel {
     /// (see [`Self::note_sets_cleared`]).
     pub(crate) fn note_access_growth(&mut self, id: TxnId, was_partial: bool) {
         if !was_partial {
-            let slot = self.slot_idx(id);
+            let slot = self.slot_of(id);
             let pos = self.plist.binary_search(&id).unwrap_err();
             self.plist.insert(pos, id);
             let (w, m) = bit(slot);
@@ -333,7 +352,7 @@ impl ConflictAccel {
     /// The engine performs its clear-repair walk *before* this call,
     /// while `id`'s sets still describe the contribution being removed.
     pub(crate) fn note_sets_cleared(&mut self, id: TxnId) {
-        let slot = self.slot_idx(id);
+        let slot = self.slot_of(id);
         let pos = self
             .plist
             .binary_search(&id)
@@ -536,12 +555,12 @@ mod tests {
         assert_eq!(a.slot_occupancy(), (1, 3));
         a.register(TxnId(3));
         a.register(TxnId(4));
-        assert_eq!(a.slot_idx(TxnId(3)), TxnSlot(1));
-        assert_eq!(a.slot_idx(TxnId(4)), TxnSlot(0));
-        assert_eq!(a.slot_idx(TxnId(2)), TxnSlot(2));
+        assert_eq!(a.slot_of(TxnId(3)), TxnSlot(1));
+        assert_eq!(a.slot_of(TxnId(4)), TxnSlot(0));
+        assert_eq!(a.slot_of(TxnId(2)), TxnSlot(2));
         assert_eq!(a.slot_occupancy(), (3, 3));
         a.register(TxnId(5));
-        assert_eq!(a.slot_idx(TxnId(5)), TxnSlot(3));
+        assert_eq!(a.slot_of(TxnId(5)), TxnSlot(3));
         assert_eq!(a.slot_occupancy(), (4, 4));
     }
 
@@ -661,6 +680,47 @@ mod tests {
             });
         }
         t
+    }
+
+    /// Growing to 300 live slots doubles the row stride three times
+    /// (1 → 2 → 4 → 8 words) and widens once within a stride: after each
+    /// step the rows still give every partial's unsafe set and every
+    /// newcomer's conflict count exactly as the pair scans do.
+    #[test]
+    fn rows_survive_stride_doubling() {
+        let mut a = ConflictAccel::new(0, 12);
+        let mut txns: Vec<Transaction> = Vec::new();
+        let mut probe = Vec::new();
+        for id in 0..300u32 {
+            let mut t = arrival(id, u64::from(id).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            a.register(t.id);
+            a.reindex(&t);
+            if id % 3 == 0 {
+                let (item, write) = (t.items[0], t.current_mode() == LockMode::Exclusive);
+                grant(&mut a, &mut t, item.0, write);
+            }
+            txns.push(t);
+            if id % 40 != 39 && id != 299 {
+                continue;
+            }
+            for p in txns.iter().filter(|p| p.is_partially_executed()) {
+                let scan: Vec<TxnId> = txns
+                    .iter()
+                    .filter(|x| x.id != p.id && is_unsafe_with(p, x))
+                    .map(|x| x.id)
+                    .collect();
+                assert_eq!(unsafe_ids(&a, p), scan, "unsafe set of {} at {id}", p.id);
+            }
+            for seed in 0..8 {
+                let newcomer = arrival(u32::MAX, seed);
+                let scanned = txns
+                    .iter()
+                    .filter(|x| x.is_partially_executed() && newcomer.conflicts_with(x))
+                    .count();
+                assert_eq!(a.partial_conflicts(&newcomer, &mut probe), scanned);
+            }
+        }
+        assert_eq!((a.words, a.stride), (5, 8));
     }
 
     proptest! {

@@ -111,14 +111,28 @@ impl NormalSampler {
 ///
 /// The paper draws each transaction type's item set this way: "the actual
 /// database items are chosen uniformly from the range of database size".
+///
+/// Step `i` of the shuffle swaps position `i` of the pool `0..n` with a
+/// uniform position `j ≥ i` and keeps what lands at `i`. Building the
+/// pool costs O(n); tracking only the positions a swap moved costs
+/// O(k²). The paper's tables of a few dozen items take the pool; the
+/// trading-day trace, which draws up to 25 of about 10,000 keys per
+/// request, takes the sparse form. Both make the same draws in the same
+/// order and return the same values.
 pub fn sample_distinct<R: RngCore>(rng: &mut R, n: u64, k: usize) -> Vec<u64> {
     assert!(
         (k as u64) <= n,
         "cannot sample {k} distinct values from 0..{n}"
     );
-    // For small k relative to n a hash-based approach would do, but n is at
-    // most a few thousand in every experiment, so a partial shuffle of the
-    // full index vector is simpler and still cheap.
+    if n / 4 > (k as u64).saturating_mul(k as u64) {
+        sample_sparse(rng, n, k)
+    } else {
+        sample_dense(rng, n, k)
+    }
+}
+
+/// The shuffle over a materialized pool `0..n`.
+fn sample_dense<R: RngCore>(rng: &mut R, n: u64, k: usize) -> Vec<u64> {
     let mut pool: Vec<u64> = (0..n).collect();
     for i in 0..k {
         let j = i as u64 + uniform_below(rng, n - i as u64);
@@ -126,6 +140,31 @@ pub fn sample_distinct<R: RngCore>(rng: &mut R, n: u64, k: usize) -> Vec<u64> {
     }
     pool.truncate(k);
     pool
+}
+
+/// The shuffle without the pool: what lands at position `i` is final, as
+/// no later step reads it, and every other position holds its own index
+/// unless a swap moved a value there. Only those `(position, value)`
+/// pairs are stored, at most `k`, and searched linearly.
+fn sample_sparse<R: RngCore>(rng: &mut R, n: u64, k: usize) -> Vec<u64> {
+    let value_at = |moved: &[(u64, u64)], pos: u64| {
+        moved
+            .iter()
+            .find(|&&(p, _)| p == pos)
+            .map_or(pos, |&(_, v)| v)
+    };
+    let mut out = Vec::with_capacity(k);
+    let mut moved: Vec<(u64, u64)> = Vec::with_capacity(k);
+    for i in 0..k as u64 {
+        let j = i + uniform_below(rng, n - i);
+        out.push(value_at(&moved, j));
+        let displaced = value_at(&moved, i);
+        match moved.iter_mut().find(|(p, _)| *p == j) {
+            Some(slot) => slot.1 = displaced,
+            None => moved.push((j, displaced)),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -250,6 +289,39 @@ mod tests {
         let mut items = sample_distinct(&mut r, 10, 10);
         items.sort_unstable();
         assert_eq!(items, (0..10).collect::<Vec<_>>());
+    }
+
+    /// The sparse shuffle draws exactly what the dense one draws, from
+    /// the same random stream, on both sides of the size cut-over.
+    #[test]
+    fn sparse_sample_matches_dense_shuffle() {
+        let mut pick = rng();
+        for case in 0..600 {
+            // Small pools with any k up to the whole pool (k = n every
+            // fourth case), and pools far larger than k.
+            let (n, k) = if case % 2 == 0 {
+                let n = 1 + uniform_below(&mut pick, 64);
+                let k = if case % 4 == 0 {
+                    n
+                } else {
+                    uniform_below(&mut pick, n + 1)
+                };
+                (n, k as usize)
+            } else {
+                let n = 1_000 + uniform_below(&mut pick, 20_000);
+                (n, uniform_below(&mut pick, 31) as usize)
+            };
+            let seed = pick.next_u64();
+            let mut sparse = Xoshiro256::seed_from_u64(seed);
+            let mut dense = Xoshiro256::seed_from_u64(seed);
+            let mut public = Xoshiro256::seed_from_u64(seed);
+            let want = sample_dense(&mut dense, n, k);
+            assert_eq!(sample_sparse(&mut sparse, n, k), want, "n = {n}, k = {k}");
+            assert_eq!(sample_distinct(&mut public, n, k), want, "n = {n}, k = {k}");
+            let next = dense.next_u64();
+            assert_eq!(sparse.next_u64(), next, "draw count, n = {n}, k = {k}");
+            assert_eq!(public.next_u64(), next, "draw count, n = {n}, k = {k}");
+        }
     }
 
     #[test]

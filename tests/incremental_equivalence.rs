@@ -547,6 +547,41 @@ fn mpl1024_verify_smoke() {
     assert!(verified.sched.verify_checks > 0);
 }
 
+/// CCA under CPU stalls with no retry budget, so every stall restarts
+/// its transaction while it is still the runner: the restart's clear
+/// raise reads the stalled burst's effective service. Verify's bound
+/// check at every pick proves each raised key still bounds its fresh
+/// priority, and the trajectory must stay the oracle's.
+#[test]
+fn cpu_budget_restarts_match_oracle_under_verify() {
+    for seed in 0..5 {
+        let mut cfg = SimConfig::mm_base();
+        cfg.run.seed = seed;
+        cfg.run.num_transactions = 400;
+        cfg.run.arrival_rate_tps = 12.0;
+        cfg.system.faults.cpu = Some(CpuFaultPlan {
+            stall_prob: 0.1,
+            slow_prob: 0.0,
+            slow_factor: 1.0,
+            retry_budget: 0,
+            backoff_base_ms: 1.0,
+            backoff_cap_ms: 8.0,
+            brownout: None,
+        });
+        let oracle = run_simulation_with_mode(&cfg, &Cca::base(), CacheMode::AlwaysRecompute);
+        let verified = run_simulation_with_mode(&cfg, &Cca::base(), CacheMode::Verify);
+        assert_eq!(
+            verified.sans_sched_stats(),
+            oracle.sans_sched_stats(),
+            "seed {seed}: verify diverged from the recompute oracle"
+        );
+        assert!(
+            verified.cpu_exhausted_aborts > 0,
+            "seed {seed}: no stall restarted"
+        );
+    }
+}
+
 /// Profiled runs populate the wall-clock counter without perturbing the
 /// trajectory; unprofiled runs keep it at zero so summaries stay
 /// comparable across machines.

@@ -8,6 +8,7 @@ use rtx::policies::{Cca, EdfHp, Lsf};
 use rtx::preanalysis::{ItemId, TypeId};
 use rtx::rtdb::{
     run_simulation_from, AdmissionConfig, Policy, ReplaySource, SimConfig, Transaction, TxnId,
+    TxnSource,
 };
 use rtx::serve::{ServeConfig, Server, TraceSpec, TxnRequest};
 use rtx::sim::{SimDuration, SimTime};
@@ -75,6 +76,60 @@ fn virtual_serving_reproduces_batch_aggregates_bit_for_bit() {
             "virtual serving diverged from the batch runner under {name}"
         );
     }
+}
+
+/// A trace stream as a batch [`TxnSource`]: each request becomes the
+/// next dense-id transaction, stamped at its trace arrival, only when the
+/// engine pulls it.
+struct TraceSource<I> {
+    requests: I,
+    next: u32,
+}
+
+impl<I: Iterator<Item = TxnRequest>> TxnSource for TraceSource<I> {
+    fn next_transaction(&mut self) -> Option<Transaction> {
+        let req = self.requests.next()?;
+        let (id, arrival) = (TxnId(self.next), req.arrival);
+        self.next += 1;
+        Some(req.into_transaction(id, arrival))
+    }
+}
+
+/// The batch == virtual-serving identity at serving scale: a
+/// 100k-transaction trading day at 40 tps under CCA, replayed through the
+/// batch runner over a streaming source and through a virtual-clock
+/// server. Neither path holds the whole trace: the batch source generates
+/// each transaction when the engine pulls it, and the server's submission
+/// queue is bounded. Slow in debug builds — CI runs it in release via
+/// `--ignored`.
+#[test]
+#[ignore = "a 100k-transaction day is slow in debug builds; CI runs it in release"]
+fn serving_scale_day_matches_batch() {
+    const TXNS: usize = 100_000;
+    let cfg = serve_cfg();
+    let policy: Arc<dyn Policy + Send + Sync> = Arc::new(Cca::base());
+
+    let mut source = TraceSource {
+        requests: trace(TXNS, 40.0, 42).stream(),
+        next: 0,
+    };
+    let batch = run_simulation_from(&cfg, &*policy, &mut source, TXNS);
+    assert_eq!(batch.committed + batch.rejected, TXNS as u64);
+
+    let server = Server::start(
+        ServeConfig::virtual_mode(),
+        Arc::new(cfg.clone()),
+        Arc::clone(&policy),
+    )
+    .expect("config is valid");
+    for req in trace(TXNS, 40.0, 42).stream() {
+        server.submit(req).expect("server open");
+    }
+    let report = server.shutdown();
+    assert_eq!(
+        report.summary, batch,
+        "virtual serving diverged from the batch runner at serving scale"
+    );
 }
 
 /// Concurrent submitters racing on the same hot records each get exactly
