@@ -364,7 +364,6 @@ fn branching_workload_txns(cfg: &SimConfig, seed: u64, narrowing: bool) -> Vec<T
                 doomed_at: SimTime::ZERO,
                 io_retries: 0,
                 retry_token: 0,
-                finish: None,
             }
         })
         .collect()

@@ -95,7 +95,6 @@ mod tests {
             doomed_at: SimTime::ZERO,
             io_retries: 0,
             retry_token: 0,
-            finish: None,
         }
     }
 

@@ -311,14 +311,6 @@ pub struct SystemConfig {
     /// cost is proportional to the execution of a transaction … then our
     /// approach is very attractive".
     pub proportional_recovery: bool,
-    /// Livelock escalation: once a transaction has been aborted this many
-    /// times, wound-wait stops aborting it — conflicting requesters wait
-    /// instead — until it commits. Continuous-evaluation policies like LSF
-    /// can otherwise livelock (a freshly restarted transaction always has
-    /// the least slack, so victims abort each other forever). The default
-    /// of 100 is far above anything the paper's policies produce (CCA and
-    /// EDF-HP runs never shield), and far below livelock's thousands.
-    pub starvation_threshold: u32,
     /// Disk fault-injection plan. [`FaultPlan::none()`] (the default built
     /// by every constructor) injects nothing and consumes no randomness,
     /// keeping fault-free runs byte-identical to pre-fault builds.
@@ -381,7 +373,6 @@ impl SimConfig {
                 abort_cost_ms: 4.0,
                 disk: None,
                 proportional_recovery: false,
-                starvation_threshold: 100,
                 faults: FaultPlan::none(),
                 admission: None,
             },
@@ -425,7 +416,6 @@ impl SimConfig {
                     discipline: crate::disk::DiskDiscipline::Fcfs,
                 }),
                 proportional_recovery: false,
-                starvation_threshold: 100,
                 faults: FaultPlan::none(),
                 admission: None,
             },
@@ -464,9 +454,6 @@ impl SimConfig {
         self.workload.validate()?;
         if self.system.abort_cost_ms < 0.0 {
             return Err(ConfigError::NegativeAbortCost);
-        }
-        if self.system.starvation_threshold == 0 {
-            return Err(ConfigError::ZeroStarvationThreshold);
         }
         if let Some(d) = &self.system.disk {
             if d.access_time_ms <= 0.0 {

@@ -34,14 +34,17 @@ use rtx_sim::time::{SimDuration, SimTime};
 use crate::config::{AdmissionConfig, SimConfig};
 use crate::disk::Disk;
 use crate::error::RunError;
+use crate::index::PriorityIndex;
 use crate::locks::{LockMode, LockOutcome, LockTable};
 use crate::metrics::{MetricsCollector, RunSummary, SchedStats};
-use crate::policy::{Policy, Priority, PriorityDeps, SystemView};
+use crate::policy::{Policy, Priority, SystemView};
 use crate::sched::{CacheMode, ConflictAccel};
 use crate::source::TxnSource;
 use crate::trace::{Trace, TraceEvent};
 use crate::txn::{Stage, Transaction, TxnId, TxnState};
 use crate::workload::{ArrivalGenerator, TypeTable};
+
+pub use crate::index::nudge_up;
 
 /// Calendar payloads.
 enum Event {
@@ -68,186 +71,6 @@ enum Started {
     Blocked,
 }
 
-/// One lazy priority-index entry. Ordered exactly like the scan's
-/// tie-break — `(Priority, Reverse(arrival), Reverse(id))` — so the index
-/// maximum is the scan winner bit-for-bit. The key (`pri`) stands for an
-/// **upper bound** on the transaction's exact priority (see
-/// [`EngineState::key_bound`]); the pick path revalidates the top against
-/// an exact recomputation before dispatching.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct HeapEntry {
-    pri: Priority,
-    arrival: SimTime,
-    id: TxnId,
-}
-
-impl HeapEntry {
-    fn key(
-        &self,
-    ) -> (
-        Priority,
-        std::cmp::Reverse<SimTime>,
-        std::cmp::Reverse<TxnId>,
-    ) {
-        (
-            self.pri,
-            std::cmp::Reverse(self.arrival),
-            std::cmp::Reverse(self.id),
-        )
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The lazy max-heap priority index: a position-tracked binary heap with
-/// exactly one entry per indexed transaction. It is the engine's one
-/// priority index, for `Static`, `ConflictState` and keyed `TimeAndSelf`
-/// policies alike.
-///
-/// Position tracking (`pos`) is what makes key moves O(log n) *in
-/// place*: a clear raises each affected transaction's key with
-/// [`PriorityIndex::set_key`] (a sift, no duplicate entry, no rebuild),
-/// and a lazy-fall demotion during pick validation is the same operation
-/// downwards.
-#[derive(Default)]
-struct PriorityIndex {
-    /// The heap slots (max-heap by [`HeapEntry::cmp`]).
-    slots: Vec<HeapEntry>,
-    /// Transaction id → slot position + 1; 0 = not in the index. Grown
-    /// on demand at insert, so it is only as long as the largest id the
-    /// index has held.
-    pos: Vec<u32>,
-}
-
-impl PriorityIndex {
-    fn contains(&self, id: TxnId) -> bool {
-        self.pos.get(id.0 as usize).is_some_and(|&p| p != 0)
-    }
-
-    /// The maximum entry, if any. O(1).
-    fn peek(&self) -> Option<HeapEntry> {
-        self.slots.first().copied()
-    }
-
-    /// `id`'s current key, if indexed. O(1); used by consistency checks.
-    fn key_of(&self, id: TxnId) -> Option<Priority> {
-        match self.pos.get(id.0 as usize).copied().unwrap_or(0) {
-            0 => None,
-            p => Some(self.slots[(p - 1) as usize].pri),
-        }
-    }
-
-    /// Insert an entry for a transaction not currently indexed, growing
-    /// the position vector on demand.
-    fn insert(&mut self, e: HeapEntry) {
-        debug_assert!(!self.contains(e.id), "{} already indexed", e.id);
-        let slot = e.id.0 as usize;
-        if self.pos.len() <= slot {
-            self.pos.resize(slot + 1, 0);
-        }
-        let i = self.slots.len();
-        self.slots.push(e);
-        self.pos[slot] = i as u32 + 1;
-        self.sift_up(i);
-    }
-
-    /// Remove `id`'s entry (a departed transaction). Returns whether it
-    /// was present.
-    fn remove(&mut self, id: TxnId) -> bool {
-        let p = self.pos.get(id.0 as usize).copied().unwrap_or(0);
-        if p == 0 {
-            return false;
-        }
-        let i = (p - 1) as usize;
-        self.pos[id.0 as usize] = 0;
-        let last = self.slots.len() - 1;
-        if i != last {
-            self.slots.swap(i, last);
-            self.pos[self.slots[i].id.0 as usize] = i as u32 + 1;
-        }
-        self.slots.pop();
-        if i < self.slots.len() {
-            // The displaced entry can need to move either way.
-            self.sift_up(i);
-            self.sift_down(i);
-        }
-        true
-    }
-
-    /// Reposition `id` under a new key (raise or lower). Returns whether
-    /// it was present.
-    fn set_key(&mut self, id: TxnId, pri: Priority) -> bool {
-        let p = self.pos.get(id.0 as usize).copied().unwrap_or(0);
-        if p == 0 {
-            return false;
-        }
-        let i = (p - 1) as usize;
-        self.slots[i].pri = pri;
-        self.sift_up(i);
-        self.sift_down(i);
-        true
-    }
-
-    // The sifts move the displaced entry as a "hole": parents/children
-    // shift into place one write each, and the entry lands once at the
-    // end — half the slot and `pos` writes of swap-based sifting.
-
-    fn sift_up(&mut self, mut i: usize) {
-        let e = self.slots[i];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if e <= self.slots[parent] {
-                break;
-            }
-            self.slots[i] = self.slots[parent];
-            self.pos[self.slots[i].id.0 as usize] = i as u32 + 1;
-            i = parent;
-        }
-        self.slots[i] = e;
-        self.pos[e.id.0 as usize] = i as u32 + 1;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.slots[i];
-        loop {
-            let l = 2 * i + 1;
-            if l >= self.slots.len() {
-                break;
-            }
-            let r = l + 1;
-            let child = if r < self.slots.len() && self.slots[r] > self.slots[l] {
-                r
-            } else {
-                l
-            };
-            if self.slots[child] <= e {
-                break;
-            }
-            self.slots[i] = self.slots[child];
-            self.pos[self.slots[i].id.0 as usize] = i as u32 + 1;
-            i = child;
-        }
-        self.slots[i] = e;
-        self.pos[e.id.0 as usize] = i as u32 + 1;
-    }
-
-    /// All current entries, heap order (the consistency checks walk
-    /// them; order does not matter to callers).
-    fn entries(&self) -> &[HeapEntry] {
-        &self.slots
-    }
-}
-
 struct EngineState<'p> {
     cfg: &'p SimConfig,
     policy: &'p dyn Policy,
@@ -267,8 +90,9 @@ struct EngineState<'p> {
     running: Option<TxnId>,
     cpu_event: EventHandle,
     metrics: MetricsCollector,
-    /// Per-transaction "was last dispatched via IOwait-schedule" flags,
-    /// used to classify noncontributing executions.
+    /// Per slot, beside the record store: was the slot's transaction last
+    /// dispatched via IOwait-schedule? Classifies noncontributing
+    /// executions.
     secondary: Vec<bool>,
     /// Optional decision log (None in normal runs — zero overhead beyond
     /// the branch).
@@ -318,37 +142,11 @@ struct EngineState<'p> {
     /// by [`Self::set_state`]. While it is 0 — always, under CCA
     /// (Theorem 1) — a lock release skips the scan for waiters.
     lock_wait_count: usize,
-    /// Dense copy of every transaction's scheduling state (indexed by
-    /// id, one byte per arrival, departed ones included), written
-    /// wherever the authoritative `Transaction::state` changes. The pick
-    /// loops' runnability filters read this 1-byte tag instead of
-    /// dereferencing the full `Transaction` record — at MPL ≥ 1024 the
-    /// tag vector stays resident in a few cache lines while the
-    /// transaction records span megabytes.
-    state_tags: Vec<TxnState>,
-    /// The priority index over active transactions (outside
-    /// `AlwaysRecompute`, for every policy but a `Volatile` one), and the
-    /// one place a priority is stored: exactly one entry per active
-    /// transaction — seeded at arrival, moved in place by the clear-repair
-    /// walk, the narrowing refresh, wound/wait comparisons, own-state
-    /// re-keys and pick validation, and removed at commit. The policy's
-    /// [`PriorityDeps`] fixes what a key means for the whole run. Under
-    /// `Static` and `ConflictState` it is an upper bound on the exact
-    /// priority (exact under `Static`): a `ConflictState` priority falls
-    /// without any write as the runner's service accrues and as partials
-    /// grow their sets. Under a keyed `TimeAndSelf` policy it is the
-    /// time-invariant `K` ([`Policy::time_invariant_key`]), whose order
-    /// is the priority order at every instant. Either way the pick's
-    /// validated argmax ([`Self::heap_best`]) pops the stale-high tops.
+    /// The priority index over active transactions: the one place a
+    /// priority is stored. Its key kind is fixed at construction, from the
+    /// cache mode and the policy's [`crate::policy::PriorityDeps`]; see
+    /// [`crate::index`].
     index: RefCell<PriorityIndex>,
-    /// The nudge scale of the `K` keys' bounds ([`Self::key_bound`]): the
-    /// largest |K| and deadline (ms) keyed in this run. It never shrinks —
-    /// it backs soundness, not tightness.
-    key_scale: Cell<f64>,
-    /// Scratch buffer for picks: entries popped while validating are
-    /// lifted out and re-inserted afterwards; reused to avoid per-pick
-    /// allocation.
-    scratch: RefCell<Vec<HeapEntry>>,
     /// Scratch buffer for the clear-repair walk's victims.
     walk_buf: Vec<TxnId>,
     /// Scratch slot set for the set-at-a-time conflict relations.
@@ -357,9 +155,6 @@ struct EngineState<'p> {
     pick_next_calls: Cell<u64>,
     priority_evals: Cell<u64>,
     sched_wall_ns: Cell<u64>,
-    heap_pushes: Cell<u64>,
-    heap_stale_pops: Cell<u64>,
-    heap_validated_picks: Cell<u64>,
     verify_checks: Cell<u64>,
     /// Clear-repair walks performed and the victims they took from the
     /// slot rows.
@@ -367,28 +162,8 @@ struct EngineState<'p> {
     clear_repair_visits: Cell<u64>,
 }
 
-/// `v` plus a floating-point safety margin: used when repairing a stored
-/// upper bound by an exact real-arithmetic delta, so the repaired key
-/// stays an upper bound even after the roundings the fresh evaluation and
-/// the repair perform differently.
-///
-/// The margin scales with `scale` — the largest magnitude appearing in
-/// *either* computation — not with `v` itself: a repair can cancel (an
-/// EDF-Wait entry at `-(d + 10¹²)` raised by `10¹²` lands near `-d`),
-/// and the bits of `d` lost to rounding at magnitude `10¹²` are an
-/// *absolute* error of order `ulp(10¹²)`, invisible at the result's own
-/// magnitude. Looseness is harmless — the pick path revalidates the top
-/// bit-exactly before dispatching — only a key *below* the true priority
-/// would be unsound.
-pub fn nudge_up(v: f64, scale: f64) -> f64 {
-    if v.is_infinite() {
-        return v;
-    }
-    v + (scale * (32.0 * f64::EPSILON)).max(f64::MIN_POSITIVE)
-}
-
 impl<'p> EngineState<'p> {
-    fn new(cfg: &'p SimConfig, policy: &'p dyn Policy) -> Self {
+    fn new(cfg: &'p SimConfig, policy: &'p dyn Policy, mode: CacheMode) -> Self {
         // The injectors' streams derive from the same master seed as the
         // workload streams but are labelled independently, so enabling
         // faults never perturbs the workload draws (and disk and CPU
@@ -417,7 +192,7 @@ impl<'p> EngineState<'p> {
             running: None,
             cpu_event: EventHandle::NULL,
             metrics: MetricsCollector::new(),
-            secondary: Vec::with_capacity(cfg.run.num_transactions),
+            secondary: Vec::new(),
             trace: None,
             completions: None,
             faults,
@@ -430,94 +205,41 @@ impl<'p> EngineState<'p> {
             adm_window_started: SimTime::ZERO,
             adm_win_committed: 0,
             adm_win_missed: 0,
-            mode: CacheMode::Incremental,
+            mode,
             profile: false,
             accel: ConflictAccel::new(cfg.run.num_transactions, cfg.workload.db_size as usize),
             ready_count: 0,
             lock_wait_count: 0,
-            state_tags: Vec::with_capacity(cfg.run.num_transactions),
-            index: RefCell::new(PriorityIndex::default()),
-            key_scale: Cell::new(0.0),
-            scratch: RefCell::new(Vec::new()),
+            index: RefCell::new(PriorityIndex::new(mode, policy.depends_on())),
             walk_buf: Vec::new(),
             row_buf: RefCell::new(Vec::new()),
             pick_next_calls: Cell::new(0),
             priority_evals: Cell::new(0),
             sched_wall_ns: Cell::new(0),
-            heap_pushes: Cell::new(0),
-            heap_stale_pops: Cell::new(0),
-            heap_validated_picks: Cell::new(0),
             verify_checks: Cell::new(0),
             clear_repair_clears: Cell::new(0),
             clear_repair_visits: Cell::new(0),
         }
     }
 
-    /// Are the index keys priorities — exact under `Static`, upper bounds
-    /// under `ConflictState` (kept so by the clear-repair walk and the
-    /// narrowing refresh)? Only such keys are ever re-keyed to an exact
-    /// priority. `AlwaysRecompute` keeps no keys: it is the verbatim scan
-    /// oracle.
-    fn priority_keyed(&self) -> bool {
-        self.mode != CacheMode::AlwaysRecompute
-            && matches!(
-                self.policy.depends_on(),
-                PriorityDeps::Static | PriorityDeps::ConflictState
-            )
-    }
-
-    /// Are the index keys a `TimeAndSelf` policy's time-invariant `K`
-    /// ([`Policy::time_invariant_key`])? Such priorities all advance with
-    /// the clock at the same unit rate, so the *order* of the stored keys
-    /// survives clock advances even though the values don't.
-    fn time_keyed(&self) -> bool {
-        self.mode != CacheMode::AlwaysRecompute
-            && self.policy.depends_on() == PriorityDeps::TimeAndSelf
-    }
-
-    /// Is the index the pick path? Always for priority keys; for `K` keys
-    /// only while they cover the active set (a policy returning `None`
-    /// never populates the index, so the gate is safe for any policy).
-    /// `Volatile` policies and the `AlwaysRecompute` oracle scan.
-    fn index_in_use(&self) -> bool {
-        self.priority_keyed()
-            || (self.time_keyed() && self.index.borrow().entries().len() == self.active.len())
-    }
-
-    /// Re-key `id` under its time-invariant `K` after an own-state change
-    /// (admission, progress, restart). No-op unless a `TimeAndSelf`
-    /// policy exposes a key for it.
+    /// Re-key `id` after an own-state change (admission, progress,
+    /// restart): a time-invariant `K` follows it. A priority key stays
+    /// put: of a transaction's own state, only a narrowing can raise such
+    /// a priority, and [`Self::rekey`] refreshes that.
     fn own_state_rekey(&self, id: TxnId) {
-        if !self.time_keyed() {
-            return;
-        }
-        let t = self.txn(id);
-        let Some(k) = self.policy.time_invariant_key(t) else {
-            return;
-        };
-        self.key_scale
-            .set(self.key_scale.get().max(k.abs()).max(t.deadline.as_ms()));
-        self.index_upsert(id, Priority(k));
+        self.index.borrow_mut().rekey_own(self.txn(id), self.policy);
     }
 
-    /// The bound an index key stands for at the current instant: the key
-    /// itself when it is a priority, and `nudge_up(now_ms + K, scale)` for
-    /// a time-invariant `K`. One scale serves every entry — the largest
-    /// |K|, deadline and clock of the run — so the bound is monotone in
-    /// `K` and the heap's order is the bounds' order; 32 ulp of it dominate
-    /// the few-ulp gap between `now_ms + K` and the policy's actually
-    /// rounded priority for any entry.
-    fn key_bound(&self) -> impl Fn(Priority) -> Priority {
-        let time_keyed = self.time_keyed();
-        let now_ms = self.now().as_ms();
-        let scale = self.key_scale.get().max(now_ms).max(1.0);
-        move |key| {
-            if time_keyed {
-                Priority(nudge_up(now_ms + key.0, scale))
-            } else {
-                key
-            }
+    /// Seed or refresh `id`'s key from its current state: its exact
+    /// priority when keys are priorities, its `K` when they are
+    /// time-invariant. Arrival seeds it; a decision-point narrowing, the
+    /// one own-state event that can *raise* a `ConflictState` priority,
+    /// refreshes it.
+    fn rekey(&self, id: TxnId) {
+        if self.index.borrow().keys_are_priorities() {
+            self.priority_rekeyed(id);
         }
+        self.own_state_rekey(id);
     }
 
     /// Record a trace event if tracing is enabled.
@@ -569,28 +291,6 @@ impl<'p> EngineState<'p> {
             _ => {}
         }
         self.txn_mut(id).state = new;
-        self.state_tags[id.0 as usize] = new;
-    }
-
-    /// Runnability from the dense tag vector — one byte instead of a
-    /// `Transaction` dereference in the pick loops' accept closures.
-    #[inline]
-    fn runnable_tag(&self, id: TxnId) -> bool {
-        let r = self.state_tags[id.0 as usize].is_runnable();
-        debug_assert_eq!(
-            r,
-            self.txn(id).is_runnable(),
-            "{id}: state tag diverged from the transaction record"
-        );
-        r
-    }
-
-    /// Do clears walk their victims? Only a `ConflictState` heap has keys
-    /// a clear can leave below the exact priority; the `AlwaysRecompute`
-    /// oracle keeps no keys at all.
-    fn repair_walk_active(&self) -> bool {
-        self.mode != CacheMode::AlwaysRecompute
-            && matches!(self.policy.depends_on(), PriorityDeps::ConflictState)
     }
 
     /// `id` was granted `item` in `mode`: add it to the access sets and,
@@ -631,26 +331,20 @@ impl<'p> EngineState<'p> {
     /// low index key would make a peek-ordered pick unsound. Falls
     /// (growth, clock advance) need no walk — see [`Self::lock_granted`].
     fn conflict_cleared(&mut self, id: TxnId) {
-        if self.repair_walk_active() {
+        if self.index.get_mut().clear_raises() {
             self.repair_unsafe_against(id);
         }
         self.accel.note_sets_cleared(id);
     }
 
-    /// The repair walk on a clear: for every active transaction `X` with
+    /// The repair walk on a clear: every active transaction `X` with
     /// `is_unsafe(c, X)` — exactly those whose penalty is about to lose
-    /// `c`'s term — *raise* `X`'s index key in place, with no exact
-    /// recomputation:
-    ///
-    /// Removing `c`'s term raises a victim's priority by at most the
-    /// policy-supplied [`Policy::conflict_clear_raise`] bound (for CCA,
-    /// `w · (effective_service(c) + abort_cost)` — the exact term every
-    /// victim loses). Adding that bound (plus a few ULPs of rounding
-    /// slack) to the victim's key, itself an upper bound, yields a new
-    /// upper bound on the post-clear priority; the pick path's
-    /// revalidation tightens it exactly when (and only when) the victim
-    /// surfaces at the top. Recomputing and re-pushing every victim here
-    /// instead costs O(victims) full evaluations per clear, which
+    /// `c`'s term — has its key raised in place by the policy-supplied
+    /// [`Policy::conflict_clear_raise`] bound (for CCA,
+    /// `w · (effective_service(c) + abort_cost)`, the exact term every
+    /// victim loses), with no exact recomputation
+    /// ([`PriorityIndex::raise_all`]). Recomputing and re-pushing every
+    /// victim instead costs O(victims) full evaluations per clear, which
     /// dominates high-contention runs.
     ///
     /// The victims come set-at-a-time from the slot rows
@@ -662,40 +356,30 @@ impl<'p> EngineState<'p> {
         let raise = self.policy.conflict_clear_raise(self.txn(c), &self.view());
         let mut affected = std::mem::take(&mut self.walk_buf);
         let mut row = std::mem::take(self.row_buf.get_mut());
-        {
-            let ct = self.txn(c);
-            self.accel.unsafe_set(ct, &mut row);
-            self.accel.ids(&row, &mut affected);
-            self.clear_repair_clears
-                .set(self.clear_repair_clears.get() + 1);
-            self.clear_repair_visits
-                .set(self.clear_repair_visits.get() + affected.len() as u64);
-            if self.mode == CacheMode::Verify {
-                // Oracle: the full active walk. Both enumerate ascending
-                // by id (= arrival order), so the affected lists must
-                // match exactly, order included.
-                let full: Vec<TxnId> = self
-                    .active
-                    .iter()
-                    .copied()
-                    .filter(|&x| x != c && crate::txn::is_unsafe_with(ct, self.txn(x)))
-                    .collect();
-                assert_eq!(
-                    affected, full,
-                    "slot-row repair walk diverged from the active-scan oracle"
-                );
-                self.verify_checks.set(self.verify_checks.get() + 1);
-            }
+        let ct = self.txn(c);
+        self.accel.unsafe_set(ct, &mut row);
+        self.accel.ids(&row, &mut affected);
+        self.clear_repair_clears
+            .set(self.clear_repair_clears.get() + 1);
+        self.clear_repair_visits
+            .set(self.clear_repair_visits.get() + affected.len() as u64);
+        if self.mode == CacheMode::Verify {
+            // Oracle: the full active walk. Both enumerate ascending by
+            // id (= arrival order), so the affected lists must match
+            // exactly, order included.
+            let full: Vec<TxnId> = self
+                .active
+                .iter()
+                .copied()
+                .filter(|&x| x != c && crate::txn::is_unsafe_with(ct, self.txn(x)))
+                .collect();
+            assert_eq!(
+                affected, full,
+                "slot-row repair walk diverged from the active-scan oracle"
+            );
+            self.verify_checks.set(self.verify_checks.get() + 1);
         }
-        debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
-        for &x in &affected {
-            let key = self
-                .index
-                .borrow()
-                .key_of(x)
-                .expect("active but not indexed");
-            self.index_upsert(x, Priority(nudge_up(key.0 + raise, key.0.abs().max(raise))));
-        }
+        self.index.get_mut().raise_all(&affected, raise);
         affected.clear();
         self.walk_buf = affected;
         *self.row_buf.get_mut() = row;
@@ -747,33 +431,13 @@ impl<'p> EngineState<'p> {
     /// and a time-invariant `K` key is left alone.
     fn priority_rekeyed(&self, id: TxnId) -> Priority {
         let value = self.priority_of(id);
-        if self.priority_keyed() {
-            let key = self.index.borrow().key_of(id);
-            if key.map(|k| k.0.to_bits()) != Some(value.0.to_bits()) {
-                self.index_upsert(id, value);
-            }
-        }
+        self.index.borrow_mut().rekey_exact(id, value);
         value
-    }
-
-    /// Move `id`'s index key to `value` in place (or insert it if `id`
-    /// has no entry yet). O(log n) sift; never creates a duplicate entry.
-    fn index_upsert(&self, id: TxnId, value: Priority) {
-        let mut index = self.index.borrow_mut();
-        if !index.set_key(id, value) {
-            index.insert(HeapEntry {
-                pri: value,
-                arrival: self.txn(id).arrival,
-                id,
-            });
-        }
-        self.heap_pushes.set(self.heap_pushes.get() + 1);
     }
 
     // ---- event handlers -------------------------------------------------
 
     fn on_arrival(&mut self, txn: Transaction) {
-        debug_assert_eq!(txn.id.0 as usize, self.state_tags.len());
         let id = txn.id;
         let deadline = txn.deadline;
         // Register with the acceleration layer before anything can look at
@@ -789,8 +453,6 @@ impl<'p> EngineState<'p> {
                 // Its record is dropped here, never stored, and its slot
                 // goes straight back to the free list.
                 let (arrival, restarts) = (txn.arrival, txn.restarts);
-                self.secondary.push(false);
-                self.state_tags.push(TxnState::Rejected);
                 self.accel.release(id);
                 self.metrics.record_rejection();
                 self.emit(|| TraceEvent::Rejected { txn: id, deadline });
@@ -814,11 +476,11 @@ impl<'p> EngineState<'p> {
         // its next one.
         if slot == self.txns.len() {
             self.txns.push(txn);
+            self.secondary.push(false);
         } else {
             self.txns[slot] = txn;
+            self.secondary[slot] = false;
         }
-        self.secondary.push(false);
-        self.state_tags.push(TxnState::Ready);
         self.active.push(id);
         self.ready_count += 1;
         // Enter the slot rows under the admitted footprint (only
@@ -828,10 +490,7 @@ impl<'p> EngineState<'p> {
         // Seed the newcomer's index key eagerly: the index must hold
         // exactly one entry per active transaction before the next pick
         // can trust its peek.
-        if self.priority_keyed() {
-            self.priority_rekeyed(id);
-        }
-        self.own_state_rekey(id);
+        self.rekey(id);
         self.emit(|| TraceEvent::Arrival { txn: id, deadline });
         self.update_queue_metrics();
         self.reschedule(); // tr-arrival-schedule
@@ -884,29 +543,23 @@ impl<'p> EngineState<'p> {
     /// (`admission_factor`: the configured static factor, or wherever the
     /// adaptive controller has steered it).
     fn feasible(&self, txn: &Transaction) -> bool {
+        let scan = || {
+            self.plist_scan()
+                .filter(|&p| txn.conflicts_with(self.txn(p)))
+                .count()
+        };
         let conflicts = match self.mode {
-            CacheMode::AlwaysRecompute => self
-                .active
-                .iter()
-                .map(|&p| self.txn(p))
-                .filter(|p| p.is_partially_executed() && txn.conflicts_with(p))
-                .count(),
-            _ => {
-                // The maintained P-list *is* the set the scan above
-                // filters `active` down to: count the newcomer's
-                // conflicts within it set-at-a-time from the slot rows.
+            CacheMode::AlwaysRecompute => scan(),
+            mode => {
+                // The maintained P-list *is* the set the scan filters
+                // `active` down to: count the newcomer's conflicts within
+                // it set-at-a-time from the slot rows.
                 let n = self
                     .accel
                     .partial_conflicts(txn, &mut self.row_buf.borrow_mut());
-                if self.mode == CacheMode::Verify {
-                    let scanned = self
-                        .active
-                        .iter()
-                        .map(|&p| self.txn(p))
-                        .filter(|p| p.is_partially_executed() && txn.conflicts_with(p))
-                        .count();
+                if mode == CacheMode::Verify {
                     self.verify_checks.set(self.verify_checks.get() + 1);
-                    assert_eq!(n, scanned, "admission conflict count diverged");
+                    assert_eq!(n, scan(), "admission conflict count diverged");
                 }
                 n
             }
@@ -979,11 +632,10 @@ impl<'p> EngineState<'p> {
                 // refresh its key eagerly and exactly.
                 if narrowed {
                     self.reindex(id);
-                    if self.priority_keyed() {
-                        self.priority_rekeyed(id);
-                    }
+                    self.rekey(id);
+                } else {
+                    self.own_state_rekey(id);
                 }
-                self.own_state_rekey(id);
                 if self.txn(id).progress == self.txn(id).total_updates() {
                     return self.commit(id);
                 }
@@ -1126,13 +778,13 @@ impl<'p> EngineState<'p> {
     /// transaction was aborted while the retry was in flight — the
     /// abort's backoff arm already reset it and bumped the token).
     fn on_retry(&mut self, id: TxnId, token: u64) {
-        // The state tag outlives the record: a transaction that restarted
-        // and committed while the retry was in flight has no record left.
-        if self.state_tags[id.0 as usize] != TxnState::IoBackoff {
+        // A transaction that restarted and committed while the retry was
+        // in flight has released its slot, which a later arrival may own.
+        if !self.accel.is_live(id) {
             return;
         }
         let t = self.txn(id);
-        if t.retry_token != token {
+        if t.state != TxnState::IoBackoff || t.retry_token != token {
             return;
         }
         if t.stage == Stage::Io {
@@ -1253,50 +905,48 @@ impl<'p> EngineState<'p> {
         Started::Scheduled
     }
 
+    /// Livelock escalation in [`Self::beats`]: once either side of a
+    /// wound/wait decision has been aborted this many times, the decision
+    /// goes by age instead of priority. 100 is far above anything the
+    /// paper's policies produce (CCA and EDF-HP runs never shield), and
+    /// far below livelock's thousands.
+    const STARVATION_THRESHOLD: u32 = 100;
+
     /// Wound-wait decision for one (requester, holder) pair: `true` means
     /// abort the holder, `false` means the requester waits.
     ///
     /// Normally this is the policy's priority order ([`Self::outranks`]).
     /// Livelock escalation overrides it: once either side has been aborted
-    /// `starvation_threshold` times, the comparison switches to pure
-    /// **age** (arrival time, then id — classic timestamp wound-wait).
-    /// Age is abort-invariant, so the order is stable: the oldest
-    /// escalated transaction can never lose again and runs to commit,
-    /// then the next, and so on. Continuous-evaluation policies like LSF
-    /// need this: a freshly restarted transaction always has the least
-    /// slack, so without escalation two victims abort each other forever
-    /// (any restart-count-based order re-livelocks, because the counts
-    /// change as a result of the comparison). The paper's policies never
-    /// reach the threshold (asserted in tests).
+    /// [`Self::STARVATION_THRESHOLD`] times, the comparison switches to pure
+    /// **age** (the smaller id, which is arrival order — classic timestamp
+    /// wound-wait). Age is abort-invariant, so the order is stable: the
+    /// oldest escalated transaction can never lose again and runs to
+    /// commit, then the next, and so on. Continuous-evaluation policies
+    /// like LSF need this: a freshly restarted transaction always has the
+    /// least slack, so without escalation two victims abort each other
+    /// forever (any restart-count-based order re-livelocks, because the
+    /// counts change as a result of the comparison). The paper's policies
+    /// never reach the threshold (asserted in tests).
     fn beats(&mut self, requester: TxnId, holder: TxnId) -> bool {
-        let threshold = self.cfg.system.starvation_threshold;
-        let (r_restarts, r_age) = {
-            let r = self.txn(requester);
-            (r.restarts, (r.arrival, r.id))
-        };
-        let (h_restarts, h_age) = {
-            let h = self.txn(holder);
-            (h.restarts, (h.arrival, h.id))
-        };
-        if r_restarts >= threshold || h_restarts >= threshold {
+        let escalated = |id| self.txn(id).restarts >= Self::STARVATION_THRESHOLD;
+        if escalated(requester) || escalated(holder) {
             self.metrics.record_starvation_shield();
-            return r_age < h_age; // older wins
+            return requester < holder; // older wins
         }
         self.outranks(requester, holder)
     }
 
     /// Does `requester` strictly outrank `holder` in the current priority
-    /// order (priority, then earlier arrival, then smaller id)?
+    /// order (priority, then smaller id, which is arrival order)?
     ///
     /// A wound/wait decision is a scheduling decision: it must see
     /// **exact** priorities, not the stale-high upper bounds a
     /// `ConflictState` index key may hold under lazy falls.
     fn outranks(&self, requester: TxnId, holder: TxnId) -> bool {
+        use std::cmp::Reverse;
         let pr = self.priority_rekeyed(requester);
         let ph = self.priority_rekeyed(holder);
-        let (r, h) = (self.txn(requester), self.txn(holder));
-        (pr, std::cmp::Reverse(r.arrival), std::cmp::Reverse(r.id))
-            > (ph, std::cmp::Reverse(h.arrival), std::cmp::Reverse(h.id))
+        (pr, Reverse(requester)) > (ph, Reverse(holder))
     }
 
     /// Release every lock `id` holds — exactly its `accessed` items, which
@@ -1355,7 +1005,8 @@ impl<'p> EngineState<'p> {
     fn restart(&mut self, id: TxnId) {
         let released = self.release_locks(id);
         debug_assert!(released > 0, "a restarted transaction holds a lock");
-        let was_secondary = std::mem::take(&mut self.secondary[id.0 as usize]);
+        let slot = self.accel.slot_of(id).0 as usize;
+        let was_secondary = std::mem::take(&mut self.secondary[slot]);
         self.metrics.record_restart(was_secondary);
         // It holds locks (asserted above), so it is on the P-list and
         // leaves it now; its access sets clear and a narrowed mightaccess
@@ -1508,7 +1159,7 @@ impl<'p> EngineState<'p> {
                 Some((id, _)) if self.running == Some(id) => return,
                 Some((id, secondary)) => {
                     self.preempt_running();
-                    self.secondary[id.0 as usize] = secondary;
+                    self.secondary[self.accel.slot_of(id).0 as usize] = secondary;
                     self.set_state(id, TxnState::Running);
                     self.running = Some(id);
                     self.emit(|| TraceEvent::Dispatch { txn: id, secondary });
@@ -1541,19 +1192,22 @@ impl<'p> EngineState<'p> {
     }
 
     /// `TH` and the IOwait-schedule pick both come from one argmax: the
-    /// validated index argmax ([`Self::heap_best`]) when the index is the
-    /// pick path, the scan ([`Self::scan_best`]) otherwise. `Verify`
-    /// checks every index key and asserts each indexed pick against a
+    /// validated index argmax ([`PriorityIndex::best`]) when the index is
+    /// the pick path, the scan ([`Self::scan_best`]) otherwise. Both
+    /// evaluate through [`Self::priority_of`]. `Verify` checks every index
+    /// key ([`Self::check_index`]) and asserts each indexed pick against a
     /// fresh scan.
     fn pick_next_inner(&self) -> Option<(TxnId, bool)> {
-        let indexed = self.index_in_use();
+        let indexed = self.index.borrow().in_use(self.active.len());
         let verify = indexed && self.mode == CacheMode::Verify;
         if verify {
-            self.verify_index_bounds();
+            let checks = self.check_index();
+            self.verify_checks.set(self.verify_checks.get() + checks);
         }
         let best = |accept: &dyn Fn(TxnId) -> bool| {
             if indexed {
-                self.heap_best(accept)
+                let exact = |id| self.priority_of(id);
+                self.index.borrow_mut().best(self.now(), accept, exact)
             } else {
                 self.scan_best(|id| self.priority_of(id), accept)
             }
@@ -1575,7 +1229,7 @@ impl<'p> EngineState<'p> {
             debug_assert!(self.active.is_empty(), "index lost an active entry");
             return None;
         };
-        if self.runnable_tag(th) {
+        if self.txn(th).is_runnable() {
             return Some((th, false));
         }
         // TH is blocked on IO: IOwait-schedule. With nothing Ready and
@@ -1589,7 +1243,7 @@ impl<'p> EngineState<'p> {
         }
         let restrict = self.policy.iowait_restrict();
         let pick =
-            best(&|id| self.runnable_tag(id) && (!restrict || self.compatible_with_plist(id)));
+            best(&|id| self.txn(id).is_runnable() && (!restrict || self.compatible_with_plist(id)));
         if verify {
             let fresh = oracle(&|id| {
                 self.txn(id).is_runnable() && (!restrict || self.fresh_compatible(id))
@@ -1602,114 +1256,9 @@ impl<'p> EngineState<'p> {
         pick.map(|id| (id, true))
     }
 
-    /// The validated argmax over the priority index.
-    ///
-    /// Every key stands for an **upper bound** on its transaction's exact
-    /// priority ([`Self::key_bound`]): an exact priority only falls
-    /// between key writes (a clear or a narrowing, the only rises, raise
-    /// the key first), and a `K` key's bound follows the clock. Each
-    /// round pops the top and validates it by exact recomputation
-    /// ([`Self::priority_of`] — the entry is out of the index, so the loop
-    /// re-parks it itself: a priority key under its exact value, a `K`
-    /// key unchanged, since `K` moves only on own-state events). The
-    /// moment the best validated exact entry beats the top's bound, no
-    /// un-popped entry can win (its exact sits at or below its own bound,
-    /// which sits at or below the top's), and the argmax is settled; the
-    /// composite `(Priority, Reverse(arrival), Reverse(id))` order ends in
-    /// the id, so cross-transaction ties cannot occur. Entries `accept`
-    /// rejects are parked unchanged — acceptability does not read
-    /// priorities.
-    ///
-    /// Each entry pops at most once per pick, so a pick costs
-    /// O(validations · log n); `heap_stale_pops` counts the validations
-    /// that did *not* settle the pick (validations − 1).
-    fn heap_best(&self, accept: impl Fn(TxnId) -> bool) -> Option<TxnId> {
-        let bound = self.key_bound();
-        let rekey = self.priority_keyed();
-        // Fast path: a top whose exact priority equals its bound bit for
-        // bit settles the argmax with zero heap mutation — every other
-        // bound sits at or below it, and the composite order already broke
-        // ties. This is the steady-state common case for priority keys
-        // (fresh keys, one peek + one validation per pick); a `K` bound is
-        // nudged above the exact value, so `K` keys always take the loop.
-        // A miss carries the exact value into the loop, whose first round
-        // pops this same top.
-        let mut carried = None;
-        let top = self.index.borrow().peek();
-        if let Some(top) = top.filter(|t| accept(t.id)) {
-            let exact = self.priority_of(top.id);
-            if exact.0.to_bits() == bound(top.pri).0.to_bits() {
-                self.heap_validated_picks
-                    .set(self.heap_validated_picks.get() + 1);
-                return Some(top.id);
-            }
-            carried = Some((top.id, exact));
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        debug_assert!(scratch.is_empty());
-        let mut best: Option<HeapEntry> = None;
-        let mut validations: u64 = 0;
-        loop {
-            let Some(entry) = self.index.borrow().peek() else {
-                break;
-            };
-            let entry_bound = HeapEntry {
-                pri: bound(entry.pri),
-                ..entry
-            };
-            if best.is_some_and(|b| b > entry_bound) {
-                break;
-            }
-            let id = entry.id;
-            self.index.borrow_mut().remove(id);
-            if !accept(id) {
-                scratch.push(entry);
-                continue;
-            }
-            let exact = match carried.take() {
-                Some((carried_id, exact)) if carried_id == id => exact,
-                _ => self.priority_of(id),
-            };
-            validations += 1;
-            debug_assert!(
-                exact <= entry_bound.pri,
-                "{id}: index bound {} was not an upper bound on exact {}",
-                entry_bound.pri.0,
-                exact.0
-            );
-            let validated = HeapEntry {
-                pri: exact,
-                ..entry
-            };
-            if rekey {
-                scratch.push(validated);
-                self.heap_pushes.set(self.heap_pushes.get() + 1);
-            } else {
-                scratch.push(entry);
-            }
-            // `None` orders below every `Some`.
-            if Some(validated) > best {
-                best = Some(validated);
-            }
-        }
-        {
-            let mut index = self.index.borrow_mut();
-            for e in scratch.drain(..) {
-                index.insert(e);
-            }
-        }
-        if best.is_some() {
-            self.heap_validated_picks
-                .set(self.heap_validated_picks.get() + 1);
-            self.heap_stale_pops
-                .set(self.heap_stale_pops.get() + validations.saturating_sub(1));
-        }
-        best.map(|b| b.id)
-    }
-
     /// The scan argmax: the highest `priority` among the `accept`ed
-    /// active transactions, ties broken by earlier arrival, then smaller
-    /// id (deterministic). It is the pick path wherever the index is not —
+    /// active transactions, ties broken by smaller id, which is arrival
+    /// order (deterministic). It is the pick path wherever the index is not —
     /// `Volatile` policies and the `AlwaysRecompute` oracle, evaluating
     /// through [`Self::priority_of`] — and the fresh oracle `Verify`
     /// asserts the indexed picks against.
@@ -1721,76 +1270,33 @@ impl<'p> EngineState<'p> {
         use std::cmp::Reverse;
         let mut best = None;
         for &id in self.active.iter().filter(|&&id| accept(id)) {
-            let candidate = (priority(id), Reverse(self.txn(id).arrival), Reverse(id));
+            let candidate = (priority(id), Reverse(id));
             if Some(candidate) > best {
                 best = Some(candidate);
             }
         }
-        best.map(|(_, _, Reverse(id))| id)
+        best.map(|(_, Reverse(id))| id)
     }
 
     /// Accel-free IOwait compatibility (the `Verify` oracle's filter).
     fn fresh_compatible(&self, id: TxnId) -> bool {
         let candidate = self.txn(id);
-        self.active
-            .iter()
-            .filter(|&&p| p != id)
-            .map(|&p| self.txn(p))
-            .filter(|p| p.is_partially_executed())
-            .all(|p| !candidate.conflicts_with(p))
+        self.plist_scan()
+            .filter(|&p| p != id)
+            .all(|p| !candidate.conflicts_with(self.txn(p)))
     }
 
-    /// `Verify`: every index key must stand for a bound on its
-    /// transaction's fresh priority — exactly what the validated-argmax
-    /// picks rely on. A `Static` key is bit-identical to it (nothing moves
-    /// a static priority); a `ConflictState` key is `>=` it (lazy falls
-    /// leave stale-high keys by design, while a key *below* the fresh
-    /// value means a rise escaped the clear walk or the narrowing refresh,
-    /// which would make the heap's pop order unsound); a `K` key is
-    /// bit-identical to the policy's current key, and its bound is `>=`
-    /// the fresh value. Checked at every pick rather than when the entry
-    /// next surfaces.
-    fn verify_index_bounds(&self) {
-        let view = self.fresh_view();
-        let deps = self.policy.depends_on();
-        let bound = self.key_bound();
-        for e in self.index.borrow().entries() {
-            let t = self.txn(e.id);
-            let fresh = self.policy.priority(t, &view);
-            self.verify_checks.set(self.verify_checks.get() + 1);
-            match deps {
-                PriorityDeps::Static => assert_eq!(
-                    e.pri.0.to_bits(),
-                    fresh.0.to_bits(),
-                    "{}: Static index key {} != fresh {}",
-                    e.id,
-                    e.pri.0,
-                    fresh.0
-                ),
-                PriorityDeps::TimeAndSelf => {
-                    let k = self
-                        .policy
-                        .time_invariant_key(t)
-                        .expect("time-keyed policy stopped exposing keys");
-                    self.verify_checks.set(self.verify_checks.get() + 1);
-                    assert_eq!(
-                        e.pri.0.to_bits(),
-                        k.to_bits(),
-                        "{}: index key diverged from the policy's time-invariant key",
-                        e.id
-                    );
-                }
-                _ => {}
-            }
-            assert!(
-                bound(e.pri) >= fresh,
-                "{}: index bound {} < fresh {} (a priority rise escaped \
-                 the clear walk or the narrowing refresh)",
-                e.id,
-                bound(e.pri).0,
-                fresh.0
-            );
-        }
+    /// The index's one key check against fresh priorities
+    /// ([`PriorityIndex::check`]): at every `Verify` pick, and in
+    /// [`Self::validate_state`]. Returns the number of comparisons made.
+    fn check_index(&self) -> u64 {
+        self.index.borrow().check(
+            self.now(),
+            &self.active,
+            |id| self.txn(id),
+            self.policy,
+            &self.fresh_view(),
+        )
     }
 
     /// §3.3.3 `IOwait-schedule` filter: true iff `id` neither conflicts nor
@@ -1855,36 +1361,24 @@ impl<'p> EngineState<'p> {
         let now = self.now();
         let (plist, ready) = match self.mode {
             CacheMode::AlwaysRecompute => {
-                let plist = self
-                    .active
-                    .iter()
-                    .filter(|&&id| self.txn(id).is_partially_executed())
-                    .count();
-                let ready = self
-                    .active
-                    .iter()
-                    .filter(|&&id| self.txn(id).state == TxnState::Ready)
-                    .count();
-                (plist, ready)
+                (self.plist_scan().count(), self.state_scan(TxnState::Ready))
             }
-            _ => {
-                if self.mode == CacheMode::Verify {
-                    let plist_scan = self
-                        .active
-                        .iter()
-                        .filter(|&&id| self.txn(id).is_partially_executed())
-                        .count();
-                    let ready_scan = self
-                        .active
-                        .iter()
-                        .filter(|&&id| self.txn(id).state == TxnState::Ready)
-                        .count();
+            mode => {
+                if mode == CacheMode::Verify {
                     self.verify_checks.set(self.verify_checks.get() + 3);
-                    assert_eq!(self.accel.plist_len(), plist_scan, "P-list count diverged");
-                    assert_eq!(self.ready_count, ready_scan, "ready count diverged");
+                    assert_eq!(
+                        self.accel.plist_len(),
+                        self.plist_scan().count(),
+                        "P-list count diverged"
+                    );
+                    assert_eq!(
+                        self.ready_count,
+                        self.state_scan(TxnState::Ready),
+                        "ready count diverged"
+                    );
                     assert_eq!(
                         self.lock_wait_count,
-                        self.lock_wait_scan(),
+                        self.state_scan(TxnState::LockWait),
                         "lock-wait count diverged"
                     );
                 }
@@ -1895,12 +1389,21 @@ impl<'p> EngineState<'p> {
         self.metrics.set_ready_len(now, ready);
     }
 
-    /// Active transactions in `TxnState::LockWait`, by a scan of
-    /// `active` — the oracle for `lock_wait_count`.
-    fn lock_wait_scan(&self) -> usize {
+    /// The partially executed active transactions, ascending by id, by a
+    /// scan of `active` — the oracle for the maintained P-list.
+    fn plist_scan(&self) -> impl Iterator<Item = TxnId> + '_ {
         self.active
             .iter()
-            .filter(|&&id| self.txn(id).state == TxnState::LockWait)
+            .copied()
+            .filter(|&id| self.txn(id).is_partially_executed())
+    }
+
+    /// Active transactions in `state`, by a scan of `active` — the oracle
+    /// for `ready_count` and `lock_wait_count`.
+    fn state_scan(&self, state: TxnState) -> usize {
+        self.active
+            .iter()
+            .filter(|&&id| self.txn(id).state == state)
             .count()
     }
 
@@ -1954,20 +1457,13 @@ impl<'p> EngineState<'p> {
                 .expect("awaited lock has no lock-waiting holder");
         };
         let cycle = &seen[cycle_start..];
-        // Abort the *youngest* cycle member. This must agree with the
-        // starvation escalation's age order: the oldest transaction never
+        // Abort the *youngest* cycle member, the largest id. This must agree
+        // with the starvation escalation's age order: the oldest transaction never
         // loses a conflict (there and here), so it monotonically advances
         // to commit and the population drains — choosing the victim by
         // policy priority instead can re-select the same starved victim
         // forever under continuous-evaluation policies.
-        let victim = cycle
-            .iter()
-            .copied()
-            .max_by_key(|&id| {
-                let t = self.txn(id);
-                (t.arrival, t.id)
-            })
-            .expect("cycle is non-empty");
+        let victim = *cycle.iter().max().expect("cycle is non-empty");
         self.metrics.record_deadlock_resolution();
         self.emit(|| TraceEvent::DeadlockResolved { victim });
         self.abort(victim);
@@ -1978,15 +1474,11 @@ impl<'p> EngineState<'p> {
     /// Expensive cross-structure consistency check, used by tests.
     fn validate_state(&self) {
         self.locks.check_invariants().expect("lock table corrupt");
-        // Every active transaction's record sits at its slot, its state
-        // tag mirrors it, and its accessed set matches its held locks.
+        // Every active transaction's record sits at its slot, and its
+        // accessed set matches its held locks.
         for &id in &self.active {
             let t = self.txn(id);
             assert_eq!(t.id, id, "{id}: its slot holds another record");
-            assert_eq!(
-                self.state_tags[id.0 as usize], t.state,
-                "{id}: state tag diverged"
-            );
             let held = self.locks.held_by(id);
             assert_eq!(
                 held.len(),
@@ -2016,7 +1508,7 @@ impl<'p> EngineState<'p> {
         );
         // Departure retires the record: the store holds the active
         // records plus retired ones awaiting reuse, within the slot
-        // high-water mark, and every departed id is tagged terminal.
+        // high-water mark, and every departed id released its slot.
         let (_, high_water) = self.accel.slot_occupancy();
         assert!(
             self.txns.len() <= high_water,
@@ -2025,72 +1517,36 @@ impl<'p> EngineState<'p> {
         );
         let live_records = self.txns.iter().filter(|t| t.is_active()).count();
         assert_eq!(live_records, self.active.len(), "a retired record is live");
-        let departed = self
-            .state_tags
-            .iter()
-            .filter(|&&tag| matches!(tag, TxnState::Committed | TxnState::Rejected))
+        let released = (0..self.accel.registered() as u32)
+            .filter(|&i| !self.accel.is_live(TxnId(i)))
             .count();
         assert_eq!(
-            departed + self.active.len(),
-            self.state_tags.len(),
-            "a departed transaction's tag is not terminal"
+            released + self.active.len(),
+            self.accel.registered(),
+            "a departed transaction kept its slot"
         );
-        // The maintained P-list and ready counter (kept in every cache
-        // mode) agree with full scans.
-        let plist_scan: Vec<TxnId> = self
-            .active
-            .iter()
-            .copied()
-            .filter(|&id| self.txn(id).is_partially_executed())
-            .collect();
-        assert_eq!(
-            self.accel.plist(),
-            plist_scan.as_slice(),
+        // The maintained P-list and counters (kept in every cache mode)
+        // agree with full scans.
+        assert!(
+            self.accel.plist().iter().copied().eq(self.plist_scan()),
             "maintained P-list diverged from scan"
         );
         assert!(
             self.accel.plist().windows(2).all(|w| w[0] < w[1]),
             "P-list not strictly id-sorted"
         );
-        let ready_scan = self
-            .active
-            .iter()
-            .filter(|&&id| self.txn(id).state == TxnState::Ready)
-            .count();
-        assert_eq!(self.ready_count, ready_scan, "ready counter diverged");
+        assert_eq!(
+            self.ready_count,
+            self.state_scan(TxnState::Ready),
+            "ready counter diverged"
+        );
         assert_eq!(
             self.lock_wait_count,
-            self.lock_wait_scan(),
+            self.state_scan(TxnState::LockWait),
             "lock-wait counter diverged"
         );
-        // The index, when it is the pick path, holds exactly one entry per
-        // active transaction, and a `K` key matches the policy's current
-        // value.
-        if self.index_in_use() {
-            let index = self.index.borrow();
-            assert_eq!(
-                index.entries().len(),
-                self.active.len(),
-                "index size diverged"
-            );
-            let time_keyed = self.time_keyed();
-            for &id in &self.active {
-                let key = index
-                    .key_of(id)
-                    .unwrap_or_else(|| panic!("{id}: active but not indexed"));
-                if time_keyed {
-                    let k = self
-                        .policy
-                        .time_invariant_key(self.txn(id))
-                        .expect("time-keyed policy stopped exposing keys");
-                    assert_eq!(
-                        key.0.to_bits(),
-                        k.to_bits(),
-                        "{id}: index key diverged from the policy's time-invariant key"
-                    );
-                }
-            }
-        }
+        // The index's key check, while it is the pick path.
+        self.check_index();
     }
 }
 
@@ -2163,8 +1619,7 @@ pub fn run_simulation_from_mode(
 ) -> RunSummary {
     cfg.validate().expect("invalid simulation configuration");
     assert!(expected > 0, "expected transaction count must be positive");
-    let mut st = EngineState::new(cfg, policy);
-    st.mode = mode;
+    let mut st = EngineState::new(cfg, policy, mode);
     drive(&mut st, source, expected, |_| {}).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -2192,8 +1647,7 @@ pub fn run_simulation_checked_mode(
     let seeder = StreamSeeder::new(cfg.run.seed);
     let table = TypeTable::generate(cfg, &seeder);
     let mut generator = ArrivalGenerator::new(cfg, &table, &seeder);
-    let mut st = EngineState::new(cfg, policy);
-    st.mode = mode;
+    let mut st = EngineState::new(cfg, policy, mode);
     let expected = cfg.run.num_transactions;
     drive(&mut st, &mut generator, expected, |_| {})
 }
@@ -2230,8 +1684,7 @@ fn run_simulation_opts(
     let seeder = StreamSeeder::new(cfg.run.seed);
     let table = TypeTable::generate(cfg, &seeder);
     let mut generator = ArrivalGenerator::new(cfg, &table, &seeder);
-    let mut st = EngineState::new(cfg, policy);
-    st.mode = mode;
+    let mut st = EngineState::new(cfg, policy, mode);
     st.profile = profile;
     let expected = cfg.run.num_transactions;
     drive(&mut st, &mut generator, expected, inspect).unwrap_or_else(|e| panic!("{e}"))
@@ -2329,15 +1782,16 @@ impl EngineState<'_> {
             .as_ref()
             .map(|d| d.busy_until(end))
             .unwrap_or(SimDuration::ZERO);
+        let index = self.index.get_mut();
         self.metrics.set_sched_stats(SchedStats {
             pick_next_calls: self.pick_next_calls.get(),
             priority_evals: self.priority_evals.get(),
             priority_cache_hits: 0,
             pair_checks: self.accel.pair_checks(),
             pair_cache_hits: 0,
-            heap_pushes: self.heap_pushes.get(),
-            heap_stale_pops: self.heap_stale_pops.get(),
-            heap_validated_picks: self.heap_validated_picks.get(),
+            heap_pushes: index.pushes,
+            heap_stale_pops: index.stale_pops,
+            heap_validated_picks: index.validated_picks,
             pair_cache_evictions: 0,
             clear_repair_clears: self.clear_repair_clears.get(),
             clear_repair_visits: self.clear_repair_visits.get(),
@@ -2428,7 +1882,7 @@ impl<'p> StepEngine<'p> {
     /// Returns the configuration's validation error, if any.
     pub fn new(cfg: &'p SimConfig, policy: &'p dyn Policy) -> Result<Self, RunError> {
         cfg.validate()?;
-        let mut st = EngineState::new(cfg, policy);
+        let mut st = EngineState::new(cfg, policy, CacheMode::Incremental);
         st.completions = Some(Vec::new());
         Ok(StepEngine {
             st,
@@ -2502,9 +1956,10 @@ impl<'p> StepEngine<'p> {
     /// a chaos harness can cut the engine at "the Nth arrival" and land
     /// at the same event-sequence position every run.
     pub fn arrivals_fired(&self) -> u64 {
-        // Every fired arrival, admitted or rejected, appends its state
-        // tag; records are recycled, so they do not count arrivals.
-        self.st.state_tags.len() as u64
+        // Every fired arrival, admitted or rejected, registers its id in
+        // the slot map; records are recycled, so they do not count
+        // arrivals.
+        self.st.accel.registered() as u64
     }
 
     /// Process one event. Returns `false` iff there was nothing to do —
@@ -2557,7 +2012,7 @@ pub fn run_simulation_traced(cfg: &SimConfig, policy: &dyn Policy) -> (RunSummar
     let seeder = StreamSeeder::new(cfg.run.seed);
     let table = TypeTable::generate(cfg, &seeder);
     let mut generator = ArrivalGenerator::new(cfg, &table, &seeder);
-    let mut st = EngineState::new(cfg, policy);
+    let mut st = EngineState::new(cfg, policy, CacheMode::Incremental);
     st.trace = Some(Trace::new());
     let expected = cfg.run.num_transactions;
     let summary =
@@ -2569,8 +2024,6 @@ pub fn run_simulation_traced(cfg: &SimConfig, policy: &dyn Policy) -> (RunSummar
 mod tests {
     use super::*;
     use crate::policy::{Policy, Priority, SystemView};
-    use proptest::prelude::*;
-    use std::collections::btree_map::{BTreeMap, Entry};
 
     /// Earliest Deadline First with HP conflict resolution: the paper's
     /// baseline, used here to exercise the engine.
@@ -2782,87 +2235,6 @@ mod tests {
         assert_eq!(s.restarts_total, 0);
         assert_eq!(s.miss_percent, 0.0, "an isolated txn meets any deadline");
         assert_eq!(s.mean_lateness_ms, 0.0);
-    }
-
-    /// One step against a [`PriorityIndex`]. Ids are sparse (multiples
-    /// of 13), so the position lane grows in jumps; keys come from a
-    /// small range, so raises, lowers and priority ties all occur.
-    #[derive(Debug, Clone, Copy)]
-    enum HeapOp {
-        Insert(u32, f64),
-        Remove(u32),
-        SetKey(u32, f64),
-    }
-
-    fn heap_op() -> impl Strategy<Value = HeapOp> {
-        (0u8..3, 0u32..48, -20i64..20).prop_map(|(kind, id, key)| {
-            let (id, key) = (id * 13, key as f64 * 0.5);
-            match kind {
-                0 => HeapOp::Insert(id, key),
-                1 => HeapOp::Remove(id),
-                _ => HeapOp::SetKey(id, key),
-            }
-        })
-    }
-
-    /// A fixed arrival per id with ties across ids, so the id tie-break
-    /// of [`HeapEntry`]'s order is exercised too.
-    fn arrival_of(id: u32) -> SimTime {
-        SimTime::from_micros(u64::from(id % 5))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Random insert / remove / set_key histories against a model
-        /// map: after every step the heap's top is the model's maximum
-        /// under [`HeapEntry`] order, `key_of` and `contains` answer for
-        /// every id, and both the heap invariant and the position lane
-        /// (`pos[id] = slot + 1` for exactly the indexed ids) hold.
-        #[test]
-        fn priority_index_matches_sorted_model(
-            ops in proptest::collection::vec(heap_op(), 1..300),
-        ) {
-            let mut index = PriorityIndex::default();
-            let mut model: BTreeMap<u32, HeapEntry> = BTreeMap::new();
-            for op in ops {
-                match op {
-                    HeapOp::Insert(id, key) => {
-                        if let Entry::Vacant(slot) = model.entry(id) {
-                            let e = HeapEntry {
-                                pri: Priority(key),
-                                arrival: arrival_of(id),
-                                id: TxnId(id),
-                            };
-                            index.insert(e);
-                            slot.insert(e);
-                        }
-                    }
-                    HeapOp::Remove(id) => {
-                        prop_assert_eq!(index.remove(TxnId(id)), model.remove(&id).is_some());
-                    }
-                    HeapOp::SetKey(id, key) => {
-                        let present = model.get_mut(&id).map(|e| e.pri = Priority(key)).is_some();
-                        prop_assert_eq!(index.set_key(TxnId(id), Priority(key)), present);
-                    }
-                }
-                prop_assert!(index.peek() == model.values().max().copied(), "{:?}", op);
-                for id in 0..48 * 13 {
-                    let want = model.get(&id).map(|e| e.pri);
-                    prop_assert!(index.key_of(TxnId(id)) == want, "key_of({})", id);
-                    prop_assert_eq!(index.contains(TxnId(id)), want.is_some());
-                }
-                let slots = index.entries();
-                prop_assert_eq!(slots.len(), model.len());
-                for i in 1..slots.len() {
-                    prop_assert!(slots[(i - 1) / 2] >= slots[i], "heap order at slot {}", i);
-                }
-                for (i, e) in slots.iter().enumerate() {
-                    prop_assert_eq!(index.pos[e.id.0 as usize], i as u32 + 1);
-                }
-                prop_assert_eq!(index.pos.iter().filter(|&&p| p != 0).count(), slots.len());
-            }
-        }
     }
 
     /// A commit retires its record and a rejection never stores one: over

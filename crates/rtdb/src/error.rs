@@ -48,8 +48,6 @@ pub enum ConfigError {
     BadUpdateTimeClasses,
     /// `system.abort_cost_ms` is negative.
     NegativeAbortCost,
-    /// `system.starvation_threshold` is zero.
-    ZeroStarvationThreshold,
     /// `disk.access_time_ms` is not positive.
     NonPositiveDiskAccessTime,
     /// `run.arrival_rate_tps` is not positive.
@@ -87,9 +85,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::BadUpdateTimeClasses => write!(f, "update time classes must be positive"),
             ConfigError::NegativeAbortCost => write!(f, "abort cost cannot be negative"),
-            ConfigError::ZeroStarvationThreshold => {
-                write!(f, "starvation_threshold must be positive")
-            }
             ConfigError::NonPositiveDiskAccessTime => {
                 write!(f, "disk access time must be positive")
             }

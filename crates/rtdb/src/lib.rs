@@ -52,6 +52,7 @@ pub mod config;
 pub mod disk;
 pub mod engine;
 pub mod error;
+mod index;
 pub mod locks;
 pub mod metrics;
 pub mod policy;

@@ -14,8 +14,8 @@ use rtx_sim::time::{SimDuration, SimTime};
 use crate::sched::ConflictAccel;
 use crate::txn::{Transaction, TxnId};
 
-/// A scheduling priority. Higher compares greater. Total order (ties are
-/// broken by the engine on arrival time, then id).
+/// A scheduling priority. Higher compares greater. Total order (the
+/// engine breaks ties by id, which is arrival order).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Priority(pub f64);
 
@@ -351,7 +351,6 @@ mod tests {
             doomed_at: SimTime::ZERO,
             io_retries: 0,
             retry_token: 0,
-            finish: None,
         }
     }
 

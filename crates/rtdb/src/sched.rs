@@ -222,6 +222,18 @@ impl ConflictAccel {
         (self.owner.len() - self.free.len(), self.owner.len())
     }
 
+    /// How many ids were ever registered: every arrival, admitted or
+    /// rejected.
+    pub(crate) fn registered(&self) -> usize {
+        self.slot_map.len()
+    }
+
+    /// Does `id` still hold its slot? False once it departed (commit or
+    /// admission rejection); its slot may have a new owner by then.
+    pub(crate) fn is_live(&self, id: TxnId) -> bool {
+        self.slot_map[id.0 as usize] != TxnSlot::RELEASED
+    }
+
     /// `id`'s slot: where its record and its row bits live. Panics in
     /// debug builds if the slot was released (no path may touch a
     /// departed transaction); in release builds the sentinel indexes out
@@ -427,7 +439,6 @@ mod tests {
             doomed_at: SimTime::ZERO,
             io_retries: 0,
             retry_token: 0,
-            finish: None,
         }
     }
 

@@ -67,9 +67,7 @@ pub enum TxnState {
 }
 
 impl TxnState {
-    /// Eligible for the CPU — what the pick loops accept. The engine's
-    /// dense state-tag vector tests this on the bare tag without
-    /// dereferencing the full transaction record.
+    /// Eligible for the CPU — what the pick loops accept.
     pub fn is_runnable(self) -> bool {
         matches!(self, TxnState::Ready | TxnState::Running)
     }
@@ -170,8 +168,6 @@ pub struct Transaction {
     /// ignored (the transaction was aborted and restarted while the
     /// event was in flight).
     pub retry_token: u64,
-    /// Commit time, once committed.
-    pub finish: Option<SimTime>,
 }
 
 impl Transaction {
@@ -287,16 +283,6 @@ impl Transaction {
             self.service
         }
     }
-
-    /// Signed lateness (finish − deadline) in ms; `None` until committed.
-    pub fn lateness_ms(&self) -> Option<f64> {
-        self.finish.map(|f| f.signed_ms_since(self.deadline))
-    }
-
-    /// True iff the transaction committed after its deadline.
-    pub fn missed_deadline(&self) -> Option<bool> {
-        self.lateness_ms().map(|l| l > 0.0)
-    }
 }
 
 /// Is `partial` unsafe (or conditionally unsafe) with respect to
@@ -347,7 +333,6 @@ mod tests {
             doomed_at: SimTime::ZERO,
             io_retries: 0,
             retry_token: 0,
-            finish: None,
         }
     }
 
@@ -360,7 +345,6 @@ mod tests {
         assert_eq!(t.total_updates(), 2);
         assert_eq!(t.current_item(), ItemId(1));
         assert!(!t.current_needs_io());
-        assert_eq!(t.lateness_ms(), None);
     }
 
     #[test]
@@ -398,17 +382,6 @@ mod tests {
         assert_eq!(t.restarts, 1);
         assert_eq!(t.deadline, SimTime::from_ms(100.0), "deadline unchanged");
         assert_eq!(t.items.len(), 2, "items unchanged");
-    }
-
-    #[test]
-    fn lateness_sign() {
-        let mut t = txn();
-        t.finish = Some(SimTime::from_ms(150.0));
-        assert_eq!(t.lateness_ms(), Some(50.0));
-        assert_eq!(t.missed_deadline(), Some(true));
-        t.finish = Some(SimTime::from_ms(80.0));
-        assert_eq!(t.lateness_ms(), Some(-20.0));
-        assert_eq!(t.missed_deadline(), Some(false));
     }
 
     #[test]

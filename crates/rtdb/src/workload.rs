@@ -239,7 +239,6 @@ impl<'c> ArrivalGenerator<'c> {
             doomed_at: SimTime::ZERO,
             io_retries: 0,
             retry_token: 0,
-            finish: None,
         })
     }
 }

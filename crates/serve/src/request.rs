@@ -87,7 +87,6 @@ impl TxnRequest {
             doomed_at: SimTime::ZERO,
             io_retries: 0,
             retry_token: 0,
-            finish: None,
         }
     }
 }

@@ -112,7 +112,6 @@ fn build_day(rate_tps: f64, n: usize, seed: u64) -> Vec<Transaction> {
                 doomed_at: SimTime::ZERO,
                 io_retries: 0,
                 retry_token: 0,
-                finish: None,
             }
         })
         .collect()

@@ -137,7 +137,6 @@ fn build(specs: &[TxnSpec], cfg: &SimConfig, with_modes: bool) -> Vec<Transactio
                 doomed_at: SimTime::ZERO,
                 io_retries: 0,
                 retry_token: 0,
-                finish: None,
             }
         })
         .collect()

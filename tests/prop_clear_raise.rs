@@ -109,7 +109,6 @@ fn build(specs: &[StateSpec], runner: Option<usize>, now: SimTime) -> Vec<Transa
                 doomed_at: SimTime::ZERO,
                 io_retries: 0,
                 retry_token: 0,
-                finish: None,
             }
         })
         .collect()

@@ -147,7 +147,6 @@ fn written_is_subset_of_accessed_oracle() {
         doomed_at: SimTime::ZERO,
         io_retries: 0,
         retry_token: 0,
-        finish: None,
     };
     assert_eq!(t.current_mode(), LockMode::Shared);
     // Might it write into {0}? Update 0 is a read; update 1 (item 1) is
