@@ -19,7 +19,7 @@ use rtx_rtdb::engine::run_simulation_from;
 use rtx_rtdb::policy::{Policy, Priority, SystemView};
 use rtx_rtdb::runner::{run_replications_with, run_seeds, ReplicationOptions};
 use rtx_rtdb::source::ReplaySource;
-use rtx_rtdb::txn::{DecisionSpec, Stage, Transaction, TxnId, TxnState};
+use rtx_rtdb::txn::{DecisionSpec, Transaction, TxnId};
 use rtx_rtdb::{RunSummary, SimConfig};
 use rtx_sim::dist::{exponential, sample_distinct, uniform_below, uniform_range};
 use rtx_sim::rng::StreamSeeder;
@@ -341,29 +341,14 @@ fn branching_workload_txns(cfg: &SimConfig, seed: u64, narrowing: bool) -> Vec<T
                 resource_time,
                 items,
                 io_pattern,
-                modes: Vec::new(),
                 update_time: ty.update_time,
                 might_access: ty.full.clone(),
-                state: TxnState::Ready,
-                progress: 0,
-                stage: Stage::Lock,
-                cpu_left: SimDuration::ZERO,
-                burst_start: SimTime::ZERO,
-                accessed: DataSet::new(),
-                written: DataSet::new(),
-                service: SimDuration::ZERO,
-                restarts: 0,
-                waiting_for: None,
                 decision: narrowing.then(|| DecisionSpec {
                     after_update: ty.prefix.len(),
                     full: ty.full.clone(),
                     narrowed,
                 }),
-                criticality: 0,
-                doomed: false,
-                doomed_at: SimTime::ZERO,
-                io_retries: 0,
-                retry_token: 0,
+                ..Default::default()
             }
         })
         .collect()

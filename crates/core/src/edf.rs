@@ -34,39 +34,19 @@ impl Policy for EdfHp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtx_preanalysis::table::TypeId;
     use rtx_preanalysis::{DataSet, ItemId};
-    use rtx_rtdb::txn::{Stage, TxnId, TxnState};
+    use rtx_rtdb::txn::TxnId;
     use rtx_sim::time::{SimDuration, SimTime};
 
     fn mk(id: u32, deadline_ms: f64) -> Transaction {
         Transaction {
             id: TxnId(id),
-            ty: TypeId(0),
-            arrival: SimTime::ZERO,
             deadline: SimTime::from_ms(deadline_ms),
             resource_time: SimDuration::from_ms(80.0),
             items: vec![ItemId(0)],
-            io_pattern: vec![],
-            modes: Vec::new(),
             update_time: SimDuration::from_ms(4.0),
             might_access: DataSet::from_items([ItemId(0)]),
-            state: TxnState::Ready,
-            progress: 0,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
-            accessed: DataSet::new(),
-            written: DataSet::new(),
-            service: SimDuration::ZERO,
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
-            criticality: 0,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         }
     }
 

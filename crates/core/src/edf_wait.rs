@@ -62,39 +62,21 @@ impl Policy for EdfWait {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtx_preanalysis::table::TypeId;
-    use rtx_preanalysis::{DataSet, ItemId};
-    use rtx_rtdb::txn::{Stage, TxnId, TxnState};
+    use rtx_preanalysis::ItemId;
+    use rtx_rtdb::txn::TxnId;
     use rtx_sim::time::{SimDuration, SimTime};
 
     fn mk(id: u32, deadline_ms: f64, might: &[u32], accessed: &[u32]) -> Transaction {
         Transaction {
             id: TxnId(id),
-            ty: TypeId(0),
-            arrival: SimTime::ZERO,
             deadline: SimTime::from_ms(deadline_ms),
             resource_time: SimDuration::from_ms(80.0),
             items: might.iter().map(|&i| ItemId(i)).collect(),
-            io_pattern: vec![],
-            modes: Vec::new(),
             update_time: SimDuration::from_ms(4.0),
             might_access: might.iter().map(|&i| ItemId(i)).collect(),
-            state: TxnState::Ready,
-            progress: 0,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
             accessed: accessed.iter().map(|&i| ItemId(i)).collect(),
-            written: DataSet::new(),
             service: SimDuration::from_ms(10.0),
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
-            criticality: 0,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         }
     }
 

@@ -52,39 +52,20 @@ impl Policy for Lsf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtx_preanalysis::table::TypeId;
-    use rtx_preanalysis::{DataSet, ItemId};
-    use rtx_rtdb::txn::{Stage, TxnId, TxnState};
+    use rtx_preanalysis::ItemId;
+    use rtx_rtdb::txn::TxnId;
     use rtx_sim::time::{SimDuration, SimTime};
 
     fn mk(id: u32, deadline_ms: f64, updates: usize, progress: usize) -> Transaction {
         Transaction {
             id: TxnId(id),
-            ty: TypeId(0),
-            arrival: SimTime::ZERO,
             deadline: SimTime::from_ms(deadline_ms),
             resource_time: SimDuration::from_ms(4.0 * updates as f64),
             items: (0..updates as u32).map(ItemId).collect(),
-            io_pattern: vec![],
-            modes: Vec::new(),
             update_time: SimDuration::from_ms(4.0),
             might_access: (0..updates as u32).map(ItemId).collect(),
-            state: TxnState::Ready,
             progress,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
-            accessed: DataSet::new(),
-            written: DataSet::new(),
-            service: SimDuration::ZERO,
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
-            criticality: 0,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         }
     }
 

@@ -62,40 +62,21 @@ pub fn conflicting_victims(candidate: &Transaction, view: &SystemView<'_>) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtx_preanalysis::sets::DataSet;
-    use rtx_preanalysis::table::TypeId;
     use rtx_preanalysis::ItemId;
-    use rtx_rtdb::txn::{Stage, TxnId, TxnState};
+    use rtx_rtdb::txn::{TxnId, TxnState};
     use rtx_sim::time::SimTime;
 
     fn mk(id: u32, might: &[u32], accessed: &[u32], service_ms: f64) -> Transaction {
         Transaction {
             id: TxnId(id),
-            ty: TypeId(0),
-            arrival: SimTime::ZERO,
             deadline: SimTime::from_ms(100.0),
             resource_time: SimDuration::from_ms(80.0),
             items: might.iter().map(|&i| ItemId(i)).collect(),
-            io_pattern: vec![],
-            modes: Vec::new(),
             update_time: SimDuration::from_ms(4.0),
             might_access: might.iter().map(|&i| ItemId(i)).collect(),
-            state: TxnState::Ready,
-            progress: 0,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
             accessed: accessed.iter().map(|&i| ItemId(i)).collect(),
-            written: DataSet::new(),
             service: SimDuration::from_ms(service_ms),
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
-            criticality: 0,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         }
     }
 

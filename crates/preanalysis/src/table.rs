@@ -17,7 +17,7 @@ use crate::relations::{conflict, safety, Conflict, Position, Safety};
 use crate::tree::{NodeId, TransactionTree};
 
 /// Index of a transaction type within an [`AnalysisSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TypeId(pub u32);
 
 /// Pre-analyzed trees plus dense relation tables for one workload.

@@ -11,13 +11,15 @@
 //!   blocked on IO, `IOwait-schedule` picks the best ready transaction —
 //!   restricted to ones that neither conflict nor conditionally conflict
 //!   with any partially executed transaction if the policy requests it;
-//! * **HP conflict resolution with no lock wait**: when the running
-//!   transaction's lock request hits a holder, the holder is aborted
-//!   (releases its locks, resets, restarts from scratch) and the CPU is
-//!   busy for the abort cost before the runner proceeds. Because the
-//!   runner is the highest-priority transaction, this never inverts
-//!   priorities (Lemma 1), and because nothing ever waits for a lock the
-//!   schedule is deadlock-free (Theorem 1);
+//! * **HP conflict resolution (wound-wait)**: when the running
+//!   transaction's lock request hits lower-priority holders, they are
+//!   aborted (release their locks, reset, restart from scratch) and the
+//!   CPU is busy for the abort cost before the runner proceeds; this
+//!   never inverts priorities (Lemma 1). A lower-priority requester — an
+//!   IO-wait secondary under EDF-HP — waits for the lock instead. Under
+//!   CCA nothing ever waits (Theorem 1). When the calendar drains while
+//!   transactions wait, they form a lock-wait cycle (LSF's priorities
+//!   reorder over time), a deadlock that `resolve_deadlock` breaks;
 //! * a transaction aborted while queued for the disk leaves the queue
 //!   immediately; one aborted mid-transfer holds the disk until the
 //!   transfer completes (§5).
@@ -855,10 +857,12 @@ impl<'p> EngineState<'p> {
                             } else {
                                 // Wound-wait: a lower-priority requester (an
                                 // IO-wait secondary under EDF-HP) blocks
-                                // until the holder releases the lock. Wait
-                                // edges always point to higher priorities,
-                                // so no cycle — and under CCA this branch is
-                                // unreachable (Theorem 1's "no lock wait").
+                                // until the holder releases the lock. A wait
+                                // edge points to a higher priority when it
+                                // is made; a cycle needs priorities that
+                                // reorder later (`resolve_deadlock`). Under
+                                // CCA this branch is unreachable (Theorem
+                                // 1's "no lock wait").
                                 self.metrics.record_lock_wait();
                                 self.emit(|| TraceEvent::LockWait { txn: id, item });
                                 self.set_state(id, TxnState::LockWait);
@@ -1057,7 +1061,7 @@ impl<'p> EngineState<'p> {
                 self.txn_mut(victim).retry_token += 1;
                 self.set_state(victim, TxnState::Ready);
             }
-            TxnState::Running | TxnState::Committed | TxnState::Rejected => {
+            TxnState::Running | TxnState::Committed => {
                 unreachable!("abort of a {state:?} transaction")
             }
         }
@@ -1118,12 +1122,14 @@ impl<'p> EngineState<'p> {
         self.index.borrow_mut().remove(id);
         // Departed for good: its metrics and completion are taken, so
         // the record retires and its slot is recycled. Nothing reads the
-        // record again: its sets and vectors are dropped now, so a
-        // drained burst does not pin their memory, and the slot's next
-        // owner overwrites the `Committed` header left behind.
-        let t = self.txn_mut(id);
-        (t.might_access, t.accessed, t.written) = Default::default();
-        (t.items, t.io_pattern, t.modes, t.decision) = Default::default();
+        // record again: it becomes the default record with its id and
+        // `Committed`, so a drained burst does not pin its sets' and
+        // vectors' memory, and the slot's next owner overwrites it.
+        *self.txn_mut(id) = Transaction {
+            id,
+            state: TxnState::Committed,
+            ..Default::default()
+        };
         self.accel.release(id);
         self.update_queue_metrics();
         self.reschedule(); // tr-finish-schedule
@@ -1488,8 +1494,7 @@ impl<'p> EngineState<'p> {
             for item in held {
                 assert!(t.accessed.contains(item));
             }
-            // No transaction waits for a lock: HP has no lock wait, so a
-            // Ready transaction is always immediately dispatchable.
+            // A `Running` record is the one the CPU runs.
             if t.state == TxnState::Running {
                 assert_eq!(self.running, Some(id));
             }
@@ -2242,13 +2247,22 @@ mod tests {
     /// record store never outgrows the slot high-water mark after any
     /// event, and that mark stays near the peak live population, far
     /// below the transaction count — a deterministic stand-in for
-    /// resident memory.
+    /// resident memory. A retired record is the default record with its
+    /// id and `Committed`: it keeps no set, vector or counter.
     #[test]
     fn departed_records_are_retired() {
         let mut cfg = small_mm(15, 11.0, 3_000);
         cfg.system.admission = Some(AdmissionConfig::Static { safety_factor: 1.0 });
         let mut peak = 0;
         let s = run_simulation_with(&cfg, &Edf, |st| {
+            for t in st.txns.iter().filter(|t| !t.is_active()) {
+                let retired = Transaction {
+                    id: t.id,
+                    state: TxnState::Committed,
+                    ..Default::default()
+                };
+                assert_eq!(format!("{t:?}"), format!("{retired:?}"));
+            }
             let (live, high_water) = st.accel.slot_occupancy();
             assert_eq!(
                 live,

@@ -14,7 +14,7 @@
 //!   assignment (`deadline = arrival + resource_time × (1 + slack)`);
 //! * [`txn`] — run-time transaction state (pipeline stage, locks held,
 //!   effective service time, restarts);
-//! * [`locks`] — the write-lock table (no lock waits under HP);
+//! * [`locks`] — the lock table, shared and exclusive;
 //! * [`disk`] — the single FCFS disk;
 //! * [`engine`] — the event-driven execution engine with HP conflict
 //!   resolution, preemption, IO-wait scheduling and abort/restart;

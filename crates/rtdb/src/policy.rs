@@ -318,39 +318,20 @@ pub trait Policy: Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::{Stage, TxnState};
+    use crate::txn::TxnState;
     use rtx_preanalysis::sets::DataSet;
-    use rtx_preanalysis::table::TypeId;
     use rtx_preanalysis::ItemId;
 
     fn mk_txn(id: u32, accessed: &[u32]) -> Transaction {
         Transaction {
             id: TxnId(id),
-            ty: TypeId(0),
-            arrival: SimTime::ZERO,
             deadline: SimTime::from_ms(100.0),
             resource_time: SimDuration::from_ms(80.0),
             items: vec![ItemId(0)],
-            io_pattern: vec![],
-            modes: Vec::new(),
             update_time: SimDuration::from_ms(4.0),
             might_access: DataSet::from_items([ItemId(0)]),
-            state: TxnState::Ready,
-            progress: 0,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
             accessed: accessed.iter().map(|&i| ItemId(i)).collect(),
-            written: DataSet::new(),
-            service: SimDuration::ZERO,
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
-            criticality: 0,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         }
     }
 

@@ -404,41 +404,21 @@ impl ConflictAccel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::{Stage, TxnState};
+    use crate::txn::TxnState;
     use proptest::prelude::*;
     use rtx_preanalysis::sets::DataSet;
-    use rtx_preanalysis::table::TypeId;
     use rtx_preanalysis::ItemId;
     use rtx_sim::time::{SimDuration, SimTime};
 
     fn mk(id: u32, might: &[u32]) -> Transaction {
         Transaction {
             id: TxnId(id),
-            ty: TypeId(0),
-            arrival: SimTime::ZERO,
             deadline: SimTime::from_ms(100.0),
             resource_time: SimDuration::from_ms(80.0),
             items: might.iter().map(|&i| ItemId(i)).collect(),
-            io_pattern: vec![],
-            modes: Vec::new(),
             update_time: SimDuration::from_ms(4.0),
             might_access: might.iter().map(|&i| ItemId(i)).collect(),
-            state: TxnState::Ready,
-            progress: 0,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
-            accessed: DataSet::new(),
-            written: DataSet::new(),
-            service: SimDuration::ZERO,
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
-            criticality: 0,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         }
     }
 

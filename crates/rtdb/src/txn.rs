@@ -13,7 +13,7 @@ use rtx_sim::time::{SimDuration, SimTime};
 use crate::locks::LockMode;
 
 /// Identifier of a transaction instance (dense, in arrival order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxnId(pub u32);
 
 impl std::fmt::Display for TxnId {
@@ -23,9 +23,10 @@ impl std::fmt::Display for TxnId {
 }
 
 /// Stage of the current update's pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Stage {
     /// About to acquire the write lock for the current item.
+    #[default]
     Lock,
     /// Consuming CPU to roll back a victim before continuing with the
     /// current update (recovery work charged to this transaction).
@@ -36,10 +37,12 @@ pub enum Stage {
     Compute,
 }
 
-/// Scheduling state of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Scheduling state of an admitted transaction. A rejected arrival is
+/// never stored, so it has no state; `Committed` is the only terminal one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TxnState {
     /// Runnable: waiting for the CPU (fresh, preempted, or back from IO).
+    #[default]
     Ready,
     /// Currently on the CPU.
     Running,
@@ -58,10 +61,6 @@ pub enum TxnState {
     /// lock wait" property — but EDF-HP's unrestricted IO-wait secondaries
     /// can hit locks held by the IO-blocked `TH` and must wait.
     LockWait,
-    /// Rejected on arrival by admission control; never executed. A
-    /// terminal state, like [`TxnState::Committed`], but counted in the
-    /// `rejected` outcome class instead of commit/miss statistics.
-    Rejected,
     /// Committed; out of the system.
     Committed,
 }
@@ -92,8 +91,16 @@ pub struct DecisionSpec {
     pub narrowed: DataSet,
 }
 
-/// One live transaction.
-#[derive(Debug, Clone)]
+/// One transaction: the instance a source builds, plus the execution
+/// state the engine drives.
+///
+/// A builder (the workload generator, a serving request, a test) sets
+/// the fields from `id` through `criticality`; the engine owns the
+/// execution state after them. [`Default`] is a fresh, never-run
+/// transaction — `Ready` at the first update's lock stage, holding no
+/// lock and with no service, on no one's P list — so a builder names
+/// only the fields it sets and ends with `..Default::default()`.
+#[derive(Debug, Clone, Default)]
 pub struct Transaction {
     /// Instance id (arrival order).
     pub id: TxnId,
@@ -119,6 +126,13 @@ pub struct Transaction {
     /// Everything this instance might access — the oracle `mightaccess`
     /// (for straight-line types: the full item set).
     pub might_access: DataSet,
+    /// Optional decision point narrowing `might_access` mid-execution.
+    pub decision: Option<DecisionSpec>,
+    /// Criticality class (0 = normal). The §6 "multiple criticalness"
+    /// extension: policies may order classes lexicographically (see
+    /// `rtx-core`'s `Criticality` wrapper); the engine itself treats it
+    /// as opaque but reports per-class miss rates.
+    pub criticality: u8,
 
     // ---- mutable execution state ----
     /// Scheduling state.
@@ -144,13 +158,6 @@ pub struct Transaction {
     pub restarts: u32,
     /// The item this transaction is lock-waiting on (`LockWait` only).
     pub waiting_for: Option<ItemId>,
-    /// Optional decision point narrowing `might_access` mid-execution.
-    pub decision: Option<DecisionSpec>,
-    /// Criticality class (0 = normal). The §6 "multiple criticalness"
-    /// extension: policies may order classes lexicographically (see
-    /// `rtx-core`'s `Criticality` wrapper); the engine itself treats it
-    /// as opaque but reports per-class miss rates.
-    pub criticality: u8,
     /// Set when aborted during an active disk transfer: the transfer
     /// completes ("it is not deleted until it releases the disk") and only
     /// then does the transaction re-enter the ready queue from scratch.
@@ -176,10 +183,9 @@ impl Transaction {
         self.items.len()
     }
 
-    /// True iff the transaction is still in the system (neither committed
-    /// nor rejected at admission).
+    /// True iff the transaction is still in the system (not committed).
     pub fn is_active(&self) -> bool {
-        !matches!(self.state, TxnState::Committed | TxnState::Rejected)
+        self.state != TxnState::Committed
     }
 
     /// True iff the transaction can be put on the CPU right now.
@@ -314,25 +320,9 @@ mod tests {
             resource_time: SimDuration::from_ms(40.0),
             items: vec![ItemId(1), ItemId(2)],
             io_pattern: vec![false, true],
-            modes: Vec::new(),
             update_time: SimDuration::from_ms(4.0),
             might_access: [1u32, 2].into_iter().collect(),
-            state: TxnState::Ready,
-            progress: 0,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
-            accessed: DataSet::new(),
-            written: DataSet::new(),
-            service: SimDuration::ZERO,
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
-            criticality: 0,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         }
     }
 
@@ -365,21 +355,36 @@ mod tests {
         assert_eq!(t.current_item(), ItemId(2));
     }
 
+    /// A restart puts every execution field it resets back to the fresh
+    /// transaction's value, so the two places that write the start state
+    /// cannot drift apart.
     #[test]
     fn restart_resets_execution_but_keeps_identity() {
         let mut t = txn();
         t.progress = 1;
         t.stage = Stage::Compute;
+        t.cpu_left = SimDuration::from_ms(3.0);
         t.accessed.insert(ItemId(1));
+        t.written.insert(ItemId(1));
         t.service = SimDuration::from_ms(12.0);
+        t.waiting_for = Some(ItemId(2));
         t.io_retries = 2;
+        t.retry_token = 5;
         t.reset_for_restart();
-        assert_eq!(t.io_retries, 0, "retry budget is per-incarnation");
-        assert_eq!(t.progress, 0);
-        assert_eq!(t.stage, Stage::Lock);
-        assert!(t.accessed.is_empty());
-        assert_eq!(t.service, SimDuration::ZERO);
+        let fresh = Transaction::default();
+        assert_eq!(t.progress, fresh.progress);
+        assert_eq!(t.stage, fresh.stage);
+        assert_eq!(t.cpu_left, fresh.cpu_left);
+        assert_eq!(t.accessed, fresh.accessed);
+        assert_eq!(t.written, fresh.written);
+        assert_eq!(t.service, fresh.service);
+        assert_eq!(t.waiting_for, fresh.waiting_for);
+        assert_eq!(
+            t.io_retries, fresh.io_retries,
+            "retry budget is per-incarnation"
+        );
         assert_eq!(t.restarts, 1);
+        assert_eq!(t.retry_token, 5, "stale retries stay recognizable");
         assert_eq!(t.deadline, SimTime::from_ms(100.0), "deadline unchanged");
         assert_eq!(t.items.len(), 2, "items unchanged");
     }
@@ -394,7 +399,6 @@ mod tests {
             (TxnState::IoActive, false),
             (TxnState::IoBackoff, false),
             (TxnState::LockWait, false),
-            (TxnState::Rejected, false),
             (TxnState::Committed, false),
         ] {
             t.state = state;

@@ -22,7 +22,7 @@ use rtx_sim::time::{SimDuration, SimTime};
 
 use crate::config::SimConfig;
 use crate::locks::LockMode;
-use crate::txn::{Stage, Transaction, TxnId, TxnState};
+use crate::txn::{Transaction, TxnId};
 
 /// One generated transaction type: an ordered item list plus derived data.
 #[derive(Debug, Clone)]
@@ -223,22 +223,8 @@ impl<'c> ArrivalGenerator<'c> {
             modes: ty.modes.clone(),
             update_time: ty.update_time,
             might_access: ty.data_set.clone(),
-            state: TxnState::Ready,
-            progress: 0,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
-            accessed: DataSet::new(),
-            written: DataSet::new(),
-            service: SimDuration::ZERO,
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
             criticality,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         })
     }
 }

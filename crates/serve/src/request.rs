@@ -1,7 +1,7 @@
 //! Client-facing transaction requests and terminal outcomes.
 
-use rtx_preanalysis::{DataSet, ItemId, TypeId};
-use rtx_rtdb::{Completion, CompletionKind, Stage, Transaction, TxnId, TxnState};
+use rtx_preanalysis::{ItemId, TypeId};
+use rtx_rtdb::{Completion, CompletionKind, Transaction, TxnId};
 use rtx_sim::{SimDuration, SimTime};
 
 /// What a client asks the server to run: the transaction's shape, not
@@ -54,7 +54,9 @@ impl TxnRequest {
     }
 
     /// Materialize the engine-side [`Transaction`], exactly as the batch
-    /// workload generator would build it. The serving bit-identity test
+    /// workload generator would build it: both set the fields a source
+    /// owns and take the execution state from [`Transaction::default`], so
+    /// the match holds by construction. The serving bit-identity test
     /// leans on this: replaying a trace through the server and through
     /// [`rtx_rtdb::run_simulation_from`] constructs identical values.
     pub fn into_transaction(self, id: TxnId, arrival: SimTime) -> Transaction {
@@ -69,24 +71,8 @@ impl TxnRequest {
             might_access: self.items.iter().copied().collect(),
             items: self.items,
             io_pattern: self.io_pattern,
-            modes: Vec::new(),
             update_time: self.update_time,
-            state: TxnState::Ready,
-            progress: 0,
-            stage: Stage::Lock,
-            cpu_left: SimDuration::ZERO,
-            burst_start: SimTime::ZERO,
-            accessed: DataSet::new(),
-            written: DataSet::new(),
-            service: SimDuration::ZERO,
-            restarts: 0,
-            waiting_for: None,
-            decision: None,
-            criticality: 0,
-            doomed: false,
-            doomed_at: SimTime::ZERO,
-            io_retries: 0,
-            retry_token: 0,
+            ..Default::default()
         }
     }
 }

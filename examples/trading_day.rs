@@ -17,12 +17,8 @@
 //! with [`ReplaySource`] and compares the policies at rising load.
 
 use rtx::policies::{Cca, EdfHp};
-use rtx::preanalysis::TypeId;
-use rtx::preanalysis::{DataSet, ItemId};
-use rtx::rtdb::Policy;
-use rtx::rtdb::{
-    run_simulation_from, ReplaySource, SimConfig, Stage, Transaction, TxnId, TxnState,
-};
+use rtx::preanalysis::{ItemId, TypeId};
+use rtx::rtdb::{run_simulation_from, Policy, ReplaySource, SimConfig, Transaction, TxnId};
 use rtx::sim::dist::{exponential, sample_distinct, uniform_range};
 use rtx::sim::rng::StreamSeeder;
 use rtx::sim::{SimDuration, SimTime};
@@ -93,25 +89,8 @@ fn build_day(rate_tps: f64, n: usize, seed: u64) -> Vec<Transaction> {
                 resource_time,
                 might_access: items.iter().copied().collect(),
                 items,
-                io_pattern: vec![],
-                modes: Vec::new(),
                 update_time,
-                state: TxnState::Ready,
-                progress: 0,
-                stage: Stage::Lock,
-                cpu_left: SimDuration::ZERO,
-                burst_start: SimTime::ZERO,
-                accessed: DataSet::new(),
-                written: DataSet::new(),
-                service: SimDuration::ZERO,
-                restarts: 0,
-                waiting_for: None,
-                decision: None,
-                criticality: 0,
-                doomed: false,
-                doomed_at: SimTime::ZERO,
-                io_retries: 0,
-                retry_token: 0,
+                ..Default::default()
             }
         })
         .collect()

@@ -16,131 +16,16 @@
 //! narrowing, disk IO, injected disk and CPU faults, and admission
 //! control.
 
+mod common;
+
+use common::{build, txn_spec, TxnSpec, DB};
 use proptest::prelude::*;
 use rtx::policies::{Cca, Criticality, EdfHp, EdfWait, Lsf};
-use rtx::preanalysis::{DataSet, ItemId, TypeId};
 use rtx::rtdb::engine::{
     run_simulation_from_mode, run_simulation_profiled_with_mode, run_simulation_with_mode,
 };
-use rtx::rtdb::locks::LockMode;
-use rtx::rtdb::{
-    AdmissionConfig, CacheMode, DecisionSpec, Policy, ReplaySource, RunSummary, SimConfig, Stage,
-    Transaction, TxnId, TxnState,
-};
+use rtx::rtdb::{AdmissionConfig, CacheMode, Policy, ReplaySource, RunSummary, SimConfig};
 use rtx::sim::fault::{Brownout, CpuFaultPlan, FaultPlan};
-use rtx::sim::{SimDuration, SimTime};
-
-/// Specification of one random transaction (mirrors `prop_system.rs`).
-#[derive(Debug, Clone)]
-struct TxnSpec {
-    gap_ms: f64,
-    items: Vec<u16>,
-    slack: f64,
-    io: Vec<bool>,
-    reads: Vec<bool>,
-    branch_at: Option<usize>,
-}
-
-const DB: u64 = 12;
-
-fn txn_spec() -> impl Strategy<Value = TxnSpec> {
-    (
-        0.1f64..50.0,
-        proptest::collection::vec(0u16..DB as u16, 1..8),
-        0.1f64..4.0,
-        proptest::collection::vec(any::<bool>(), 8),
-        proptest::collection::vec(any::<bool>(), 8),
-        proptest::option::of(0usize..4),
-    )
-        .prop_map(|(gap_ms, mut items, slack, io, reads, branch_at)| {
-            items.dedup();
-            TxnSpec {
-                gap_ms,
-                items,
-                slack,
-                io,
-                reads,
-                branch_at,
-            }
-        })
-}
-
-/// Materialize specs into engine transactions.
-fn build(specs: &[TxnSpec], cfg: &SimConfig, with_modes: bool) -> Vec<Transaction> {
-    let mut clock = SimTime::ZERO;
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            clock += SimDuration::from_ms(spec.gap_ms);
-            let items: Vec<ItemId> = spec.items.iter().map(|&x| ItemId(x as u32)).collect();
-            let update_time = SimDuration::from_ms(2.0);
-            let io_pattern: Vec<bool> = if cfg.system.disk.is_some() {
-                items.iter().zip(&spec.io).map(|(_, &b)| b).collect()
-            } else {
-                Vec::new()
-            };
-            let io_time =
-                SimDuration::from_ms(25.0) * io_pattern.iter().filter(|&&b| b).count() as u64;
-            let resource_time = update_time * items.len() as u64 + io_time;
-            let might: DataSet = items.iter().copied().collect();
-            let modes: Vec<LockMode> = if with_modes {
-                items
-                    .iter()
-                    .zip(&spec.reads)
-                    .map(|(_, &r)| {
-                        if r {
-                            LockMode::Shared
-                        } else {
-                            LockMode::Exclusive
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            // Before its decision point a branching transaction might touch
-            // any item (the untaken branch), so executing the decision
-            // narrows `might_access` to the items it locks and can raise its
-            // priority — the rise the engine's narrowing refresh must catch.
-            let decision = spec.branch_at.and_then(|at| {
-                (at + 1 < items.len()).then(|| DecisionSpec {
-                    after_update: at + 1,
-                    full: (0..DB as u32).map(ItemId).collect(),
-                    narrowed: might.clone(),
-                })
-            });
-            Transaction {
-                id: TxnId(i as u32),
-                ty: TypeId(0),
-                arrival: clock,
-                deadline: clock + resource_time.scale(1.0 + spec.slack),
-                resource_time,
-                items,
-                io_pattern,
-                modes,
-                update_time,
-                might_access: decision.as_ref().map_or(might, |d| d.full.clone()),
-                state: TxnState::Ready,
-                progress: 0,
-                stage: Stage::Lock,
-                cpu_left: SimDuration::ZERO,
-                burst_start: SimTime::ZERO,
-                accessed: DataSet::new(),
-                written: DataSet::new(),
-                service: SimDuration::ZERO,
-                restarts: 0,
-                waiting_for: None,
-                decision,
-                criticality: 0,
-                doomed: false,
-                doomed_at: SimTime::ZERO,
-                io_retries: 0,
-                retry_token: 0,
-            }
-        })
-        .collect()
-}
 
 fn run_specs_mode(
     specs: &[TxnSpec],

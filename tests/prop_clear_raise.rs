@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use rtx::policies::{Cca, Criticality, EdfWait};
-use rtx::preanalysis::{DataSet, ItemId, TypeId};
+use rtx::preanalysis::{DataSet, ItemId};
 use rtx::rtdb::engine::nudge_up;
 use rtx::rtdb::{Policy, Stage, SystemView, Transaction, TxnId, TxnState};
 use rtx::sim::{SimDuration, SimTime};
@@ -71,45 +71,26 @@ fn build(specs: &[StateSpec], runner: Option<usize>, now: SimTime) -> Vec<Transa
                 .iter()
                 .map(|&idx| ItemId(spec.might[idx % spec.might.len()]))
                 .collect();
-            let (state, stage, burst_start) = if runner == Some(i) {
-                // The runner accrues effective service with the clock —
-                // the time-dependent term in CCA's raise bound.
-                (
-                    TxnState::Running,
-                    Stage::Compute,
-                    now - SimDuration::from_ms(5.0),
-                )
-            } else {
-                (TxnState::Ready, Stage::Lock, SimTime::ZERO)
-            };
-            Transaction {
+            let mut t = Transaction {
                 id: TxnId(i as u32),
-                ty: TypeId(0),
-                arrival: SimTime::ZERO,
                 deadline: SimTime::from_ms(spec.deadline_ms),
                 resource_time: SimDuration::from_ms(80.0),
                 items: spec.might.iter().map(|&x| ItemId(x)).collect(),
-                io_pattern: vec![],
-                modes: Vec::new(),
                 update_time: SimDuration::from_ms(4.0),
                 might_access: might,
-                state,
-                progress: 0,
-                stage,
-                cpu_left: SimDuration::ZERO,
-                burst_start,
                 accessed,
-                written: DataSet::new(),
                 service: SimDuration::from_ms(spec.service_ms),
-                restarts: 0,
-                waiting_for: None,
-                decision: None,
                 criticality: spec.criticality,
-                doomed: false,
-                doomed_at: SimTime::ZERO,
-                io_retries: 0,
-                retry_token: 0,
+                ..Default::default()
+            };
+            if runner == Some(i) {
+                // The runner accrues effective service with the clock —
+                // the time-dependent term in CCA's raise bound.
+                t.state = TxnState::Running;
+                t.stage = Stage::Compute;
+                t.burst_start = now - SimDuration::from_ms(5.0);
             }
+            t
         })
         .collect()
 }

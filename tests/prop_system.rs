@@ -3,123 +3,13 @@
 //! invariants — everything commits, traces reconcile with metrics, CCA
 //! never waits for a lock, and runs are deterministic.
 
+mod common;
+
+use common::{build, txn_spec, TxnSpec, DB};
 use proptest::prelude::*;
 use rtx::policies::{Cca, EdfHp, EdfWait, Lsf};
-use rtx::preanalysis::{DataSet, ItemId, TypeId};
 use rtx::rtdb::engine::run_simulation_from;
-use rtx::rtdb::locks::LockMode;
-use rtx::rtdb::{
-    DecisionSpec, Policy, ReplaySource, SimConfig, Stage, Transaction, TxnId, TxnState,
-};
-use rtx::sim::{SimDuration, SimTime};
-
-/// Specification of one random transaction.
-#[derive(Debug, Clone)]
-struct TxnSpec {
-    gap_ms: f64,
-    items: Vec<u16>,
-    slack: f64,
-    io: Vec<bool>,
-    reads: Vec<bool>,
-    branch_at: Option<usize>,
-}
-
-const DB: u64 = 12;
-
-fn txn_spec() -> impl Strategy<Value = TxnSpec> {
-    (
-        0.1f64..50.0,
-        proptest::collection::vec(0u16..DB as u16, 1..8),
-        0.1f64..4.0,
-        proptest::collection::vec(any::<bool>(), 8),
-        proptest::collection::vec(any::<bool>(), 8),
-        proptest::option::of(0usize..4),
-    )
-        .prop_map(|(gap_ms, mut items, slack, io, reads, branch_at)| {
-            items.dedup();
-            TxnSpec {
-                gap_ms,
-                items,
-                slack,
-                io,
-                reads,
-                branch_at,
-            }
-        })
-}
-
-/// Materialize specs into engine transactions.
-fn build(specs: &[TxnSpec], cfg: &SimConfig, with_modes: bool) -> Vec<Transaction> {
-    let mut clock = SimTime::ZERO;
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            clock += SimDuration::from_ms(spec.gap_ms);
-            let items: Vec<ItemId> = spec.items.iter().map(|&x| ItemId(x as u32)).collect();
-            let update_time = SimDuration::from_ms(2.0);
-            let io_pattern: Vec<bool> = if cfg.system.disk.is_some() {
-                items.iter().zip(&spec.io).map(|(_, &b)| b).collect()
-            } else {
-                Vec::new()
-            };
-            let io_time =
-                SimDuration::from_ms(25.0) * io_pattern.iter().filter(|&&b| b).count() as u64;
-            let resource_time = update_time * items.len() as u64 + io_time;
-            let might: DataSet = items.iter().copied().collect();
-            let modes: Vec<LockMode> = if with_modes {
-                items
-                    .iter()
-                    .zip(&spec.reads)
-                    .map(|(_, &r)| {
-                        if r {
-                            LockMode::Shared
-                        } else {
-                            LockMode::Exclusive
-                        }
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let decision = spec.branch_at.and_then(|at| {
-                (at + 1 < items.len()).then(|| DecisionSpec {
-                    after_update: at + 1,
-                    full: might.clone(),
-                    narrowed: might.clone(), // trivial narrowing is legal
-                })
-            });
-            Transaction {
-                id: TxnId(i as u32),
-                ty: TypeId(0),
-                arrival: clock,
-                deadline: clock + resource_time.scale(1.0 + spec.slack),
-                resource_time,
-                items,
-                io_pattern,
-                modes,
-                update_time,
-                might_access: might,
-                state: TxnState::Ready,
-                progress: 0,
-                stage: Stage::Lock,
-                cpu_left: SimDuration::ZERO,
-                burst_start: SimTime::ZERO,
-                accessed: DataSet::new(),
-                written: DataSet::new(),
-                service: SimDuration::ZERO,
-                restarts: 0,
-                waiting_for: None,
-                decision,
-                criticality: 0,
-                doomed: false,
-                doomed_at: SimTime::ZERO,
-                io_retries: 0,
-                retry_token: 0,
-            }
-        })
-        .collect()
-}
+use rtx::rtdb::{Policy, ReplaySource, SimConfig};
 
 fn run_specs(
     specs: &[TxnSpec],

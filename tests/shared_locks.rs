@@ -116,37 +116,17 @@ fn cca_still_at_or_below_edf_with_shared_locks() {
 #[test]
 fn written_is_subset_of_accessed_oracle() {
     // Mode-aware oracle sanity via the public transaction API.
-    use rtx::preanalysis::TypeId;
     use rtx::preanalysis::{DataSet, ItemId};
-    use rtx::rtdb::{Stage, Transaction, TxnId, TxnState};
+    use rtx::rtdb::{Transaction, TxnId};
     use rtx::sim::{SimDuration, SimTime};
     let t = Transaction {
-        id: TxnId(0),
-        ty: TypeId(0),
-        arrival: SimTime::ZERO,
         deadline: SimTime::from_ms(10.0),
         resource_time: SimDuration::from_ms(8.0),
         items: vec![ItemId(0), ItemId(1)],
-        io_pattern: vec![],
         modes: vec![LockMode::Shared, LockMode::Exclusive],
         update_time: SimDuration::from_ms(4.0),
         might_access: [0u32, 1].into_iter().collect(),
-        state: TxnState::Ready,
-        progress: 0,
-        stage: Stage::Lock,
-        cpu_left: SimDuration::ZERO,
-        burst_start: SimTime::ZERO,
-        accessed: DataSet::new(),
-        written: DataSet::new(),
-        service: SimDuration::ZERO,
-        restarts: 0,
-        waiting_for: None,
-        decision: None,
-        criticality: 0,
-        doomed: false,
-        doomed_at: SimTime::ZERO,
-        io_retries: 0,
-        retry_token: 0,
+        ..Default::default()
     };
     assert_eq!(t.current_mode(), LockMode::Shared);
     // Might it write into {0}? Update 0 is a read; update 1 (item 1) is
