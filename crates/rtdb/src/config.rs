@@ -238,9 +238,10 @@ impl AdmissionConfig {
 /// Hard limits on one replication, enforced by the engine's event loop.
 ///
 /// A run that exceeds either limit is stopped with a typed
-/// [`crate::error::RunError`] instead of spinning forever — the backstop
-/// that lets [`crate::runner::run_seeds_checked`] merge the surviving
-/// seeds of a batch that contains a pathological one.
+/// [`crate::error::RunError`] instead of spinning forever. This is the
+/// one check that catches a livelocked run, say under a fault plan where
+/// no disk transfer ever succeeds. [`crate::engine::run_simulation_checked`]
+/// returns the error; the other entry points panic with it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WatchdogConfig {
     /// Maximum number of calendar events the run may process.
@@ -337,10 +338,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Hard event-count / sim-time limits; `None` runs unbounded.
     pub watchdog: Option<WatchdogConfig>,
-    /// Test hook: a run whose seed equals this value panics immediately.
-    /// Exists so the runner-hardening tests can poison exactly one
-    /// replication of a batch; never set outside tests.
-    pub poison_seed: Option<u64>,
 }
 
 /// Full configuration of one run.
@@ -381,7 +378,6 @@ impl SimConfig {
                 num_transactions: 1000,
                 seed: 0,
                 watchdog: None,
-                poison_seed: None,
             },
         }
     }
@@ -424,7 +420,6 @@ impl SimConfig {
                 num_transactions: 300,
                 seed: 0,
                 watchdog: None,
-                poison_seed: None,
             },
         }
     }

@@ -1563,7 +1563,7 @@ impl<'p> EngineState<'p> {
 /// # Panics
 /// Panics if the configuration is invalid.
 pub fn run_simulation(cfg: &SimConfig, policy: &dyn Policy) -> RunSummary {
-    run_simulation_with(cfg, policy, |_| {})
+    run_simulation_with_mode(cfg, policy, CacheMode::Incremental)
 }
 
 /// As [`run_simulation`] under an explicit [`CacheMode`].
@@ -1577,14 +1577,14 @@ pub fn run_simulation_with_mode(
     policy: &dyn Policy,
     mode: CacheMode,
 ) -> RunSummary {
-    run_simulation_opts(cfg, policy, mode, false, |_| {})
+    expect_run(run(cfg, policy, mode, |_| {}, |_| {})).0
 }
 
 /// As [`run_simulation`], additionally measuring wall-clock time spent in
 /// the scheduler (`RunSummary::sched.sched_wall_ns`). Kept out of the
 /// default path so normal summaries never carry machine-dependent values.
 pub fn run_simulation_profiled(cfg: &SimConfig, policy: &dyn Policy) -> RunSummary {
-    run_simulation_opts(cfg, policy, CacheMode::Incremental, true, |_| {})
+    run_simulation_profiled_with_mode(cfg, policy, CacheMode::Incremental)
 }
 
 /// As [`run_simulation_profiled`] under an explicit [`CacheMode`] — the
@@ -1595,7 +1595,7 @@ pub fn run_simulation_profiled_with_mode(
     policy: &dyn Policy,
     mode: CacheMode,
 ) -> RunSummary {
-    run_simulation_opts(cfg, policy, mode, true, |_| {})
+    expect_run(run(cfg, policy, mode, |st| st.profile = true, |_| {})).0
 }
 
 /// Run a simulation over a custom [`TxnSource`] instead of the built-in
@@ -1630,69 +1630,46 @@ pub fn run_simulation_from_mode(
 
 /// As [`run_simulation`], but with every failure mode typed instead of
 /// panicking: an invalid configuration and a tripped watchdog both come
-/// back as a [`RunError`]. This is what the hardened replication runner
-/// calls per seed.
+/// back as a [`RunError`].
 pub fn run_simulation_checked(
     cfg: &SimConfig,
     policy: &dyn Policy,
 ) -> Result<RunSummary, RunError> {
-    run_simulation_checked_mode(cfg, policy, CacheMode::Incremental)
+    run(cfg, policy, CacheMode::Incremental, |_| {}, |_| {}).map(|(summary, _)| summary)
 }
 
-/// As [`run_simulation_checked`] under an explicit [`CacheMode`] — the
-/// replication runner's whole-suite equivalence sweeps thread the mode
-/// override through here.
-pub fn run_simulation_checked_mode(
+/// The one generator-driven batch run behind every `run_simulation*`
+/// entry but the `_from` pair: validate `cfg`, build its workload from
+/// `cfg.run.seed`, let `prepare` switch profiling or tracing on before the
+/// first event, and [`drive`] the run to its end, calling `inspect` with
+/// the engine state after every event. Returns the trace, if `prepare`
+/// switched it on.
+fn run(
     cfg: &SimConfig,
     policy: &dyn Policy,
     mode: CacheMode,
-) -> Result<RunSummary, RunError> {
+    prepare: impl FnOnce(&mut EngineState<'_>),
+    inspect: impl FnMut(&EngineState<'_>),
+) -> Result<(RunSummary, Option<Trace>), RunError> {
     cfg.validate()?;
-    poison_check(cfg);
     let seeder = StreamSeeder::new(cfg.run.seed);
     let table = TypeTable::generate(cfg, &seeder);
     let mut generator = ArrivalGenerator::new(cfg, &table, &seeder);
     let mut st = EngineState::new(cfg, policy, mode);
-    let expected = cfg.run.num_transactions;
-    drive(&mut st, &mut generator, expected, |_| {})
+    prepare(&mut st);
+    let summary = drive(&mut st, &mut generator, cfg.run.num_transactions, inspect)?;
+    Ok((summary, st.trace.take()))
 }
 
-/// The `poison_seed` test hook: force a panic for one specific seed so the
-/// runner-hardening tests can verify panic isolation.
-fn poison_check(cfg: &SimConfig) {
-    if cfg.run.poison_seed == Some(cfg.run.seed) {
-        panic!("poisoned seed {} (test hook)", cfg.run.seed);
+/// The panicking entries' view of [`run`]: an invalid configuration
+/// panics with the same message as [`run_simulation_from_mode`], and a
+/// tripped watchdog with its [`RunError`].
+fn expect_run<T>(result: Result<T, RunError>) -> T {
+    match result {
+        Ok(out) => out,
+        Err(RunError::Config(e)) => panic!("invalid simulation configuration: {e:?}"),
+        Err(e) => panic!("{e}"),
     }
-}
-
-/// As [`run_simulation`], additionally invoking `inspect` with the engine
-/// state after every event — used by tests to assert run-time invariants.
-fn run_simulation_with(
-    cfg: &SimConfig,
-    policy: &dyn Policy,
-    inspect: impl FnMut(&EngineState<'_>),
-) -> RunSummary {
-    run_simulation_opts(cfg, policy, CacheMode::Incremental, false, inspect)
-}
-
-/// The common generator-driven entry point: cache mode, profiling and an
-/// inspection hook.
-fn run_simulation_opts(
-    cfg: &SimConfig,
-    policy: &dyn Policy,
-    mode: CacheMode,
-    profile: bool,
-    inspect: impl FnMut(&EngineState<'_>),
-) -> RunSummary {
-    cfg.validate().expect("invalid simulation configuration");
-    poison_check(cfg);
-    let seeder = StreamSeeder::new(cfg.run.seed);
-    let table = TypeTable::generate(cfg, &seeder);
-    let mut generator = ArrivalGenerator::new(cfg, &table, &seeder);
-    let mut st = EngineState::new(cfg, policy, mode);
-    st.profile = profile;
-    let expected = cfg.run.num_transactions;
-    drive(&mut st, &mut generator, expected, inspect).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The batch event loop: step until all `expected` transactions
@@ -2005,24 +1982,17 @@ impl<'p> StepEngine<'p> {
 
 /// Run with full state validation after every event (slow; tests only).
 pub fn run_simulation_validated(cfg: &SimConfig, policy: &dyn Policy) -> RunSummary {
-    run_simulation_with(cfg, policy, |st| st.validate_state())
+    let validate = |st: &EngineState<'_>| st.validate_state();
+    expect_run(run(cfg, policy, CacheMode::Incremental, |_| {}, validate)).0
 }
 
 /// Run one simulation while recording every scheduling decision.
 /// Costs memory proportional to the event count; intended for analysis
 /// and small runs, not sweeps.
 pub fn run_simulation_traced(cfg: &SimConfig, policy: &dyn Policy) -> (RunSummary, Trace) {
-    cfg.validate().expect("invalid simulation configuration");
-    poison_check(cfg);
-    let seeder = StreamSeeder::new(cfg.run.seed);
-    let table = TypeTable::generate(cfg, &seeder);
-    let mut generator = ArrivalGenerator::new(cfg, &table, &seeder);
-    let mut st = EngineState::new(cfg, policy, CacheMode::Incremental);
-    st.trace = Some(Trace::new());
-    let expected = cfg.run.num_transactions;
-    let summary =
-        drive(&mut st, &mut generator, expected, |_| {}).unwrap_or_else(|e| panic!("{e}"));
-    (summary, st.trace.take().expect("trace enabled above"))
+    let trace_on = |st: &mut EngineState<'_>| st.trace = Some(Trace::new());
+    let (summary, trace) = expect_run(run(cfg, policy, CacheMode::Incremental, trace_on, |_| {}));
+    (summary, trace.expect("tracing switched on above"))
 }
 
 #[cfg(test)]
@@ -2254,7 +2224,7 @@ mod tests {
         let mut cfg = small_mm(15, 11.0, 3_000);
         cfg.system.admission = Some(AdmissionConfig::Static { safety_factor: 1.0 });
         let mut peak = 0;
-        let s = run_simulation_with(&cfg, &Edf, |st| {
+        let check = |st: &EngineState<'_>| {
             for t in st.txns.iter().filter(|t| !t.is_active()) {
                 let retired = Transaction {
                     id: t.id,
@@ -2275,7 +2245,8 @@ mod tests {
                 st.txns.len()
             );
             peak = peak.max(high_water);
-        });
+        };
+        let (s, _) = run(&cfg, &Edf, CacheMode::Incremental, |_| {}, check).unwrap();
         assert_eq!(s.committed + s.rejected, 3_000);
         assert!(s.rejected > 0, "admission must reject some arrivals");
         assert!(

@@ -1,14 +1,11 @@
 //! Typed errors for configuration validation and run execution.
 //!
-//! A malformed experiment configuration used to surface as a stringly-typed
-//! `Err(String)` or a panic deep inside the workload generator; a poisoned
-//! replication used to take the whole batch down with it. This module gives
-//! both failure classes names: [`ConfigError`] enumerates every parameter
-//! check performed by [`crate::config::SimConfig::validate`], and
-//! [`RunError`] is what the hardened runner
-//! ([`crate::runner::run_seeds_checked`]) records for a seed that could not
-//! produce a summary — validation failure, panic, or watchdog trip — while
-//! the surviving seeds merge normally.
+//! [`ConfigError`] enumerates every parameter check performed by
+//! [`crate::config::SimConfig::validate`]. [`RunError`] is why one run
+//! could not produce a summary: its configuration failed validation, or
+//! its [`crate::config::WatchdogConfig`] stopped it.
+//! [`crate::engine::run_simulation_checked`] returns it; the other
+//! entry points panic on it.
 
 use std::error::Error;
 use std::fmt;
@@ -103,17 +100,11 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
-/// Why one replication failed to produce a [`crate::metrics::RunSummary`].
+/// Why one run failed to produce a [`crate::metrics::RunSummary`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The configuration failed validation before the run started.
     Config(ConfigError),
-    /// The run panicked; the payload message is preserved.
-    Panicked {
-        /// The panic payload, if it was a string; `"<non-string panic>"`
-        /// otherwise.
-        message: String,
-    },
     /// The watchdog tripped: the event loop processed more events than
     /// `watchdog.max_events` allows.
     WatchdogEvents {
@@ -133,7 +124,6 @@ impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::Config(e) => write!(f, "invalid configuration: {e}"),
-            RunError::Panicked { message } => write!(f, "replication panicked: {message}"),
             RunError::WatchdogEvents { limit } => {
                 write!(f, "watchdog: event budget of {limit} events exhausted")
             }

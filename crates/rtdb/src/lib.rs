@@ -9,7 +9,8 @@
 //! * [`config`] — Table 1 / Table 2 parameter sets and validation, plus
 //!   the robustness extensions (fault plan, admission control, watchdog);
 //! * [`error`] — typed configuration ([`error::ConfigError`]) and run
-//!   ([`error::RunError`]) failures;
+//!   ([`error::RunError`]: invalid configuration or a tripped watchdog)
+//!   failures;
 //! * [`workload`] — transaction types, Poisson arrivals, deadline
 //!   assignment (`deadline = arrival + resource_time × (1 + slack)`);
 //! * [`txn`] — run-time transaction state (pipeline stage, locks held,
@@ -20,8 +21,8 @@
 //!   resolution, preemption, IO-wait scheduling and abort/restart;
 //! * [`metrics`] — miss percent, mean lateness, restarts per transaction,
 //!   utilization, P-list length;
-//! * [`runner`] — multi-seed replication and the paper's improvement
-//!   formula.
+//! * [`runner`] — multi-seed replication, the one batch path every table
+//!   runs through, and the paper's improvement formula.
 //!
 //! # Example
 //!
@@ -77,9 +78,8 @@ pub use error::{ConfigError, RunError};
 pub use metrics::{RunSummary, SchedStats};
 pub use policy::{PartiallyExecuted, Policy, Priority, PriorityDeps, SystemView};
 pub use runner::{
-    aggregate, improvement_percent, run_one, run_one_checked, run_replications,
-    run_replications_checked, run_replications_with, run_seeds, run_seeds_checked,
-    AggregateSummary, BatchSummary, Parallelism, ReplicationOptions, ReplicationTimer,
+    aggregate, improvement_percent, run_one, run_replications, run_replications_with, run_seeds,
+    AggregateSummary, Parallelism, ReplicationOptions, ReplicationTimer,
 };
 pub use sched::CacheMode;
 pub use source::{ReplaySource, TxnSource};

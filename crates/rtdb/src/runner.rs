@@ -16,8 +16,16 @@
 //!
 //! [`run_replications`] keeps the historical serial-by-default signature;
 //! [`run_replications_with`] adds the [`ReplicationOptions`] knob.
+//!
+//! This is the one batch path: every table and figure spreads its seeds
+//! with [`run_seeds`], most of them as [`run_replications_with`] →
+//! [`run_seeds`] → [`run_one`]. A replication that panics ends its batch
+//! (a worker's panic resurfaces when the workers are joined); a run that
+//! must stop instead of hanging sets a
+//! [`crate::config::WatchdogConfig`], and
+//! [`crate::engine::run_simulation_checked`] returns its trip as a typed
+//! [`crate::error::RunError`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -25,8 +33,7 @@ use std::time::{Duration, Instant};
 use rtx_sim::stats::{Estimate, Replications};
 
 use crate::config::SimConfig;
-use crate::engine::{run_simulation_checked_mode, run_simulation_with_mode};
-use crate::error::RunError;
+use crate::engine::run_simulation_with_mode;
 use crate::metrics::RunSummary;
 use crate::policy::Policy;
 use crate::CacheMode;
@@ -215,31 +222,6 @@ fn cache_mode_override() -> CacheMode {
     }
 }
 
-/// As [`run_one`], but every failure mode is typed: an invalid
-/// configuration, a tripped watchdog, and — via the `catch_unwind` wrapper
-/// in [`run_seeds_checked`] — a panic all come back as a
-/// [`RunError`] instead of killing the batch.
-pub fn run_one_checked(
-    cfg: &SimConfig,
-    policy: &dyn Policy,
-    rep: usize,
-) -> Result<RunSummary, RunError> {
-    let mut run_cfg = cfg.clone();
-    run_cfg.run.seed = cfg.run.seed.wrapping_add(rep as u64);
-    run_simulation_checked_mode(&run_cfg, policy, cache_mode_override())
-}
-
-/// Extract a human-readable message from a panic payload.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic>".to_string()
-    }
-}
-
 /// Order-preserving parallel map over seed indices `0..reps`.
 ///
 /// `f(rep)` runs once per index on some worker thread; the returned `Vec`
@@ -292,87 +274,6 @@ where
                 .expect("worker filled every claimed slot")
         })
         .collect()
-}
-
-/// As [`run_seeds`], with each seed's work isolated under
-/// [`catch_unwind`]: a replication that panics yields
-/// `Err(RunError::Panicked)` in its slot instead of propagating and
-/// killing the whole batch. Order preservation and the seed-order merge
-/// guarantee are unchanged — surviving seeds produce exactly the values a
-/// fully healthy batch would have produced for them.
-///
-/// Panic isolation is sound here because each seed's closure invocation
-/// owns its state: a panicking replication can poison nothing the other
-/// seeds observe (hence the `AssertUnwindSafe`).
-pub fn run_seeds_checked<T, F>(
-    reps: usize,
-    opts: &ReplicationOptions,
-    f: F,
-) -> Vec<Result<T, RunError>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, RunError> + Sync,
-{
-    run_seeds(reps, opts, |rep| {
-        match catch_unwind(AssertUnwindSafe(|| f(rep))) {
-            Ok(result) => result,
-            Err(payload) => Err(RunError::Panicked {
-                message: panic_message(payload),
-            }),
-        }
-    })
-}
-
-/// The outcome of a hardened replication batch: per-seed results in seed
-/// order, plus the aggregate over the survivors.
-#[derive(Debug, Clone)]
-pub struct BatchSummary {
-    /// Aggregate over the surviving seeds, folded in seed order; `None`
-    /// iff every seed failed.
-    pub aggregate: Option<AggregateSummary>,
-    /// Per-seed outcome, indexed by replication number.
-    pub outcomes: Vec<Result<RunSummary, RunError>>,
-}
-
-impl BatchSummary {
-    /// The surviving summaries, in seed order.
-    pub fn survivors(&self) -> impl Iterator<Item = &RunSummary> {
-        self.outcomes.iter().filter_map(|o| o.as_ref().ok())
-    }
-
-    /// The failed seeds as `(rep, error)`, in seed order.
-    pub fn errors(&self) -> impl Iterator<Item = (usize, &RunError)> {
-        self.outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(rep, o)| o.as_ref().err().map(|e| (rep, e)))
-    }
-}
-
-/// Run `replications` hardened seeded runs under `opts`: panics,
-/// validation failures and watchdog trips each surface as that seed's
-/// typed [`RunError`] while every other seed completes normally. The
-/// survivor aggregate is folded in seed order, so it is bit-identical
-/// across all [`Parallelism`] settings — and bit-identical to a smaller
-/// batch containing only the surviving seeds.
-pub fn run_replications_checked(
-    cfg: &SimConfig,
-    policy: &dyn Policy,
-    replications: usize,
-    opts: &ReplicationOptions,
-) -> BatchSummary {
-    assert!(replications > 0, "need at least one replication");
-    let outcomes = run_seeds_checked(replications, opts, |rep| run_one_checked(cfg, policy, rep));
-    let survivors: Vec<RunSummary> = outcomes.iter().filter_map(|o| o.clone().ok()).collect();
-    let aggregate = if survivors.is_empty() {
-        None
-    } else {
-        Some(aggregate(policy.name(), &survivors))
-    };
-    BatchSummary {
-        aggregate,
-        outcomes,
-    }
 }
 
 /// Fold per-seed summaries (in slice order) into an [`AggregateSummary`].

@@ -44,7 +44,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
+use crate::time::{SimDuration, SimTime};
 
 /// A time source for the serving event loop: virtual (calendar-driven,
 /// deterministic) or wall (anchored to a real [`Instant`] through a rate
@@ -150,15 +150,6 @@ impl Clock {
         }
     }
 
-    /// Total real seconds a sim span occupies under this clock (virtual:
-    /// the sim seconds themselves).
-    pub fn to_wall_secs(&self, span: SimDuration) -> f64 {
-        match self {
-            Clock::Virtual => span.as_secs(),
-            Clock::Wall { scale, .. } => span.as_secs() / scale,
-        }
-    }
-
     /// The sim-time rate of this clock: sim microseconds per wall
     /// microsecond (1.0 for the virtual clock, where the distinction is
     /// vacuous).
@@ -177,11 +168,6 @@ impl Clock {
             Clock::Wall { start, .. } => start.elapsed().as_secs_f64(),
         }
     }
-}
-
-/// Sim microseconds corresponding to `d` real time under `scale`.
-pub fn wall_to_sim(d: Duration, scale: f64) -> SimDuration {
-    SimDuration::from_micros((d.as_secs_f64() * MICROS_PER_SEC as f64 * scale) as u64)
 }
 
 #[cfg(test)]
@@ -233,11 +219,6 @@ mod tests {
     fn unit_conversions() {
         let c = Clock::wall(1000.0);
         assert!((c.to_wall_ms(SimDuration::from_ms(500.0)) - 0.5).abs() < 1e-12);
-        assert!((c.to_wall_secs(SimDuration::from_secs(10.0)) - 0.01).abs() < 1e-12);
-        assert_eq!(
-            wall_to_sim(Duration::from_millis(1), 1000.0),
-            SimDuration::from_secs(1.0)
-        );
     }
 
     #[test]

@@ -122,35 +122,6 @@ impl Histogram {
         }
         self.max_seen
     }
-
-    /// Fraction of values that are (effectively) zero — below the
-    /// histogram floor.
-    pub fn zero_fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.underflow as f64 / self.total as f64
-        }
-    }
-
-    /// Merge another histogram (same parameters) into this one.
-    ///
-    /// # Panics
-    /// Panics if the histograms were built with different parameters.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.min_value, other.min_value, "parameter mismatch");
-        assert_eq!(self.gamma, other.gamma, "parameter mismatch");
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            self.counts[i] += c;
-        }
-        self.underflow += other.underflow;
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max_seen = self.max_seen.max(other.max_seen);
-    }
 }
 
 #[cfg(test)]
@@ -191,7 +162,6 @@ mod tests {
         for _ in 0..10 {
             h.record(100.0);
         }
-        assert!((h.zero_fraction() - 0.9).abs() < 1e-12);
         assert_eq!(h.quantile(0.5), 0.0, "median transaction is on time");
         assert_eq!(h.quantile(0.9), 0.0);
         let p95 = h.quantile(0.95);
@@ -249,37 +219,6 @@ mod tests {
         for q in [0.0, 0.1, 0.9, 0.999, 1.0] {
             assert_eq!(h.quantile(q), median, "flat curve at q={q}");
         }
-        assert_eq!(h.zero_fraction(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_combined() {
-        let mut a = Histogram::for_latency_ms();
-        let mut b = Histogram::for_latency_ms();
-        let mut whole = Histogram::for_latency_ms();
-        for i in 1..=100 {
-            let v = (i * 7 % 97) as f64;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.max(), whole.max());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile(q), whole.quantile(q));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "parameter mismatch")]
-    fn merge_rejects_mismatched_parameters() {
-        let mut a = Histogram::new(0.01, 0.01);
-        let b = Histogram::new(0.02, 0.01);
-        a.merge(&b);
     }
 
     #[test]

@@ -129,15 +129,6 @@ impl StreamSeeder {
     pub fn stream(&self, label: &str) -> Xoshiro256 {
         Xoshiro256::seed_from_u64(self.master ^ fnv1a(label.as_bytes()))
     }
-
-    /// Derive an indexed stream, e.g. one per transaction type.
-    pub fn indexed_stream(&self, label: &str, index: u64) -> Xoshiro256 {
-        let mut state = self.master ^ fnv1a(label.as_bytes());
-        // Mix the index through one SplitMix64 round so that consecutive
-        // indices land far apart in seed space.
-        state = state.wrapping_add(index.wrapping_mul(0xA24B_AED4_963E_E407));
-        Xoshiro256::seed_from_u64(splitmix64(&mut state))
-    }
 }
 
 /// FNV-1a hash of a byte string (stable across platforms and versions).
@@ -206,18 +197,6 @@ mod tests {
         // Distinct labels must give distinct streams.
         let mut s1c = seeder.stream("arrivals");
         assert_ne!(s1c.next_raw(), s2.next_raw());
-    }
-
-    #[test]
-    fn indexed_streams_distinct() {
-        let seeder = StreamSeeder::new(9);
-        let mut a = seeder.indexed_stream("type", 0);
-        let mut b = seeder.indexed_stream("type", 1);
-        assert_ne!(a.next_raw(), b.next_raw());
-        let mut a2 = seeder.indexed_stream("type", 0);
-        assert!(Xoshiro256::seed_from_u64(0).next_raw() != 0, "sanity");
-        let mut a3 = seeder.indexed_stream("type", 0);
-        assert_eq!(a2.next_raw(), a3.next_raw());
     }
 
     #[test]

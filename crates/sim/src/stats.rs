@@ -95,27 +95,6 @@ impl Accumulator {
     pub fn max(&self) -> Option<f64> {
         (self.n > 0).then_some(self.max)
     }
-
-    /// Merge another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Accumulator) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Accumulator {
@@ -253,16 +232,6 @@ impl Replications {
         self.values.extend(values);
     }
 
-    /// Append all of `other`'s values after this set's, preserving order
-    /// within each.
-    ///
-    /// Merging partitions of a value sequence in partition order yields
-    /// exactly the state produced by recording the original sequence
-    /// serially, so estimates are bit-identical.
-    pub fn merge(&mut self, other: &Replications) {
-        self.values.extend_from_slice(&other.values);
-    }
-
     /// Number of replications recorded.
     pub fn count(&self) -> usize {
         self.values.len()
@@ -336,42 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulator_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.77).sin() * 10.0).collect();
-        let mut whole = Accumulator::new();
-        for &x in &data {
-            whole.record(x);
-        }
-        let mut left = Accumulator::new();
-        let mut right = Accumulator::new();
-        for &x in &data[..37] {
-            left.record(x);
-        }
-        for &x in &data[37..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn accumulator_merge_with_empty() {
-        let mut a = Accumulator::new();
-        a.record(3.0);
-        let empty = Accumulator::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
-        let mut b = Accumulator::new();
-        b.merge(&a);
-        assert_eq!(b.count(), 1);
-        assert_eq!(b.mean(), 3.0);
-    }
-
-    #[test]
     fn time_weighted_step_function() {
         // value 0 on [0,10), 2 on [10,30), 1 on [30,40]
         let mut tw = TimeWeighted::new(0.0, 0.0);
@@ -441,28 +374,6 @@ mod tests {
         let e = r.estimate();
         assert!((e.mean - 0.5).abs() < 1e-12);
         assert!(e.half_width > 0.09 && e.half_width < 0.11);
-    }
-
-    #[test]
-    fn replications_merge_equals_serial_recording() {
-        // Recording a sequence serially and merging ordered partitions of
-        // it must produce bit-identical estimates (same fp operand order).
-        let values = [3.25, -1.5, 0.125, 7.75, 2.0, -0.0625, 4.5];
-        let mut serial = Replications::new();
-        serial.record_all(values);
-
-        for split in 0..=values.len() {
-            let mut left = Replications::new();
-            left.record_all(values[..split].iter().copied());
-            let mut right = Replications::new();
-            right.record_all(values[split..].iter().copied());
-            left.merge(&right);
-            assert_eq!(left.values(), serial.values());
-            let (a, b) = (left.estimate(), serial.estimate());
-            assert_eq!(a.mean, b.mean);
-            assert_eq!(a.half_width, b.half_width);
-            assert_eq!(a.n, b.n);
-        }
     }
 
     #[test]

@@ -147,26 +147,6 @@ proptest! {
         prop_assert_eq!(acc.max(), Some(max));
     }
 
-    /// Splitting observations across two accumulators and merging equals
-    /// one sequential accumulator.
-    #[test]
-    fn accumulator_merge_associative(
-        xs in proptest::collection::vec(-1e3f64..1e3, 2..100),
-        split in 0usize..100,
-    ) {
-        let split = split % xs.len();
-        let mut whole = Accumulator::new();
-        for &x in &xs { whole.record(x); }
-        let mut a = Accumulator::new();
-        let mut b = Accumulator::new();
-        for &x in &xs[..split] { a.record(x); }
-        for &x in &xs[split..] { b.record(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-8);
-        prop_assert!((a.variance() - whole.variance()).abs() < 1e-6);
-    }
-
     /// Time-weighted mean equals the explicit integral of the step function.
     #[test]
     fn time_weighted_matches_integral(
