@@ -322,10 +322,10 @@ impl<'p> EngineState<'p> {
     }
 
     /// `id`'s access sets are about to be cleared (abort/restart or
-    /// commit): raise the index keys of the transactions whose penalty
-    /// currently includes `id` — the walk runs *before* the
-    /// clearing, while `id`'s sets still describe the contribution being
-    /// removed — then record the clearing.
+    /// commit): raise the index keys that charged `id`'s penalty term —
+    /// the walk runs *before* the clearing, while `id`'s sets still
+    /// describe the contribution being removed — then record the
+    /// clearing.
     ///
     /// This is the **one** conflict event that keeps an eager walk: a
     /// clear removes penalty terms, i.e. *raises* the affected
@@ -341,30 +341,35 @@ impl<'p> EngineState<'p> {
 
     /// The repair walk on a clear: every active transaction `X` with
     /// `is_unsafe(c, X)` — exactly those whose penalty is about to lose
-    /// `c`'s term — has its key raised in place by the policy-supplied
+    /// `c`'s term — whose key was evaluated after `c` joined the P-list
+    /// has its key raised in place by the policy-supplied
     /// [`Policy::conflict_clear_raise`] bound (for CCA,
     /// `w · (effective_service(c) + abort_cost)`, the exact term every
     /// victim loses), with no exact recomputation
     /// ([`PriorityIndex::raise_all`]). Recomputing and re-pushing every
     /// victim instead costs O(victims) full evaluations per clear, which
-    /// dominates high-contention runs.
+    /// dominates high-contention runs. A key evaluated before `c` joined
+    /// never charged `c`'s term, so it already bounds the post-clear
+    /// priority and stays put; when no key was stamped since `c` joined,
+    /// the walk returns before it enumerates a victim, and counts nothing.
     ///
     /// The victims come set-at-a-time from the slot rows
     /// ([`ConflictAccel::unsafe_set`]): the OR of one row per item of
     /// `c.accessed`, MPL/64 words each, paid only on clears (the rare,
     /// priority-raising event). The other active transactions keep their
-    /// keys untouched.
+    /// keys untouched. `Verify` enumerates every clear's victims, skipped
+    /// or not, and asserts them against the active scan.
     fn repair_unsafe_against(&mut self, c: TxnId) {
-        let raise = self.policy.conflict_clear_raise(self.txn(c), &self.view());
+        let joined = self.accel.joined(c);
+        let raises = self.index.get_mut().keyed_since(joined);
+        if !raises && self.mode != CacheMode::Verify {
+            return;
+        }
         let mut affected = std::mem::take(&mut self.walk_buf);
         let mut row = std::mem::take(self.row_buf.get_mut());
         let ct = self.txn(c);
         self.accel.unsafe_set(ct, &mut row);
         self.accel.ids(&row, &mut affected);
-        self.clear_repair_clears
-            .set(self.clear_repair_clears.get() + 1);
-        self.clear_repair_visits
-            .set(self.clear_repair_visits.get() + affected.len() as u64);
         if self.mode == CacheMode::Verify {
             // Oracle: the full active walk. Both enumerate ascending by
             // id (= arrival order), so the affected lists must match
@@ -381,7 +386,14 @@ impl<'p> EngineState<'p> {
             );
             self.verify_checks.set(self.verify_checks.get() + 1);
         }
-        self.index.get_mut().raise_all(&affected, raise);
+        if raises {
+            self.clear_repair_clears
+                .set(self.clear_repair_clears.get() + 1);
+            self.clear_repair_visits
+                .set(self.clear_repair_visits.get() + affected.len() as u64);
+            let raise = self.policy.conflict_clear_raise(self.txn(c), &self.view());
+            self.index.get_mut().raise_all(&affected, raise, joined);
+        }
         affected.clear();
         self.walk_buf = affected;
         *self.row_buf.get_mut() = row;
@@ -429,11 +441,14 @@ impl<'p> EngineState<'p> {
     /// a decision-point narrowing (the one own-state event that can
     /// *raise* a `ConflictState` priority), and a wound/wait comparison,
     /// which demotes the stale-high key it has already paid to evaluate.
-    /// Wound/wait calls this under every policy; only priority keys move,
-    /// and a time-invariant `K` key is left alone.
+    /// Each stamps the key with the P-list joins so far. Wound/wait calls
+    /// this under every policy; only priority keys move, and a
+    /// time-invariant `K` key is left alone.
     fn priority_rekeyed(&self, id: TxnId) -> Priority {
         let value = self.priority_of(id);
-        self.index.borrow_mut().rekey_exact(id, value);
+        self.index
+            .borrow_mut()
+            .rekey_exact(id, value, self.accel.joins());
         value
     }
 
@@ -1213,7 +1228,10 @@ impl<'p> EngineState<'p> {
         let best = |accept: &dyn Fn(TxnId) -> bool| {
             if indexed {
                 let exact = |id| self.priority_of(id);
-                self.index.borrow_mut().best(self.now(), accept, exact)
+                let joins = self.accel.joins();
+                self.index
+                    .borrow_mut()
+                    .best(self.now(), joins, accept, exact)
             } else {
                 self.scan_best(|id| self.priority_of(id), accept)
             }

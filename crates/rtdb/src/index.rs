@@ -13,7 +13,8 @@
 //! * **bound** under `ConflictState`: the key is an upper bound on the
 //!   priority, which falls without a key write (another partial's access
 //!   growth, the runner's accruing service). This is the only kind a
-//!   clear raises ([`PriorityIndex::raise_all`]);
+//!   clear raises ([`PriorityIndex::raise_all`]), and only where the key
+//!   charged the cleared partial (see *Join stamps* below);
 //! * **time-invariant `K`** under `TimeAndSelf`: the key is
 //!   [`Policy::time_invariant_key`], whose order is the priority order at
 //!   every instant. A policy that exposes no `K` leaves the index short of
@@ -28,6 +29,18 @@
 //! assigned at arrival, and each arrival is scheduled when the previous
 //! one fires into a calendar that refuses times in the past, so id order
 //! is arrival order.
+//!
+//! **Join stamps.** Each key carries the P-list join count
+//! ([`crate::sched::ConflictAccel::joins`]) at the moment an exact
+//! priority was last written into it. A `ConflictState` priority charges
+//! only partials on the P-list, so a key evaluated before a partial `c`
+//! joined never held `c`'s term, and `c`'s clear cannot lift the priority
+//! above it: every other event since either lowered the priority (growth,
+//! service, joins) or raised the key (a clear of a partial the key did
+//! charge, a narrowing, which rewrites and restamps it). A clear therefore
+//! raises only the keys stamped after `c` joined, and when no key was
+//! stamped since, the engine skips its walk ([`PriorityIndex::keyed_since`]).
+//! The stamps of `Static` and `K` keys are never read.
 
 use std::cmp::{Ordering, Reverse};
 
@@ -71,12 +84,22 @@ enum KeyKind {
 }
 
 /// One heap entry. Ordered by key, then by smaller id (arrival order), so
-/// the index maximum is the scan winner bit for bit.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// the index maximum is the scan winner bit for bit. The join stamp rides
+/// along outside the order (see the module docs).
+#[derive(Clone, Copy)]
 struct HeapEntry {
     pri: Priority,
     id: TxnId,
+    stamp: u64,
 }
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for HeapEntry {}
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
@@ -114,12 +137,12 @@ impl Heap {
         self.slots.first().copied()
     }
 
-    /// `id`'s current key, if held. O(1).
+    /// `id`'s current entry, if held. O(1).
     #[inline]
-    fn key_of(&self, id: TxnId) -> Option<Priority> {
+    fn get(&self, id: TxnId) -> Option<HeapEntry> {
         match self.pos.get(id.0 as usize).copied().unwrap_or(0) {
             0 => None,
-            p => Some(self.slots[(p - 1) as usize].pri),
+            p => Some(self.slots[(p - 1) as usize]),
         }
     }
 
@@ -159,16 +182,16 @@ impl Heap {
         true
     }
 
-    /// Reposition `id` under a new key (raise or lower). Returns whether
-    /// it was present.
+    /// Replace `e.id`'s entry with `e` and reposition it (a raise, a lower
+    /// or none). Returns whether it was present.
     #[inline]
-    fn set_key(&mut self, id: TxnId, pri: Priority) -> bool {
-        let p = self.pos.get(id.0 as usize).copied().unwrap_or(0);
+    fn set(&mut self, e: HeapEntry) -> bool {
+        let p = self.pos.get(e.id.0 as usize).copied().unwrap_or(0);
         if p == 0 {
             return false;
         }
         let i = (p - 1) as usize;
-        self.slots[i].pri = pri;
+        self.slots[i] = e;
         self.sift_up(i);
         self.sift_down(i);
         true
@@ -219,12 +242,16 @@ impl Heap {
 }
 
 /// The engine's priority index (see the module docs): the heap, the
-/// run's key kind, the nudge scale of `K` bounds, the pick's scratch
-/// buffer and the heap tallies reported in
+/// run's key kind, the latest join stamp, the nudge scale of `K` bounds,
+/// the pick's scratch buffer and the heap tallies reported in
 /// [`crate::metrics::SchedStats`].
 pub(crate) struct PriorityIndex {
     kind: KeyKind,
     heap: Heap,
+    /// The latest join stamp written: no key holds a later one. It never
+    /// falls, not even when its key leaves — it backs the skip, which only
+    /// needs an upper bound.
+    latest: u64,
     /// The nudge scale of `K` bounds: the largest |K| and deadline (ms)
     /// keyed in this run. It never shrinks — it backs soundness, not
     /// tightness.
@@ -254,6 +281,7 @@ impl PriorityIndex {
         PriorityIndex {
             kind,
             heap: Heap::default(),
+            latest: 0,
             scale: 0.0,
             scratch: Vec::new(),
             pushes: 0,
@@ -286,24 +314,37 @@ impl PriorityIndex {
         }
     }
 
-    /// Move `id`'s key to `key` in place, or insert it. O(log n).
+    /// Move `e.id`'s entry to `e` in place, or insert it. O(log n).
     #[inline]
-    fn upsert(&mut self, id: TxnId, key: Priority) {
-        if !self.heap.set_key(id, key) {
-            self.heap.insert(HeapEntry { pri: key, id });
+    fn upsert(&mut self, e: HeapEntry) {
+        if !self.heap.set(e) {
+            self.heap.insert(e);
         }
         self.pushes += 1;
     }
 
-    /// `exact` is `id`'s exact priority, just evaluated. When keys are
-    /// priorities, seed the key with it or move the key to it if the two
-    /// differ; a `K` key is left alone.
-    pub(crate) fn rekey_exact(&mut self, id: TxnId, exact: Priority) {
-        if self.keys_are_priorities()
-            && self.heap.key_of(id).map(|k| k.0.to_bits()) != Some(exact.0.to_bits())
-        {
-            self.upsert(id, exact);
+    /// `exact` is `id`'s exact priority, just evaluated after `joins`
+    /// P-list joins. When keys are priorities, seed the key with it or move
+    /// the key to it if the two differ, and stamp the key with `joins`
+    /// either way: a narrowing can swap the partials a priority charges
+    /// without moving its value, so an unchanged key is restamped too. A
+    /// `K` key is left alone.
+    pub(crate) fn rekey_exact(&mut self, id: TxnId, exact: Priority, joins: u64) {
+        if !self.keys_are_priorities() {
+            return;
         }
+        let e = HeapEntry {
+            pri: exact,
+            id,
+            stamp: joins,
+        };
+        match self.heap.get(id) {
+            Some(old) if old.pri.0.to_bits() == exact.0.to_bits() => {
+                self.heap.set(e);
+            }
+            _ => self.upsert(e),
+        }
+        self.latest = joins;
     }
 
     /// `t`'s own state changed (admission, progress, restart): re-key its
@@ -316,7 +357,12 @@ impl PriorityIndex {
             return;
         };
         self.scale = self.scale.max(k.abs()).max(t.deadline.as_ms());
-        self.upsert(t.id, Priority(k));
+        // A `K` key is never raised, so its stamp is never read.
+        self.upsert(HeapEntry {
+            pri: Priority(k),
+            id: t.id,
+            stamp: 0,
+        });
     }
 
     /// Remove a departed transaction's entry, if it has one.
@@ -324,18 +370,31 @@ impl PriorityIndex {
         self.heap.remove(id);
     }
 
-    /// A clear raised each of `victims`' priorities by at most `raise`
-    /// ([`Policy::conflict_clear_raise`]): raise their keys in place, with
-    /// no exact recomputation. Old key plus `raise`, nudged against the
+    /// Was any key stamped after stint `joined` began? If not, a clear
+    /// of that stint raises no key, and its walk can be skipped.
+    pub(crate) fn keyed_since(&self, joined: u64) -> bool {
+        self.latest > joined
+    }
+
+    /// A clear of the partial whose stint is `joined`
+    /// ([`crate::sched::ConflictAccel::joined`]) raised each of `victims`'
+    /// priorities by at most `raise` ([`Policy::conflict_clear_raise`]).
+    /// Raise in place, with no exact recomputation, exactly the keys
+    /// stamped after `joined`: old key plus `raise`, nudged against the
     /// rounding at the magnitudes involved, bounds the post-clear
-    /// priority; the pick's validation tightens it when (and only when)
-    /// the victim surfaces at the top.
-    pub(crate) fn raise_all(&mut self, victims: &[TxnId], raise: f64) {
+    /// priority, and the pick's validation tightens it when (and only
+    /// when) the victim surfaces at the top. A key stamped at or before
+    /// `joined` never charged the cleared partial, so it already bounds
+    /// the post-clear priority (see the module docs) and keeps its bits.
+    pub(crate) fn raise_all(&mut self, victims: &[TxnId], raise: f64, joined: u64) {
         debug_assert!(self.clear_raises(), "only upper bounds are raised");
         debug_assert!(raise >= 0.0, "clear-raise bound must be nonnegative");
         for &x in victims {
-            let key = self.heap.key_of(x).expect("active but not indexed");
-            self.upsert(x, Priority(nudge_up(key.0 + raise, key.0.abs().max(raise))));
+            let e = self.heap.get(x).expect("active but not indexed");
+            if e.stamp > joined {
+                let pri = Priority(nudge_up(e.pri.0 + raise, e.pri.0.abs().max(raise)));
+                self.upsert(HeapEntry { pri, ..e });
+            }
         }
     }
 
@@ -373,12 +432,17 @@ impl PriorityIndex {
     /// the top's), and the argmax is settled. Entries `accept` rejects
     /// are parked unchanged — acceptability does not read priorities.
     ///
+    /// A priority key that validation moves is stamped with `joins`, the
+    /// P-list joins so far; one it confirms keeps its stamp, so the fast
+    /// path mutates nothing.
+    ///
     /// Each entry pops at most once per pick, so a pick costs
     /// O(validations · log n); `stale_pops` counts the validations that
     /// did *not* settle the pick (validations − 1).
     pub(crate) fn best(
         &mut self,
         now: SimTime,
+        joins: u64,
         accept: impl Fn(TxnId) -> bool,
         exact: impl Fn(TxnId) -> Priority,
     ) -> Option<TxnId> {
@@ -429,8 +493,15 @@ impl PriorityIndex {
                 entry_bound.pri.0,
                 value.0
             );
-            let validated = HeapEntry { pri: value, id };
+            let mut validated = HeapEntry {
+                pri: value,
+                ..entry
+            };
             if rekey {
+                if value.0.to_bits() != entry.pri.0.to_bits() {
+                    validated.stamp = joins;
+                    self.latest = joins;
+                }
                 self.scratch.push(validated);
                 self.pushes += 1;
             } else {
@@ -478,8 +549,9 @@ impl PriorityIndex {
         for &id in active {
             let key = self
                 .heap
-                .key_of(id)
-                .unwrap_or_else(|| panic!("{id}: active but not indexed"));
+                .get(id)
+                .unwrap_or_else(|| panic!("{id}: active but not indexed"))
+                .pri;
             let t = txn(id);
             let fresh = policy.priority(t, view);
             checks += 1;
@@ -567,9 +639,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random insert / remove / set_key histories against a model
+        /// Random insert / remove / set histories against a model
         /// map: after every step the heap's top is the model's maximum
-        /// under [`HeapEntry`] order, `key_of` and `contains` answer for
+        /// under [`HeapEntry`] order, `get` and `contains` answer for
         /// every id, and both the heap invariant and the position lane
         /// (`pos[id] = slot + 1` for exactly the held ids) hold.
         #[test]
@@ -582,7 +654,7 @@ mod tests {
                 match op {
                     HeapOp::Insert(id, key) => {
                         if let Entry::Vacant(slot) = model.entry(id) {
-                            let e = HeapEntry { pri: Priority(key), id: TxnId(id) };
+                            let e = HeapEntry { pri: Priority(key), id: TxnId(id), stamp: 0 };
                             heap.insert(e);
                             slot.insert(e);
                         }
@@ -592,13 +664,14 @@ mod tests {
                     }
                     HeapOp::SetKey(id, key) => {
                         let present = model.get_mut(&id).map(|e| e.pri = Priority(key)).is_some();
-                        prop_assert_eq!(heap.set_key(TxnId(id), Priority(key)), present);
+                        let e = HeapEntry { pri: Priority(key), id: TxnId(id), stamp: 0 };
+                        prop_assert_eq!(heap.set(e), present);
                     }
                 }
                 prop_assert!(heap.peek() == model.values().max().copied(), "{:?}", op);
                 for id in 0..48 * 13 {
                     let want = model.get(&id).map(|e| e.pri);
-                    prop_assert!(heap.key_of(TxnId(id)) == want, "key_of({})", id);
+                    prop_assert!(heap.get(TxnId(id)).map(|e| e.pri) == want, "get({})", id);
                     prop_assert_eq!(heap.contains(TxnId(id)), want.is_some());
                 }
                 let slots = &heap.slots;
@@ -620,7 +693,8 @@ mod tests {
         /// the accepted entries whose bound ranks at or above the winner's
         /// exact value, each once; `stale_pops` grows by that count minus
         /// one; and afterwards each validated priority key equals its
-        /// exact value, while every other key is unchanged.
+        /// exact value, while every other key is unchanged. Only a key
+        /// the validation moved takes the pick's join stamp.
         #[test]
         fn best_is_the_validated_argmax(
             kind in 0u8..3,
@@ -645,12 +719,12 @@ mod tests {
                         (now.as_ms() + c.exact - c.slack, c.exact)
                     }
                 };
-                index.upsert(TxnId(i as u32), Priority(key));
+                index.upsert(HeapEntry { pri: Priority(key), id: TxnId(i as u32), stamp: 0 });
                 exacts.push(Priority(exact));
             }
             let n = candidates.len();
             let keys = |index: &PriorityIndex| -> Vec<Priority> {
-                (0..n).map(|i| index.heap.key_of(TxnId(i as u32)).unwrap()).collect()
+                (0..n).map(|i| index.heap.get(TxnId(i as u32)).unwrap().pri).collect()
             };
             let before = keys(&index);
             let bound = index.bound(now);
@@ -670,9 +744,11 @@ mod tests {
                 accepted(i) && bound(top.pri).0.to_bits() == exacts[i].0.to_bits()
             });
             let (pushes, stale_pops) = (index.pushes, index.stale_pops);
+            let latest = index.latest;
             let evaluated = RefCell::new(Vec::new());
             let picked = index.best(
                 now,
+                1,
                 |id| accepted(id.0 as usize),
                 |id| {
                     evaluated.borrow_mut().push(id.0 as usize);
@@ -688,11 +764,64 @@ mod tests {
             let rekeyed = index.keys_are_priorities() && !fast;
             prop_assert_eq!(index.pushes - pushes, if rekeyed { validations } else { 0 });
             let after = keys(&index);
+            let mut restamped = false;
             for i in 0..n {
                 let validated = index.keys_are_priorities() && expected.contains(&i);
                 let want = if validated { exacts[i] } else { before[i] };
                 prop_assert_eq!(after[i].0.to_bits(), want.0.to_bits(), "key of {}", i);
+                let moved = after[i].0.to_bits() != before[i].0.to_bits();
+                let stamp = index.heap.get(TxnId(i as u32)).unwrap().stamp;
+                prop_assert_eq!(stamp, u64::from(moved), "stamp of {}", i);
+                restamped |= moved;
             }
+            prop_assert_eq!(index.latest, if restamped { 1 } else { latest });
+            let slots = &index.heap.slots;
+            for i in 1..slots.len() {
+                prop_assert!(slots[(i - 1) / 2] >= slots[i], "heap order at slot {}", i);
+            }
+        }
+
+        /// `raise_all` over random keys, join stamps and victim sets: it
+        /// raises exactly the victims stamped after `joined`, each by
+        /// the nudged `raise`, and leaves every other key bit-identical;
+        /// no stamp moves, and only the raised keys count as pushes.
+        /// `keyed_since` answers as a scan of the stamps does.
+        #[test]
+        fn raise_all_moves_exactly_the_keys_stamped_after_the_join(
+            keys in proptest::collection::vec((-40i64..40, 0u64..12, 0u8..3), 0..40),
+            joined in 0u64..12,
+            raise in 0.0f64..8.0,
+        ) {
+            let mut index = PriorityIndex::new(CacheMode::Incremental, PriorityDeps::ConflictState);
+            // Keys are written in join order, as the engine writes them.
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_by_key(|&i| keys[i].1);
+            for i in order {
+                let (key, stamp, _) = keys[i];
+                index.rekey_exact(TxnId(i as u32), Priority(key as f64 * 0.5), stamp);
+            }
+            for j in 0..13 {
+                prop_assert_eq!(index.keyed_since(j), keys.iter().any(|k| k.1 > j), "since {}", j);
+            }
+            let ids = || (0..keys.len() as u32).map(TxnId);
+            let before: Vec<HeapEntry> = ids().map(|id| index.heap.get(id).unwrap()).collect();
+            let victims: Vec<TxnId> = ids().filter(|id| keys[id.0 as usize].2 != 0).collect();
+            let pushes = index.pushes;
+            index.raise_all(&victims, raise, joined);
+            let mut raised = 0;
+            for (id, b) in ids().zip(&before) {
+                let a = index.heap.get(id).unwrap();
+                let moves = victims.contains(&id) && b.stamp > joined;
+                let want = if moves {
+                    nudge_up(b.pri.0 + raise, b.pri.0.abs().max(raise))
+                } else {
+                    b.pri.0
+                };
+                prop_assert_eq!(a.pri.0.to_bits(), want.to_bits(), "key of {}", id);
+                prop_assert_eq!(a.stamp, b.stamp, "stamp of {}", id);
+                raised += u64::from(moves);
+            }
+            prop_assert_eq!(index.pushes - pushes, raised);
             let slots = &index.heap.slots;
             for i in 1..slots.len() {
                 prop_assert!(slots[(i - 1) / 2] >= slots[i], "heap order at slot {}", i);

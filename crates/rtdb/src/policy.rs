@@ -79,6 +79,14 @@ pub enum PriorityDeps {
     /// as stale-high upper bounds that the lazy pick path revalidates at
     /// the top. A policy whose priority can *rise* on growth or with time
     /// must declare [`PriorityDeps::Volatile`] instead.
+    ///
+    /// Parts 1 and 2 together mean that a partial `c` enters `T`'s
+    /// priority only while `c` is on the P-list, and a clear takes back
+    /// at most what `c`'s join and growth took away. So a priority
+    /// evaluated before `c` joined already bounds the priority after `c`
+    /// clears: the engine raises only keys evaluated after `c` joined
+    /// (the index's join stamps), and skips the clear's walk when there
+    /// are none.
     ConflictState,
     /// No indexable structure declared; every pick scans. The
     /// conservative default for policies written before this hint
@@ -282,9 +290,12 @@ pub trait Policy: Sync {
     ///
     /// The engine uses this to repair affected index keys in place — old
     /// key plus this bound stays an upper bound on the post-clear
-    /// priority, no recomputation needed. Soundness only requires a value
-    /// `>=` the true rise; tightness only buys fewer revalidations at the
-    /// next pick. The default, `+∞`, is always sound (the repaired keys
+    /// priority, no recomputation needed. It raises only the keys
+    /// evaluated after `cleared` joined the P-list: a key evaluated
+    /// before never charged `cleared`'s term, so it already bounds the
+    /// post-clear priority (see [`PriorityDeps::ConflictState`]).
+    /// Soundness only requires a value `>=` the true rise; tightness only
+    /// buys fewer revalidations at the next pick. The default, `+∞`, is always sound (the repaired keys
     /// float to the top and revalidate exactly) and is what a
     /// `ConflictState` policy gets if it declines to override. Policies
     /// with other dependency classes never see this called.

@@ -19,14 +19,14 @@
 //!
 //! This is the one batch path: every table and figure spreads its seeds
 //! with [`run_seeds`], most of them as [`run_replications_with`] →
-//! [`run_seeds`] → [`run_one`]. A replication that panics ends its batch
-//! (a worker's panic resurfaces when the workers are joined); a run that
-//! must stop instead of hanging sets a
+//! [`run_seeds`] → [`run_one`]. A replication that panics ends its batch:
+//! no worker claims another seed, and the panic resurfaces when the
+//! workers are joined. A run that must stop instead of hanging sets a
 //! [`crate::config::WatchdogConfig`], and
 //! [`crate::engine::run_simulation_checked`] returns its trip as a typed
 //! [`crate::error::RunError`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -230,6 +230,10 @@ fn cache_mode_override() -> CacheMode {
 /// serial loop would have produced them. Workers pull indices from a
 /// shared counter, so uneven per-seed costs balance automatically.
 ///
+/// # Panics
+/// Panics if any `f(rep)` panics. Once one has, no worker claims another
+/// index, so the batch ends after the replications already running.
+///
 /// This is the engine under [`run_replications_with`]; experiment
 /// harnesses with bespoke per-seed work (custom workloads, per-class
 /// metrics) use it directly.
@@ -253,16 +257,20 @@ where
     }
 
     let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
     let slots: Vec<Mutex<Option<T>>> = (0..reps).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let rep = next.fetch_add(1, Ordering::Relaxed);
-                if rep >= reps {
-                    break;
+            scope.spawn(|| {
+                let _stop_on_panic = StopOnPanic(&stop);
+                while !stop.load(Ordering::Relaxed) {
+                    let rep = next.fetch_add(1, Ordering::Relaxed);
+                    if rep >= reps {
+                        break;
+                    }
+                    let out = timed(rep);
+                    *slots[rep].lock().expect("replication slot poisoned") = Some(out);
                 }
-                let out = timed(rep);
-                *slots[rep].lock().expect("replication slot poisoned") = Some(out);
             });
         }
     });
@@ -274,6 +282,17 @@ where
                 .expect("worker filled every claimed slot")
         })
         .collect()
+}
+
+/// Raises a batch's stop flag when the worker holding it unwinds.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Fold per-seed summaries (in slice order) into an [`AggregateSummary`].
@@ -431,6 +450,28 @@ mod tests {
         let parallel = run_seeds(17, &ReplicationOptions::threads(4), |rep| rep * rep);
         assert_eq!(serial, parallel);
         assert_eq!(serial, (0..17).map(|r| r * r).collect::<Vec<_>>());
+    }
+
+    /// A panicking replication stops the batch: the other worker claims
+    /// no seed after it, instead of running all 29 others first.
+    #[test]
+    fn a_panicking_seed_stops_the_batch() {
+        let ran = AtomicUsize::new(0);
+        let batch = std::panic::catch_unwind(|| {
+            run_seeds(30, &ReplicationOptions::threads(2), |rep| {
+                if rep == 0 {
+                    panic!("replication 0 failed");
+                }
+                ran.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(20));
+            })
+        });
+        assert!(batch.is_err(), "the batch must panic");
+        let ran = ran.into_inner();
+        assert!(
+            ran <= 3,
+            "{ran} of the 29 other seeds ran after seed 0 panicked"
+        );
     }
 
     #[test]

@@ -137,6 +137,13 @@ pub struct ConflictAccel {
     /// Per slot: the transaction holding it. Its length is the slot
     /// high-water mark.
     owner: Vec<TxnId>,
+    /// P-list joins so far in the run: the clock the priority index
+    /// stamps its keys with. A `u64`, since a long-lived server can make
+    /// more than 2^32 joins.
+    joins: u64,
+    /// Per slot: `joins` just before its holder last joined the P-list —
+    /// the number of its current stint. Read only while it is a partial.
+    stint: Vec<u64>,
     /// Released slots awaiting reuse (last in, first out: the most
     /// recently touched slot is handed out first).
     free: Vec<u32>,
@@ -157,6 +164,8 @@ impl ConflictAccel {
             partial: vec![0],
             footprint: Vec::new(),
             owner: Vec::new(),
+            joins: 0,
+            stint: Vec::new(),
             free: Vec::new(),
             slot_map: Vec::with_capacity(capacity),
         }
@@ -176,6 +185,7 @@ impl ConflictAccel {
         } else {
             self.owner.push(id);
             self.footprint.push(Vec::new());
+            self.stint.push(0);
             if s == self.words * 64 {
                 self.widen();
             }
@@ -339,7 +349,8 @@ impl ConflictAccel {
     }
 
     /// A lock grant grew `id`'s `accessed`/`written` sets. Joins the
-    /// P-list on the first grant since (re)start.
+    /// P-list on the first grant since (re)start, which starts a new stint
+    /// numbered by the join count (see [`Self::joined`]).
     ///
     /// The growth may flip `is_unsafe(id, X)` for other transactions `X`,
     /// but that can only *lower* their `ConflictState` priorities (the
@@ -354,7 +365,22 @@ impl ConflictAccel {
             self.plist.insert(pos, id);
             let (w, m) = bit(slot);
             self.partial[w] |= m;
+            self.stint[slot.0 as usize] = self.joins;
+            self.joins += 1;
         }
+    }
+
+    /// P-list joins so far in the run. A priority key written now is
+    /// stamped with it: every partial on the P-list joined before it.
+    pub(crate) fn joins(&self) -> u64 {
+        self.joins
+    }
+
+    /// The partial `id`'s stint number: [`Self::joins`] just before it
+    /// joined the P-list. A key stamped above it was evaluated after the
+    /// join; one stamped at or below it was evaluated before.
+    pub(crate) fn joined(&self, id: TxnId) -> u64 {
+        self.stint[self.slot_of(id).0 as usize]
     }
 
     /// `id`'s access sets were cleared (abort/restart or commit) and — on
@@ -454,6 +480,10 @@ mod tests {
         a.note_sets_cleared(TxnId(2));
         assert_eq!(a.plist(), &[TxnId(0), TxnId(3)]);
         assert_eq!(a.plist_len(), 2);
+        // Stints are numbered in join order, and a rejoin starts a new one.
+        assert_eq!([0, 3].map(|i| a.joined(TxnId(i))), [1, 2]);
+        a.note_access_growth(TxnId(2), false);
+        assert_eq!((a.joined(TxnId(2)), a.joins()), (3, 4));
     }
 
     #[test]
@@ -463,6 +493,8 @@ mod tests {
         a.note_access_growth(TxnId(0), false);
         a.note_access_growth(TxnId(0), true);
         assert_eq!(a.plist(), &[TxnId(0)]);
+        // One stint: only the join counts.
+        assert_eq!((a.joined(TxnId(0)), a.joins()), (0, 1));
     }
 
     #[test]

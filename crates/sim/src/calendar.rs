@@ -13,7 +13,7 @@
 //! already-fired or already-cancelled handle is a detectable no-op.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -98,13 +98,15 @@ pub struct Fired<E> {
 /// ```
 pub struct Calendar<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Lifecycle state indexed by sequence number, which makes every state
-    /// query O(1). It keeps one byte for every event ever scheduled and is
-    /// never trimmed: a run schedules about 7.5 events per transaction
-    /// (749,227 for a 100k-transaction serving day), so a 1M-transaction
-    /// day holds about 7.5 MB here, and a long-lived engine grows without
-    /// bound until it is rebuilt.
-    states: Vec<EventState>,
+    /// Lifecycle state of sequence numbers `base..`, which makes every
+    /// state query O(1). The front is trimmed while it is fired or
+    /// cancelled, so this spans the oldest pending event to the newest
+    /// scheduled one, however many events a long-lived engine has
+    /// fired. A sequence number below `base` is done: fired, or cancelled
+    /// and at most a tombstone in the heap.
+    states: VecDeque<EventState>,
+    /// The sequence number of `states[0]`.
+    base: u64,
     live: usize,
     now: SimTime,
 }
@@ -120,7 +122,8 @@ impl<E> Calendar<E> {
     pub fn new() -> Self {
         Calendar {
             heap: BinaryHeap::new(),
-            states: Vec::new(),
+            states: VecDeque::new(),
+            base: 0,
             live: 0,
             now: SimTime::ZERO,
         }
@@ -153,8 +156,8 @@ impl<E> Calendar<E> {
             "cannot schedule into the past: {at} < now {}",
             self.now
         );
-        let seq = self.states.len() as u64;
-        self.states.push(EventState::Pending);
+        let seq = self.base + self.states.len() as u64;
+        self.states.push_back(EventState::Pending);
         self.heap.push(Entry {
             time: at,
             seq,
@@ -164,31 +167,47 @@ impl<E> Calendar<E> {
         EventHandle(seq)
     }
 
+    /// The state of sequence number `seq`; `None` below `base` (done) and
+    /// past the newest event.
+    fn state(&self, seq: u64) -> Option<EventState> {
+        let offset = usize::try_from(seq.checked_sub(self.base)?).ok()?;
+        self.states.get(offset).copied()
+    }
+
+    /// Mark pending event `seq` done as `state`, then drop the done states
+    /// from the front.
+    fn retire(&mut self, seq: u64, state: EventState) {
+        self.states[(seq - self.base) as usize] = state;
+        self.live -= 1;
+        while self
+            .states
+            .front()
+            .is_some_and(|&s| s != EventState::Pending)
+        {
+            self.states.pop_front();
+            self.base += 1;
+        }
+    }
+
     /// Cancel a previously scheduled event. Returns `true` iff the event
     /// was still pending.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if handle.is_null() {
+        if self.state(handle.0) != Some(EventState::Pending) {
             return false;
         }
-        match self.states.get(handle.0 as usize) {
-            Some(EventState::Pending) => {
-                self.states[handle.0 as usize] = EventState::Cancelled;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
+        self.retire(handle.0, EventState::Cancelled);
+        true
     }
 
     /// Pop the earliest pending event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<Fired<E>> {
         while let Some(entry) = self.heap.pop() {
-            match self.states[entry.seq as usize] {
-                EventState::Cancelled => continue, // tombstoned
-                EventState::Fired => unreachable!("event fired twice"),
-                EventState::Pending => {
-                    self.states[entry.seq as usize] = EventState::Fired;
-                    self.live -= 1;
+            // Below `base` only a cancelled event's tombstone is left.
+            match self.state(entry.seq) {
+                None | Some(EventState::Cancelled) => continue, // tombstoned
+                Some(EventState::Fired) => unreachable!("event fired twice"),
+                Some(EventState::Pending) => {
+                    self.retire(entry.seq, EventState::Fired);
                     debug_assert!(entry.time >= self.now, "event calendar went backwards");
                     self.now = entry.time;
                     return Some(Fired {
@@ -207,11 +226,10 @@ impl<E> Calendar<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drain tombstoned entries from the top so peek is accurate.
         while let Some(entry) = self.heap.peek() {
-            if self.states[entry.seq as usize] == EventState::Cancelled {
-                self.heap.pop();
-            } else {
+            if self.state(entry.seq) == Some(EventState::Pending) {
                 return Some(entry.time);
             }
+            self.heap.pop();
         }
         None
     }
@@ -328,6 +346,50 @@ mod tests {
         cal.schedule(fired.time + SimDuration::from_ms(4.0), "done");
         let next = cal.pop().unwrap();
         assert_eq!(next.time, ms(14.0));
+    }
+
+    /// A long rolling schedule / cancel / pop loop: the state storage
+    /// is exactly the pending span (oldest pending to newest scheduled
+    /// event), not one state per event ever scheduled, and a cancelled
+    /// event whose state was trimmed still never fires.
+    #[test]
+    fn state_storage_follows_the_pending_span() {
+        let mut cal = Calendar::new();
+        let mut pending = std::collections::BTreeSet::new();
+        let mut doomed = Vec::new();
+        let mut newest = 0;
+        for i in 0..100_000u64 {
+            let now = cal.now();
+            let h = cal.schedule(now + SimDuration::from_micros(1 + i % 7), i);
+            pending.insert(h.0);
+            newest = h.0;
+            if i % 5 == 0 {
+                let h = cal.schedule(now + SimDuration::from_micros(3), u64::MAX);
+                newest = h.0;
+                if i % 10 == 0 {
+                    assert!(cal.cancel(h));
+                    doomed.push(h);
+                } else {
+                    pending.insert(h.0);
+                }
+            }
+            while cal.len() > 4 {
+                // Only pending events fire; a cancelled one is not in the set.
+                let fired = cal.pop().expect("an event is pending");
+                assert!(pending.remove(&fired.handle.0));
+            }
+            let span = pending.first().map_or(0, |&oldest| newest + 1 - oldest);
+            assert_eq!(cal.states.len() as u64, span, "step {i}");
+            assert!(span <= 64, "pending span {span} at step {i}");
+        }
+        while let Some(fired) = cal.pop() {
+            assert!(pending.remove(&fired.handle.0));
+        }
+        assert!(pending.is_empty() && cal.states.is_empty());
+        assert_eq!(cal.base, newest + 1, "every sequence number was retired");
+        for h in doomed {
+            assert!(!cal.cancel(h), "a retired handle cancels nothing");
+        }
     }
 
     #[test]

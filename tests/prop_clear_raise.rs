@@ -16,6 +16,12 @@
 //! engine's own repair formula applied to the pre-clear priority must
 //! bound the post-clear priority, compared with plain `>=` on the raw
 //! f64s — no tolerance.
+//!
+//! The engine raises only the keys evaluated after `c` joined the P-list
+//! (their join stamps). `a_clear_never_lifts_a_priority_evaluated_before_the_join`
+//! pins why that is sound: a priority evaluated before `c` joined already
+//! bounds the priority after `c` clears, whatever `c` and the other
+//! partials did in between.
 
 use proptest::prelude::*;
 use rtx::policies::{Cca, Criticality, EdfWait};
@@ -95,6 +101,53 @@ fn build(specs: &[StateSpec], runner: Option<usize>, now: SimTime) -> Vec<Transa
         .collect()
 }
 
+/// Every `ConflictState` policy under test, CCA at penalty weight `weight`.
+fn conflict_state_policies(weight: f64) -> Vec<Box<dyn Policy>> {
+    vec![
+        Box::new(Cca::new(weight)),
+        Box::new(EdfWait),
+        Box::new(Criticality::new(Cca::new(weight))),
+        Box::new(Criticality::new(EdfWait)),
+    ]
+}
+
+/// Why a narrowing restamps a key whose value it did not move
+/// (`PriorityIndex::rekey_exact`): under EDF-Wait `X` charges `q`, then
+/// `p` joins unsafe w.r.t. `X`, and `X` narrows away from `q`. `X`'s
+/// priority reads as it did before `p` joined, yet it now charges `p`, so
+/// `p`'s clear lifts it above that value: a key left at its pre-join
+/// stamp would miss the raise.
+#[test]
+fn a_narrowing_can_swap_the_charged_partial_without_moving_the_priority() {
+    let mk = |id, might: &[u32], accessed: &[u32]| Transaction {
+        id: TxnId(id),
+        deadline: SimTime::from_ms(100.0),
+        resource_time: SimDuration::from_ms(80.0),
+        items: might.iter().map(|&i| ItemId(i)).collect(),
+        update_time: SimDuration::from_ms(4.0),
+        might_access: might.iter().map(|&i| ItemId(i)).collect(),
+        accessed: accessed.iter().map(|&i| ItemId(i)).collect(),
+        ..Default::default()
+    };
+    let (now, abort_cost) = (SimTime::from_ms(10.0), SimDuration::from_ms(1.0));
+    let x_priority = |txns: &[Transaction]| {
+        EdfWait
+            .priority(&txns[0], &SystemView::new(now, txns, abort_cost))
+            .0
+    };
+    // `X` might write items 1 and 2; `q` holds item 1; `p` holds nothing.
+    let mut txns = vec![mk(0, &[1, 2], &[]), mk(1, &[1], &[1]), mk(2, &[2], &[])];
+    let keyed = x_priority(&txns);
+    txns[2].accessed.insert(ItemId(2));
+    txns[0].might_access = DataSet::from_items([ItemId(2)]);
+    assert_eq!(x_priority(&txns).to_bits(), keyed.to_bits());
+    txns[2].state = TxnState::Committed;
+    assert!(
+        x_priority(&txns) > keyed,
+        "p's clear lifts X above its pre-join value"
+    );
+}
+
 /// Check the contract for one policy on one system state: the engine's
 /// repair formula applied to every pre-clear priority must bound the
 /// post-clear priority, bit-compared.
@@ -166,14 +219,68 @@ proptest! {
             txns[cleared].accessed = DataSet::from_items([item]);
         }
         let abort_cost = SimDuration::from_ms(abort_ms);
-        let policies: Vec<Box<dyn Policy>> = vec![
-            Box::new(Cca::new(weight)),
-            Box::new(EdfWait),
-            Box::new(Criticality::new(Cca::new(weight))),
-            Box::new(Criticality::new(EdfWait)),
-        ];
-        for p in &policies {
+        for p in &conflict_state_policies(weight) {
             check_policy(p.as_ref(), &txns, cleared, now, abort_cost)?;
+        }
+    }
+
+    /// The join-stamp rule: `X`'s priority evaluated before a partial `p`
+    /// joined the P-list bounds `X`'s priority after `p` clears. In
+    /// between, `p` joins unsafe w.r.t. `X` and accrues service, other
+    /// transactions (`X` too) grow their access sets and service, and the
+    /// clock advances. Compared with plain `<=` on the raw f64s — no
+    /// tolerance.
+    #[test]
+    fn a_clear_never_lifts_a_priority_evaluated_before_the_join(
+        specs in proptest::collection::vec(state_spec(), 2..10),
+        x_pick in 0usize..16,
+        p_pick in 0usize..16,
+        runner_pick in proptest::option::of(0usize..16),
+        p_service_ms in 0.0f64..50.0,
+        growth in proptest::collection::vec((0usize..16, 0usize..8, 0.0f64..20.0), 0..12),
+        now_ms in 10.0f64..500.0,
+        later_ms in 0.0f64..50.0,
+        abort_ms in 0.0f64..10.0,
+        weight in 0.0f64..8.0,
+    ) {
+        let now = SimTime::from_ms(now_ms);
+        let runner = runner_pick.map(|idx| idx % specs.len());
+        let mut txns = build(&specs, runner, now);
+        let n = txns.len();
+        let x = x_pick % n;
+        let p = (x + 1 + p_pick % (n - 1)) % n;
+        txns[p].accessed.clear();
+        let abort_cost = SimDuration::from_ms(abort_ms);
+        let policies = conflict_state_policies(weight);
+        let view = SystemView::new(now, &txns, abort_cost);
+        let before: Vec<f64> = policies.iter().map(|pol| pol.priority(&txns[x], &view).0).collect();
+        // `p` joins unsafe w.r.t. `X`: it locks an item `X` might write.
+        let item = txns[x].items[0];
+        txns[p].might_access.insert(item);
+        txns[p].accessed.insert(item);
+        txns[p].service += SimDuration::from_ms(p_service_ms);
+        prop_assert!(rtx::policies::is_unsafe_with(&txns[p], &txns[x]));
+        for (pick, of_might, ms) in growth {
+            let i = pick % n;
+            if i == p {
+                continue;
+            }
+            let t = &mut txns[i];
+            let grown = t.items[of_might % t.items.len()];
+            t.accessed.insert(grown);
+            t.service += SimDuration::from_ms(ms);
+        }
+        // `p` clears.
+        txns[p].state = TxnState::Committed;
+        let later = SimTime::from_ms(now_ms + later_ms);
+        let view = SystemView::new(later, &txns, abort_cost);
+        for (pol, before) in policies.iter().zip(before) {
+            let after = pol.priority(&txns[x], &view).0;
+            prop_assert!(
+                after <= before,
+                "{}: clear of {p} lifted {x} from {before} (before the join) to {after}",
+                pol.name()
+            );
         }
     }
 
