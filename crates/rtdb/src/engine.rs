@@ -1937,7 +1937,7 @@ impl<'p> StepEngine<'p> {
     }
 
     /// The firing time of the next pending event, if any.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.st.calendar.peek_time()
     }
 

@@ -270,7 +270,11 @@ impl ConflictAccel {
             rows[at(stride, i, MIGHT, w)] |= m;
         }
         each_write(t, |i| rows[at(stride, i, WRITE, w)] |= m);
-        self.footprint[slot.0 as usize].extend(t.might_access.iter());
+        // `DataSet::iter` hints no size: reserve so a fresh slot
+        // allocates once instead of growing 4 → 8 → 16 → 32.
+        let footprint = &mut self.footprint[slot.0 as usize];
+        footprint.reserve(t.might_access.len());
+        footprint.extend(t.might_access.iter());
     }
 
     /// Remove `id` from the slot rows (commit, or any other departure

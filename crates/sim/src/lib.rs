@@ -4,7 +4,7 @@
 //! built on. It provides:
 //!
 //! * [`time`] — integer-microsecond simulation clock types;
-//! * [`calendar`] — the future event list with O(log n) schedule/cancel and
+//! * [`calendar`] — the future event list, a short sorted vector with
 //!   deterministic FIFO ordering of simultaneous events;
 //! * [`clock`] — virtual vs wall-clock time sources, so a serving loop can
 //!   pace the same event machinery against real time;

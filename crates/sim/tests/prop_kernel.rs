@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel: the event calendar must
-//! behave exactly like a sorted list with tombstones under arbitrary
-//! interleavings of schedule/cancel/pop, and the statistics accumulators
-//! must agree with naive recomputation.
+//! fire exactly like a naive reference list under arbitrary interleavings
+//! of schedule/cancel/pop, equal-time ties included, and the statistics
+//! accumulators must agree with naive recomputation.
 
 use proptest::prelude::*;
 use rtx_sim::calendar::{Calendar, EventHandle};
@@ -10,7 +10,7 @@ use rtx_sim::time::SimTime;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Schedule an event `delta_us` after the latest scheduled time so far.
+    /// Schedule an event `delta_us` after the current time.
     Schedule(u64),
     /// Cancel the i-th handle issued (mod handles issued so far).
     Cancel(usize),
@@ -18,9 +18,10 @@ enum Op {
     Pop,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+/// Operations whose schedules land 0 to `max_delay_us` after now.
+fn op_strategy(max_delay_us: u64) -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u64..5_000).prop_map(Op::Schedule),
+        (0u64..max_delay_us + 1).prop_map(Op::Schedule),
         (0usize..64).prop_map(Op::Cancel),
         Just(Op::Pop),
     ]
@@ -48,15 +49,22 @@ impl Model {
         false
     }
 
-    fn pop(&mut self) -> Option<(u64, u64)> {
-        let best = self
-            .entries
+    /// The index of the earliest live entry, ties by sequence number.
+    fn next(&self) -> Option<usize> {
+        self.entries
             .iter()
             .enumerate()
             .filter(|(_, e)| e.2)
             .min_by_key(|(_, e)| (e.0, e.1))
-            .map(|(i, _)| i)?;
-        let (time, seq, _) = self.entries.remove(best);
+            .map(|(i, _)| i)
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.next().map(|i| self.entries[i].0)
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        let (time, seq, _) = self.entries.remove(self.next()?);
         self.now = time;
         Some((time, seq))
     }
@@ -66,64 +74,81 @@ impl Model {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// Run `ops` against the calendar and the model, comparing every cancel
+/// outcome, every fired event (time, payload and handle), the next
+/// event's time and the live count after each op, then the drain order.
+fn check_against_model(ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let mut cal: Calendar<u64> = Calendar::new();
+    let mut model = Model::default();
+    // The handle of sequence number `seq` is `handles[seq]`.
+    let mut handles: Vec<EventHandle> = Vec::new();
 
-    /// The calendar and the naive sorted-list model produce identical
-    /// event sequences under arbitrary operation interleavings.
-    #[test]
-    fn calendar_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut cal: Calendar<u64> = Calendar::new();
-        let mut model = Model::default();
-        let mut handles: Vec<(EventHandle, u64)> = Vec::new(); // (handle, seq)
-        let mut next_seq = 0u64;
-
-        for op in ops {
-            match op {
-                Op::Schedule(delta) => {
-                    // Always schedule at or after `now` so it is legal.
-                    let at = cal.now().as_micros() + delta;
-                    let h = cal.schedule(SimTime::from_micros(at), next_seq);
-                    model.schedule(at, next_seq);
-                    handles.push((h, next_seq));
-                    next_seq += 1;
-                }
-                Op::Cancel(i) => {
-                    if handles.is_empty() { continue; }
-                    let (h, seq) = handles[i % handles.len()];
-                    let did = cal.cancel(h);
-                    let did_model = model.cancel(seq);
-                    prop_assert_eq!(did, did_model, "cancel outcome diverged");
-                }
-                Op::Pop => {
-                    let fired = cal.pop();
-                    let expected = model.pop();
-                    match (fired, expected) {
-                        (None, None) => {}
-                        (Some(f), Some((t, seq))) => {
-                            prop_assert_eq!(f.time.as_micros(), t);
-                            prop_assert_eq!(f.payload, seq);
-                            // Once fired, the model entry is gone; mark it
-                            // dead in our handle map via model state only.
-                        }
-                        (a, b) => prop_assert!(false, "pop diverged: {a:?} vs {b:?}"),
-                    }
-                }
+    for op in ops {
+        match op {
+            Op::Schedule(delta) => {
+                // Always schedule at or after `now` so it is legal.
+                let at = cal.now().as_micros() + delta;
+                let seq = handles.len() as u64;
+                handles.push(cal.schedule(SimTime::from_micros(at), seq));
+                model.schedule(at, seq);
             }
-            prop_assert_eq!(cal.len(), model.live(), "live count diverged");
-        }
-
-        // Drain both and compare orderings exactly.
-        loop {
-            match (cal.pop(), model.pop()) {
-                (None, None) => break,
+            Op::Cancel(i) => {
+                if handles.is_empty() {
+                    continue;
+                }
+                let seq = i % handles.len();
+                let did = cal.cancel(handles[seq]);
+                let did_model = model.cancel(seq as u64);
+                prop_assert_eq!(did, did_model, "cancel outcome diverged");
+            }
+            Op::Pop => match (cal.pop(), model.pop()) {
+                (None, None) => {}
                 (Some(f), Some((t, seq))) => {
                     prop_assert_eq!(f.time.as_micros(), t);
                     prop_assert_eq!(f.payload, seq);
+                    prop_assert_eq!(f.handle, handles[seq as usize]);
                 }
-                (a, b) => prop_assert!(false, "drain diverged: {a:?} vs {b:?}"),
-            }
+                (a, b) => prop_assert!(false, "pop diverged: {a:?} vs {b:?}"),
+            },
         }
+        prop_assert_eq!(cal.len(), model.live(), "live count diverged");
+        prop_assert_eq!(
+            cal.peek_time().map(SimTime::as_micros),
+            model.peek_time(),
+            "next event time diverged"
+        );
+    }
+
+    // Drain both and compare orderings exactly.
+    loop {
+        match (cal.pop(), model.pop()) {
+            (None, None) => return Ok(()),
+            (Some(f), Some((t, seq))) => {
+                prop_assert_eq!(f.time.as_micros(), t);
+                prop_assert_eq!(f.payload, seq);
+                prop_assert_eq!(f.handle, handles[seq as usize]);
+            }
+            (a, b) => prop_assert!(false, "drain diverged: {a:?} vs {b:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The calendar and the naive reference model produce identical
+    /// event sequences under arbitrary operation interleavings.
+    #[test]
+    fn calendar_matches_reference_model(ops in proptest::collection::vec(op_strategy(5_000), 1..200)) {
+        check_against_model(ops)?;
+    }
+
+    /// The same, with every schedule 0–3 µs after now: most pending
+    /// events share their time with another, so equal-time events must
+    /// fire in the order they were scheduled.
+    #[test]
+    fn calendar_orders_ties_by_sequence(ops in proptest::collection::vec(op_strategy(3), 1..200)) {
+        check_against_model(ops)?;
     }
 
     /// Welford accumulator agrees with two-pass mean/variance.
